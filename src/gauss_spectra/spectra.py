@@ -5,15 +5,15 @@ system
 
     P(t, q) = q xi,        dP/dq (t, q) = xi,
 
-whose unique solution (t, q) has t = dim of the level set.  dP/dq is
-strictly increasing in q, so the inner problem (find q given t) is a
-bracketed monotone root; W(t) = P(t, q(t)) - xi q(t) is strictly
-decreasing in t, so the outer problem is a bisection on (0, 1].
+whose unique solution (t, q) has t = dim of the level set.  It is found by
+damped Newton iteration on F(t, q) = (P - q xi, dP/dq - xi), started from
+the neighbouring solved point when a curve is marched outward from the
+peak (implicit-function continuation), else from the peak (1, 0).
 
 The Lyapunov spectrum reduces to the one-parameter pressure P(u) = P(u, 0):
-find u with P'(u) = -beta, then q = P(u)/beta and t = u + q.  A direct
-nested solve of the two-parameter form is kept alongside as a consistency
-route.
+find u with P'(u) = -beta (brentq), then q = P(u)/beta and t = u + q.  The
+same Newton iteration on the two-parameter form, with u = t - q, is kept
+alongside as an independent consistency route.
 
 Also here: the flat fast spectrum 1/(b+1), the growth-ratio estimator for
 b, the Cantor-set dimension quotient for digit ranges s_n <= a_n < N s_n,
@@ -52,17 +52,18 @@ class InsufficientGridError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Windows and tolerances of the spectrum solvers.
+
+    ``xi_window`` and ``beta_window`` bound the exponents a point or curve
+    accepts.  ``residual_tol`` is the largest max |F| a Newton solve may
+    end at when its step stalls before reaching NEWTON_TOL; ``inner_xtol``
+    is the brentq tolerance on u in the 1-D Lyapunov route.
+    """
+
     xi_window: tuple[float, float] = (0.05, 50.0)
     beta_window: tuple[float, float] | None = None  # default (gamma0 + 1e-3, 150)
-    t_bracket: tuple[float, float] = (0.02, 1.0)
-    t_floor: float = 0.002            # outer bracket may extend down to here
     residual_tol: float = 1e-8
-    w_stop: float = 1e-10             # early bisection stop on |W|
-    boundary_accept: float = 1e-9     # |W(1)| below this means t = 1 exactly
     inner_xtol: float = 1e-13
-    max_outer_iter: int = 60
-    inner_margin_start: float = 0.25
-    inner_margin_min: float = 0.0125  # keeps 2t - q above the pressure domain margin
 
     def resolved_beta_window(self) -> tuple[float, float]:
         if self.beta_window is not None:
@@ -102,131 +103,70 @@ def default_provider(cutoff: int = 64, order: int = 16, **kw) -> PressureProvide
 
 
 # ---------------------------------------------------------------------------
-# nested two-parameter solver
+# damped Newton solver for the two-parameter systems
 # ---------------------------------------------------------------------------
 
-class _KhintchineFamily:
-    """P(t, q) with dP/dq as the inner derivative; boundary 2t - q = 1."""
-
-    def __init__(self, provider: PressureProvider):
-        self.provider = provider
-
-    def value(self, t: float, q: float) -> float:
-        return self.provider.pressure(t, q)
-
-    def dvalue_dq(self, t: float, q: float) -> float:
-        return self.provider.dP_dq(t, q)
-
-    def q_boundary(self, t: float) -> float:
-        return 2.0 * t - 1.0
-
-    def slope(self, t: float, q: float, exponent: float) -> float:
-        return q / self.provider.dP_dt(t, q)
+NEWTON_MAX_ITER = 60
+NEWTON_TOL = 1e-12       # max |F| at which an iterate is accepted outright
+NEWTON_MIN_STEP = 1e-15  # a damped step this small ends the iteration
+NEWTON_FD_STEP = 1e-6    # difference step for the second Jacobian row
 
 
-class _LyapunovFamily:
-    """P1(t, q) = P(t - q, 0); the inner derivative is -P'(t - q)."""
+def _newton(residual: Callable[[float, float], tuple[float, float]],
+            first_row: Callable[[float, float], tuple[float, float]],
+            t: float, q: float, tol: float) -> tuple[float, float]:
+    """Damped Newton iteration for F(t, q) = 0 from (t, q).
 
-    def __init__(self, provider: PressureProvider):
-        self.provider = provider
-
-    def value(self, t: float, q: float) -> float:
-        return self.provider.pressure(t - q, 0.0)
-
-    def dvalue_dq(self, t: float, q: float) -> float:
-        return -self.provider.dP_dt(t - q, 0.0)
-
-    def q_boundary(self, t: float) -> float:
-        return t - 0.5
-
-    def slope(self, t: float, q: float, exponent: float) -> float:
-        return -q / exponent
-
-
-def _inner_q(family, t: float, exponent: float, cfg: SolverConfig,
-             q_hint: float | None) -> float:
-    """Unique q below the boundary with dvalue_dq(t, q) = exponent."""
-    boundary = family.q_boundary(t)
-
-    def f(q: float) -> float:
-        return family.dvalue_dq(t, q) - exponent
-
-    margin = cfg.inner_margin_start
-    q_hi = boundary - margin
-    f_hi = f(q_hi)
-    while f_hi <= 0.0:
-        margin *= 0.25
-        if margin < cfg.inner_margin_min:
-            raise BracketError(
-                f"inner derivative stays below {exponent} up to the domain "
-                f"margin at t = {t}")
-        q_hi = boundary - margin
-        f_hi = f(q_hi)
-
-    q_lo = q_hint - 0.5 if q_hint is not None else q_hi - 1.0
-    q_lo = min(q_lo, q_hi - 1e-6)
-    step = 1.0
-    f_lo = f(q_lo)
-    expansions = 0
-    while f_lo >= 0.0:
-        q_lo -= step
-        step *= 2.0
-        expansions += 1
-        if expansions > 80:
-            raise BracketError(
-                f"inner derivative never drops below {exponent} (t = {t}, "
-                f"searched down to q = {q_lo})")
-        f_lo = f(q_lo)
-    return float(brentq(f, q_lo, q_hi, xtol=cfg.inner_xtol, rtol=8.9e-16))
+    ``residual`` returns F; ``first_row`` returns the exact gradient of its
+    first component.  The gradient of the second component is a one-sided
+    difference of F2; both offsets (t + h and q - h) move away from the
+    divergence line 2t - q = 1.  A step is halved until t stays positive,
+    the pressure is defined and max |F| decreases.  The iteration ends at
+    max |F| <= NEWTON_TOL, or when the damped step falls below
+    NEWTON_MIN_STEP with max |F| <= ``tol``; otherwise it raises
+    ``ConvergenceError``.
+    """
+    h = NEWTON_FD_STEP
+    F = np.asarray(residual(t, q))
+    norm = float(np.max(np.abs(F)))
+    for _ in range(NEWTON_MAX_ITER):
+        if norm <= NEWTON_TOL:
+            return t, q
+        jac = np.array([first_row(t, q),
+                        [(residual(t + h, q)[1] - F[1]) / h,
+                         (F[1] - residual(t, q - h)[1]) / h]])
+        try:
+            dt, dq = np.linalg.solve(jac, -F)
+        except np.linalg.LinAlgError:
+            raise transfer.ConvergenceError(
+                f"singular Newton Jacobian at (t, q) = ({t}, {q})") from None
+        scale = 1.0
+        while True:
+            if scale * max(abs(dt), abs(dq)) < NEWTON_MIN_STEP:
+                if norm <= tol:
+                    return t, q
+                raise transfer.ConvergenceError(
+                    f"Newton stalled at (t, q) = ({t}, {q}) with max |F| = {norm:.3e}")
+            t_new, q_new = t + scale * dt, q + scale * dq
+            if t_new > 0.0:
+                try:
+                    F_new = np.asarray(residual(t_new, q_new))
+                except transfer.DomainError:
+                    F_new = None
+                if F_new is not None and float(np.max(np.abs(F_new))) < norm:
+                    break
+            scale *= 0.5
+        t, q, F = t_new, q_new, F_new
+        norm = float(np.max(np.abs(F)))
+    if norm <= tol:
+        return t, q
+    raise transfer.ConvergenceError(
+        f"Newton did not converge in {NEWTON_MAX_ITER} iterations; "
+        f"max |F| = {norm:.3e} at (t, q) = ({t}, {q})")
 
 
-def _nested_solve(family, exponent: float, cfg: SolverConfig,
-                  hint: SpectrumPoint | None) -> tuple[float, float]:
-    """Solve value = q * exponent, dvalue_dq = exponent for (t, q)."""
-    q_hint = hint.q_value if hint is not None else None
-    inner_cache: dict[float, float] = {}
-
-    def q_of(t: float) -> float:
-        q = inner_cache.get(t)
-        if q is None:
-            nonlocal q_hint
-            q = _inner_q(family, t, exponent, cfg, q_hint)
-            q_hint = q
-            inner_cache[t] = q
-        return q
-
-    def W(t: float) -> float:
-        q = q_of(t)
-        return family.value(t, q) - exponent * q
-
-    t_lo, t_hi = cfg.t_bracket
-    w_hi = W(t_hi)
-    if abs(w_hi) <= cfg.boundary_accept:
-        return t_hi, q_of(t_hi)
-    if w_hi > 0.0:
-        raise BracketError(
-            f"W({t_hi}) = {w_hi} > 0: no root at or below the dimension ceiling")
-    w_lo = W(t_lo)
-    while w_lo <= 0.0:
-        t_lo *= 0.5
-        if t_lo < cfg.t_floor:
-            raise BracketError(
-                f"W stays negative down to t = {t_lo * 2}: exponent {exponent} "
-                "out of reach of the outer bracket")
-        w_lo = W(t_lo)
-
-    for _ in range(cfg.max_outer_iter):
-        mid = 0.5 * (t_lo + t_hi)
-        w_mid = W(mid)
-        if abs(w_mid) < cfg.w_stop or (t_hi - t_lo) < 1e-14:
-            t_lo = t_hi = mid
-            break
-        if w_mid > 0.0:
-            t_lo = mid
-        else:
-            t_hi = mid
-    t_root = 0.5 * (t_lo + t_hi)
-    return t_root, q_of(t_root)
+def _start(hint: SpectrumPoint | None) -> tuple[float, float]:
+    return (hint.dimension, hint.q_value) if hint is not None else (1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +182,24 @@ def khintchine_point(xi: float, provider: PressureProvider | None = None,
     if not lo <= xi <= hi:
         raise WindowError(f"xi = {xi} outside the solver window [{lo}, {hi}]")
     prov = provider or default_provider()
-    fam = _KhintchineFamily(prov)
-    t, q = _nested_solve(fam, xi, cfg, hint)
-    r1 = abs(prov.pressure(t, q) - q * xi)
-    r2 = abs(prov.dP_dq(t, q) - xi)
+
+    def residual(t: float, q: float) -> tuple[float, float]:
+        return prov.pressure(t, q) - q * xi, prov.dP_dq(t, q) - xi
+
+    def first_row(t: float, q: float) -> tuple[float, float]:
+        return prov.dP_dt(t, q), prov.dP_dq(t, q) - xi
+
+    t, q = _newton(residual, first_row, *_start(hint), cfg.residual_tol)
+    r1, r2 = residual(t, q)
     return SpectrumPoint(
-        exponent=xi, dimension=t, q_value=q, residuals=(r1, r2),
-        t_slope=fam.slope(t, q, xi), kind="khintchine",
+        exponent=xi, dimension=t, q_value=q, residuals=(abs(r1), abs(r2)),
+        t_slope=q / prov.dP_dt(t, q), kind="khintchine",
     )
+
+
+def _lyapunov_slope_gap(u: float, prov: PressureProvider, beta: float) -> float:
+    """P'(u) + beta; module-level so brentq's wrapper holds no provider."""
+    return prov.dP_dt(u, 0.0) + beta
 
 
 def lyapunov_point(beta: float, provider: PressureProvider | None = None,
@@ -266,19 +216,17 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
         raise WindowError(f"beta = {beta} outside the solver window [{lo}, {hi}]")
     prov = provider or default_provider()
 
-    def f(u: float) -> float:
-        return prov.dP_dt(u, 0.0) + beta
-
     u_lo = 0.5 + 0.006
-    if f(u_lo) >= 0.0:
+    if _lyapunov_slope_gap(u_lo, prov, beta) >= 0.0:
         raise BracketError(f"P' at the domain edge already exceeds -beta = {-beta}")
     u_hi = hint.dimension - hint.q_value + 0.5 if hint is not None else 1.0
     u_hi = max(u_hi, 1.0)
-    while f(u_hi) <= 0.0:
+    while _lyapunov_slope_gap(u_hi, prov, beta) <= 0.0:
         u_hi *= 1.6
         if u_hi > 60.0:
             raise BracketError(f"P'(u) = {-beta} not bracketed below u = 60")
-    u = float(brentq(f, u_lo, u_hi, xtol=cfg.inner_xtol, rtol=8.9e-16))
+    u = float(brentq(_lyapunov_slope_gap, u_lo, u_hi, args=(prov, beta),
+                     xtol=cfg.inner_xtol, rtol=8.9e-16))
     q = prov.pressure(u, 0.0) / beta
     t = u + q
     u_back = t - q
@@ -293,28 +241,31 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
 def lyapunov_point_2d(beta: float, provider: PressureProvider | None = None,
                       config: SolverConfig | None = None,
                       hint: SpectrumPoint | None = None) -> SpectrumPoint:
-    """Lyapunov point by the direct nested two-parameter solve (cross-route)."""
+    """Lyapunov point by Newton on the two-parameter system (cross-route).
+
+    With u = t - q the system is P(u, 0) = q beta, -dP/dt(u, 0) = beta; it
+    shares no root-finding code with ``lyapunov_point``.
+    """
     cfg = config or SolverConfig()
     lo, hi = cfg.resolved_beta_window()
     if not lo <= beta <= hi:
         raise WindowError(f"beta = {beta} outside the solver window [{lo}, {hi}]")
     prov = provider or default_provider()
-    fam = _LyapunovFamily(prov)
-    t, q = _nested_solve(fam, beta, cfg, hint)
-    r1 = abs(prov.pressure(t - q, 0.0) - q * beta)
-    r2 = abs(-prov.dP_dt(t - q, 0.0) - beta)
+
+    def residual(t: float, q: float) -> tuple[float, float]:
+        u = t - q
+        return prov.pressure(u, 0.0) - q * beta, -prov.dP_dt(u, 0.0) - beta
+
+    def first_row(t: float, q: float) -> tuple[float, float]:
+        slope = prov.dP_dt(t - q, 0.0)
+        return slope, -slope - beta
+
+    t, q = _newton(residual, first_row, *_start(hint), cfg.residual_tol)
+    r1, r2 = residual(t, q)
     return SpectrumPoint(
-        exponent=beta, dimension=t, q_value=q, residuals=(r1, r2),
+        exponent=beta, dimension=t, q_value=q, residuals=(abs(r1), abs(r2)),
         t_slope=-q / beta, kind="lyapunov",
     )
-
-
-def _continuation_order(grid: np.ndarray, center: float) -> list[int]:
-    """Solve order: nearest the peak first, then outward left and right."""
-    start = int(np.argmin(np.abs(grid - center)))
-    left = list(range(start - 1, -1, -1))
-    right = list(range(start, len(grid)))
-    return right + left
 
 
 def _solve_curve(kind: str, grid: Sequence[float], solver, center: float,
@@ -491,12 +442,12 @@ def bounded_digit_dimension(digits: Iterable[int],
     """Hausdorff dimension of continued fractions with digits in a finite set.
 
     The unique zero of the restricted-alphabet pressure t -> P_digits(t);
-    the singleton {1} is a single point, dimension 0.
+    a single digit gives a single point, dimension 0.
     """
     ds = tuple(sorted(set(int(d) for d in digits)))
     if not ds:
         raise ValueError("digit set must be nonempty")
-    if ds == (1,):
+    if len(ds) == 1:
         return 0.0
     alphabet = Alphabet.restricted(ds)
     disc = disc or Discretization.chebyshev()

@@ -23,6 +23,7 @@ is precisely the node-weighted Gibbs average of log a_1 resp. -log|T'|.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -383,9 +384,15 @@ def required_order(t: float, base_order: int) -> int:
     return min(96, base_order + boost)
 
 
+@functools.lru_cache(maxsize=96)
+def _boosted_disc(order: int) -> Discretization:
+    """One shared discretization per raised order (orders are capped at 96)."""
+    return Discretization.chebyshev(order)
+
+
 def _effective_disc(params: PressureParams, disc: Discretization) -> Discretization:
     k = required_order(params.t, disc.order)
-    return disc if k == disc.order else Discretization.chebyshev(k)
+    return disc if k == disc.order else _boosted_disc(k)
 
 
 def _tail_error_bound(pieces: _Pieces, h: np.ndarray, lam: float) -> float:

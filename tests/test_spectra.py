@@ -1,6 +1,8 @@
 """Spectrum solvers, closed-form spectra, and shape diagnostics."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -24,8 +26,8 @@ def provider():
 
 def test_peak_solves_to_one_zero(provider):
     pt = sp.khintchine_point(XI0, provider)
-    assert abs(pt.dimension - 1.0) < 1e-4
-    assert abs(pt.q_value) < 1e-4
+    assert abs(pt.dimension - 1.0) <= 1e-12
+    assert abs(pt.q_value) <= 1e-12
     assert max(pt.residuals) < 1e-8
 
 
@@ -74,6 +76,42 @@ def test_near_zero_window_edge(provider):
 def test_tail_dimension(provider):
     pt = sp.khintchine_point(40.0, provider)
     assert 0.5 < pt.dimension < 0.56
+
+
+def test_newton_cold_and_warm_starts_agree():
+    cold = sp.khintchine_point(5.0, sp.default_provider())
+    prov = sp.default_provider()
+    warm = sp.khintchine_point(5.0, prov, hint=sp.khintchine_point(4.0, prov))
+    assert abs(cold.dimension - warm.dimension) <= 1e-10
+    assert abs(cold.q_value - warm.q_value) <= 1e-10
+
+
+@pytest.mark.parametrize("xi", [0.05, 0.3, XI0, 5.0, 50.0])
+def test_newton_cold_start_residuals_on_fresh_provider(xi):
+    pt = sp.khintchine_point(xi, sp.default_provider())
+    fresh = sp.default_provider()
+    t, q = pt.dimension, pt.q_value
+    assert abs(fresh.pressure(t, q) - q * xi) <= 1e-10
+    assert abs(fresh.dP_dq(t, q) - xi) <= 1e-10
+
+
+def test_newton_curve_solve_count():
+    # a count of distinct eigen-solves, so the guard holds on any machine
+    prov = sp.default_provider()
+    curve = sp.khintchine_curve(np.geomspace(0.3, 40.0, 60), prov)
+    assert len(curve.points) == 60
+    assert len(prov._cache) < 1500
+
+
+def test_newton_failure_is_recorded():
+    # with digits {1, 2} the mean log-digit never exceeds log 2, so xi = 2
+    # has no solution and Newton must give up rather than return a point
+    prov = tr.PressureProvider(tr.Alphabet.restricted({1, 2}), tr.Discretization.chebyshev(16))
+    with pytest.raises(tr.ConvergenceError):
+        sp.khintchine_point(2.0, prov)
+    curve = sp.khintchine_curve([0.5, 2.0], prov)
+    assert [p.exponent for p in curve.points] == [0.5]
+    assert [f["exponent"] for f in curve.metadata["failures"]] == [2.0]
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +188,23 @@ def test_lyapunov_curve_shape(provider):
     assert rep.slope_sign_changes == 1
     assert rep.curvature_at_peak < 0.0
     assert rep.q_sign_consistent
+
+
+@pytest.mark.parametrize("curve_fn, grid", [
+    (sp.khintchine_curve, [0.5, XI0, 10.0]),
+    (sp.lyapunov_curve, [1.5, LAM0, 10.0]),
+])
+def test_curve_releases_provider_without_gc(curve_fn, grid):
+    prov = sp.default_provider()
+    ref = weakref.ref(prov)
+    gc.disable()
+    try:
+        curve = curve_fn(grid, prov)
+        del prov
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert len(curve.points) == 3
 
 
 def test_shape_report_needs_enough_points(provider):
@@ -245,6 +300,8 @@ def test_cantor_dimension_hypothesis_errors():
 
 def test_bounded_digit_dimension_values():
     assert sp.bounded_digit_dimension({1}) == 0.0
+    assert sp.bounded_digit_dimension({2}) == 0.0
+    assert sp.bounded_digit_dimension({5}) == 0.0
     d12 = sp.bounded_digit_dimension({1, 2})
     assert abs(d12 - 0.5312805) < 1e-5
     d123 = sp.bounded_digit_dimension({1, 2, 3})

@@ -110,6 +110,15 @@ def test_discretization_convergence():
     assert abs(p16 - p24) < 1e-8
 
 
+def test_boosted_solves_share_one_discretization():
+    params = tr.PressureParams(5.0, 0.0)
+    a = tr.pressure(params, ALPH, tr.Discretization.chebyshev(16))
+    b = tr.pressure(params, ALPH, tr.Discretization.chebyshev(16))
+    assert a.disc.order > 16
+    assert a.disc is b.disc
+    assert a.value == b.value
+
+
 def test_domain_margin_rejection():
     with pytest.raises(tr.DomainError):
         tr.pressure(tr.PressureParams(0.5, 0.0), ALPH, DISC)
