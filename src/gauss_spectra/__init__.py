@@ -20,8 +20,6 @@ from .cf import (
     orbit_stats_from_digits,
 )
 from .zeta import (
-    ConstantsTable,
-    constants_table,
     golden_constant,
     hurwitz_zeta,
     khintchine_constant,

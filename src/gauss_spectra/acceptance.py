@@ -25,7 +25,6 @@ from . import cf, spectra, transfer, zeta
 class VerifyConfig:
     cutoff: int = 64
     order: int = 16
-    tolerance: float = 1e-10
     seed: int = 0
 
     def alphabet(self) -> transfer.Alphabet:
@@ -35,8 +34,7 @@ class VerifyConfig:
         return transfer.Discretization.chebyshev(self.order)
 
     def provider(self) -> transfer.PressureProvider:
-        return transfer.PressureProvider(self.alphabet(), self.disc(),
-                                         tol=min(self.tolerance, 1e-10))
+        return transfer.PressureProvider(self.alphabet(), self.disc())
 
 
 @dataclass(frozen=True)

@@ -23,26 +23,13 @@ import numpy as np
 
 from . import __version__
 from .acceptance import CRITERIA, VerifyConfig, run_criterion
-from .spectra import (SolverConfig, WindowError, bounded_digit_dimension,
-                      khintchine_curve, lyapunov_curve, spectrum_shape_report,
-                      InsufficientGridError)
+from .spectra import (SolverConfig, WindowError, _central_derivatives,
+                      bounded_digit_dimension, khintchine_curve, lyapunov_curve,
+                      spectrum_shape_report, InsufficientGridError)
 from .transfer import (DOMAIN_MARGIN, Alphabet, Discretization, DomainError,
                        PressureProvider)
 from .zeta import (golden_constant, khintchine_constant, khintchine_exponent,
                    lyapunov_constant)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    cutoff: int = 64
-    order: int = 16
-    tolerance: float = 1e-10
-    out_format: str = "csv"
-    output: str | None = None
-    seed: int = 0
-    jobs: int = 1
-    gnuplot: bool = False
 
 
 @dataclass
@@ -76,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--collocation-order", type=int, default=16, dest="order",
                         help="number of Chebyshev nodes K (default 16)")
     common.add_argument("--tolerance", type=float, default=1e-10,
-                        help="eigen-solve relative tolerance (default 1e-10)")
+                        help="upper bound on the eigen-solve's relative error; "
+                             "the direct solve always meets it (default 1e-10)")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         dest="out_format", help="output format")
     common.add_argument("--output", default=None, help="output file (default stdout)")
@@ -210,12 +198,10 @@ def _metadata(args, extra: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _pressure_task(task) -> tuple:
-    t, q, cutoff, order, tol = task
-    prov = PressureProvider(Alphabet.full(cutoff), Discretization.chebyshev(order),
-                            tol=tol)
+    t, q, cutoff, order = task
+    prov = PressureProvider(Alphabet.full(cutoff), Discretization.chebyshev(order))
     res = prov.result(t, q)
-    return (t, q, res.value, prov.dP_dt(t, q), prov.dP_dq(t, q),
-            res.tail_error_bound)
+    return (t, q, res.value, res.dP_dt, res.dP_dq, res.tail_error_bound)
 
 
 def cmd_pressure(args) -> int:
@@ -239,20 +225,18 @@ def cmd_pressure(args) -> int:
                 f"(t, q) = ({t}, {q}) outside the pressure domain: "
                 f"2t - q = {2 * t - q} <= {1 + DOMAIN_MARGIN}")
 
-    tol = min(args.tolerance, 1e-10)
-    tasks = [(t, q, args.cutoff, args.order, tol) for (t, q) in points]
+    tasks = [(t, q, args.cutoff, args.order) for (t, q) in points]
     jobs = args.jobs if args.jobs is not None else _default_jobs()
     if jobs > 1 and len(tasks) >= 4:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_pressure_task, tasks, chunksize=4))
     else:
         prov = PressureProvider(Alphabet.full(args.cutoff),
-                                Discretization.chebyshev(args.order), tol=tol)
+                                Discretization.chebyshev(args.order))
         rows = []
         for (t, q, *_rest) in tasks:
             res = prov.result(t, q)
-            rows.append((t, q, res.value, prov.dP_dt(t, q), prov.dP_dq(t, q),
-                         res.tail_error_bound))
+            rows.append((t, q, res.value, res.dP_dt, res.dP_dq, res.tail_error_bound))
 
     meta = _metadata(args, {"jobs": jobs, "points": len(points)})
     header = ["t", "q", "pressure", "dP_dt", "dP_dq", "tail_error"]
@@ -272,8 +256,7 @@ def cmd_spectrum(args) -> int:
 
     cfg = SolverConfig()
     provider = PressureProvider(Alphabet.full(args.cutoff),
-                                Discretization.chebyshev(args.order),
-                                tol=min(args.tolerance, 1e-10))
+                                Discretization.chebyshev(args.order))
     try:
         if args.kind == "khintchine":
             curve = khintchine_curve(grid, provider, cfg)
@@ -284,27 +267,21 @@ def cmd_spectrum(args) -> int:
     except WindowError as exc:
         return _usage_error(str(exc))
 
-    solved = {p.exponent: p for p in curve.points}
-    xs = sorted(solved)
+    # slopes at interior solved points from their solved neighbours
+    slopes = np.full(len(curve.points), math.nan)
+    if len(curve.points) >= 3:
+        slopes[1:-1] = _central_derivatives(curve.exponents, curve.dimensions)[0]
+    solved = {p.exponent: (p, s) for p, s in zip(curve.points, slopes)}
     records: list[CurveRecord] = []
     for g in grid:
         g = float(g)
-        pt = solved.get(g)
-        if pt is None:
+        if g not in solved:
             records.append(CurveRecord(g, math.nan, math.nan, math.inf, math.inf,
                                        math.nan))
             continue
-        k = xs.index(g)
-        if 0 < k < len(xs) - 1:
-            x0, x1, x2 = xs[k - 1], g, xs[k + 1]
-            y0, y1, y2 = (solved[x0].dimension, pt.dimension, solved[x2].dimension)
-            h1, h2 = x1 - x0, x2 - x1
-            slope = (y2 * h1 ** 2 - y0 * h2 ** 2 + y1 * (h2 ** 2 - h1 ** 2)) / (
-                h1 * h2 * (h1 + h2))
-        else:
-            slope = math.nan
+        pt, slope = solved[g]
         records.append(CurveRecord(g, pt.dimension, pt.q_value,
-                                   pt.residuals[0], pt.residuals[1], slope))
+                                   pt.residuals[0], pt.residuals[1], float(slope)))
 
     trailer = {}
     try:
@@ -358,8 +335,7 @@ def cmd_verify(args) -> int:
         for cid, title, _ in CRITERIA:
             print(f"{cid}  {title}")
         return 0
-    cfg = VerifyConfig(cutoff=args.cutoff, order=args.order,
-                       tolerance=args.tolerance, seed=args.seed)
+    cfg = VerifyConfig(cutoff=args.cutoff, order=args.order, seed=args.seed)
     all_ok = True
     for cid, _, _ in CRITERIA:
         r = run_criterion(cid, cfg)

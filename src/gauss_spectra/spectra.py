@@ -98,8 +98,8 @@ class SpectrumCurve:
         return np.array([p.dimension for p in self.points])
 
 
-def default_provider(cutoff: int = 64, order: int = 16, **kw) -> PressureProvider:
-    return PressureProvider(Alphabet.full(cutoff), Discretization.chebyshev(order), **kw)
+def default_provider(cutoff: int = 64, order: int = 16) -> PressureProvider:
+    return PressureProvider(Alphabet.full(cutoff), Discretization.chebyshev(order))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,6 @@ def _solve_curve(kind: str, grid: Sequence[float], solver, center: float,
         "collocation_order": provider.disc.order,
         "alphabet_kind": provider.alphabet.kind,
         "alphabet_cutoff": provider.alphabet.cutoff,
-        "eigen_tol": provider.tol,
     }
     return SpectrumCurve(kind=kind, points=points, metadata=meta)
 

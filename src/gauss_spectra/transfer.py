@@ -16,6 +16,12 @@ moment sum_{i>M} i^q (i+x)^(-rho) is expanded binomially into Hurwitz zeta
 values at M+1+x.  This keeps the cutoff error orders of magnitude below
 the collocation error instead of the ~1/M^2 a crude integral bound leaves.
 
+Every value comes from one path: the collocation matrix A is assembled
+together with dA/dt and dA/dq, and one dense eigen-decomposition gives the
+Perron eigenvalue with its right and left eigenvectors.  The Perron pair is
+the largest real positive eigenvalue whose right eigenvector is positive at
+every node; when spurious collocation modes also qualify, the ones whose
+Chebyshev tails have not decayed to RESOLVED_TAIL are dropped first.
 Pressure derivatives are exact derivatives of the discretized eigenvalue
 (left/right eigenvector contraction of the differentiated matrix), which
 is precisely the node-weighted Gibbs average of log a_1 resp. -log|T'|.
@@ -29,6 +35,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import dct
 
 from .cf import PartialQuotients
 from .zeta import hurwitz_zeta
@@ -37,9 +46,7 @@ DOMAIN_MARGIN = 0.01  # reject 2t - q below 1 + this; the pressure diverges at 1
 JET_ORDER = 6         # Taylor orders of g kept in the tail
 LOG_EXTRA = 8         # extra moment orders for the log-digit tail
 BINOM_TERMS = 40      # binomial expansion length; terms shrink like (x/M)^j
-
-POWER_TOL = 1e-13
-POWER_MAX_ITER = 10_000
+RESOLVED_TAIL = 1e-6  # trailing/leading Chebyshev coefficient ratio of a resolved mode
 
 
 class DomainError(ValueError):
@@ -47,7 +54,9 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Power iteration failed to converge or produced a non-positive mode."""
+    """No result could be computed: the collocation matrix has no resolved
+    eigenmode that is positive at every node (no Perron pair), or a spectrum
+    solver's Newton iteration did not converge."""
 
 
 class ConsistencyError(RuntimeError):
@@ -166,7 +175,7 @@ class Discretization:
 
 @dataclass(frozen=True)
 class PressureResult:
-    """Pressure value with its eigendata and tail diagnostics.
+    """Pressure value and its exact derivatives, eigendata and tail diagnostics.
 
     ``disc`` is the discretization the eigendata lives on; it is finer than
     the requested one when the eigenfunction's dynamic range forced a
@@ -175,10 +184,11 @@ class PressureResult:
 
     params: PressureParams
     value: float
+    dP_dt: float
+    dP_dq: float
     eigenfunction_values: np.ndarray
     left_eigen_weights: np.ndarray
     tail_error_bound: float
-    iterations: int
     disc: "Discretization"
 
 
@@ -199,177 +209,88 @@ def _binom_coeffs(q: float, count: int) -> np.ndarray:
     return b
 
 
-class _TailMoments:
-    """Closed-form digit-tail moments above the cutoff.
+def _tail_moments(t: float, q: float, nodes: np.ndarray, cutoff: int):
+    """Closed-form digit-tail moments above the cutoff, one row per order r.
 
-    S[r, k]    = sum_{i>M} i^q (i + x_k)^(-(2t+r))
-    S_dq[r, k] = sum_{i>M} log(i) i^q (i + x_k)^(-(2t+r))
-    S_dt[r, k] = -2 sum_{i>M} log(i + x_k) i^q (i + x_k)^(-(2t+r))
+    Returns (S, S_dt, S_dq, binom_trunc) with
 
-    via i^q (i+x)^(-rho) = sum_j C(q, j) (-x)^j (i+x)^(q-rho-j) and Hurwitz
-    zeta sums at a = M + 1 + x.
+        S[r, k]    = sum_{i>M} i^q (i + x_k)^(-(2t+r)),   r <= JET_ORDER + LOG_EXTRA
+        S_dt[r, k] = -2 sum_{i>M} log(i + x_k) i^q (i + x_k)^(-(2t+r)),   r <= JET_ORDER
+        S_dq[r, k] = sum_{i>M} log(i) i^q (i + x_k)^(-(2t+r)),            r <= JET_ORDER
+
+    via i^q (i+x)^(-rho) = sum_j C(q, j) (-x)^j (i+x)^(q-rho-j) and a single
+    Hurwitz zeta evaluation, with its s-derivative, at a = M + 1 + x.
+    ``binom_trunc`` is the size of the last binomial term at r = 0, a
+    truncation proxy.
     """
-
-    def __init__(self, t: float, q: float, nodes: np.ndarray, cutoff: int,
-                 r_max: int, want_deriv: bool):
-        self.x = nodes
-        a = cutoff + 1.0 + nodes
-        s0 = 2.0 * t - q
-        n_offsets = np.arange(r_max + BINOM_TERMS + 1, dtype=float)
-        s_grid = s0 + n_offsets
-        if want_deriv:
-            Z, Zp = hurwitz_zeta(s_grid[:, None], a[None, :], derivative=True)
-        else:
-            Z = hurwitz_zeta(s_grid[:, None], a[None, :])
-            Zp = None
-        b = _binom_coeffs(q, BINOM_TERMS + 1)
-        xpow = (-nodes[None, :]) ** np.arange(BINOM_TERMS + 1)[:, None]
-        self._bx = b[:, None] * xpow          # (J+1, K)
-        self._Z = Z
-        self._Zp = Zp
-        self._r_max = r_max
-        # size of the last binomial term at r = 0: truncation proxy
-        self.binom_trunc = float(np.max(np.abs(self._bx[-1] * Z[BINOM_TERMS])))
-
-    def S(self, r: int) -> np.ndarray:
-        return np.einsum("jk,jk->k", self._bx, self._Z[r:r + BINOM_TERMS + 1])
-
-    def S_dt(self, r: int) -> np.ndarray:
-        return 2.0 * np.einsum("jk,jk->k", self._bx, self._Zp[r:r + BINOM_TERMS + 1])
-
-    def S_dq(self, r: int) -> np.ndarray:
-        # log i = log(i+x) - sum_{k>=1} x^k / (k (i+x)^k)
-        out = -np.einsum("jk,jk->k", self._bx, self._Zp[r:r + BINOM_TERMS + 1])
-        for k in range(1, LOG_EXTRA + 1):
-            out -= (self.x ** k / k) * self.S(r + k)
-        return out
+    r_max = JET_ORDER + LOG_EXTRA
+    s_grid = 2.0 * t - q + np.arange(r_max + BINOM_TERMS + 1, dtype=float)
+    Z, Zp = hurwitz_zeta(s_grid[:, None], cutoff + 1.0 + nodes[None, :], derivative=True)
+    bx = (_binom_coeffs(q, BINOM_TERMS + 1)[:, None]
+          * (-nodes[None, :]) ** np.arange(BINOM_TERMS + 1)[:, None])      # (J+1, K)
+    # window [r, k, j] of a zeta table is its entry [r + j, k]
+    S = np.einsum("jk,rkj->rk", bx, sliding_window_view(Z, BINOM_TERMS + 1, axis=0))
+    dS = np.einsum("jk,rkj->rk", bx, sliding_window_view(
+        Zp[:JET_ORDER + BINOM_TERMS + 1], BINOM_TERMS + 1, axis=0))
+    # log i = log(i+x) - sum_{k>=1} x^k / (k (i+x)^k)
+    S_dq = -dS - sum((nodes ** k / k) * S[k:k + JET_ORDER + 1]
+                     for k in range(1, LOG_EXTRA + 1))
+    binom_trunc = float(np.max(np.abs(bx[-1] * Z[BINOM_TERMS])))
+    return S, 2.0 * dS, S_dq, binom_trunc
 
 
-class _Pieces:
-    """Assembled collocation matrix and (lazily) its parameter derivatives."""
-
-    def __init__(self, params: PressureParams, alphabet: Alphabet, disc: Discretization):
-        self.params = params
-        self.alphabet = alphabet
-        self.disc = disc
-        t, q = params.t, params.q
-        d = alphabet.digit_values()
-        nodes = disc.nodes
-        self._log_d = np.log(d)[:, None]                      # (M, 1)
-        self._log_dx = np.log(d[:, None] + nodes[None, :])    # (M, K)
-        self._W = np.exp(q * self._log_d - 2.0 * t * self._log_dx)
-        self._C = disc.digit_tensor(alphabet)
-        self.A = np.einsum("ij,ijm->jm", self._W, self._C)
-        self._moments: _TailMoments | None = None
-        self._moments_deriv = False
-        self.binom_trunc = 0.0
-        if alphabet.has_tail:
-            m = self._get_moments(False)
-            jr = disc.jet_rows
-            for r in range(JET_ORDER + 1):
-                self.A += np.outer(m.S(r), jr[r])
-            self.binom_trunc = m.binom_trunc
-        self._dA: dict[str, np.ndarray] = {}
-
-    def _get_moments(self, deriv: bool) -> _TailMoments:
-        if self._moments is None or (deriv and not self._moments_deriv):
-            self._moments = _TailMoments(
-                self.params.t, self.params.q, self.disc.nodes,
-                self.alphabet.cutoff, JET_ORDER + LOG_EXTRA, deriv,
-            )
-            self._moments_deriv = deriv
-        return self._moments
-
-    def derivative_matrix(self, which: str) -> np.ndarray:
-        """d A / dt or d A / dq, including the tail."""
-        got = self._dA.get(which)
-        if got is not None:
-            return got
-        if which == "t":
-            dA = np.einsum("ij,ijm->jm", -2.0 * self._log_dx * self._W, self._C)
-        elif which == "q":
-            dA = np.einsum("ij,ijm->jm", self._log_d * self._W, self._C)
-        else:
-            raise ValueError(which)
-        if self.alphabet.has_tail:
-            m = self._get_moments(True)
-            jr = self.disc.jet_rows
-            for r in range(JET_ORDER + 1):
-                s_row = m.S_dt(r) if which == "t" else m.S_dq(r)
-                dA += np.outer(s_row, jr[r])
-        self._dA[which] = dA
-        return dA
+def _assemble(params: PressureParams, alphabet: Alphabet, disc: Discretization):
+    """A, dA/dt and dA/dq stacked as (3, K, K), and the tail moments (or None)."""
+    t, q = params.t, params.q
+    d = alphabet.digit_values()
+    log_d = np.log(d)[:, None]                      # (M, 1)
+    log_dx = np.log(d[:, None] + disc.nodes)        # (M, K)
+    W = np.exp(q * log_d - 2.0 * t * log_dx)
+    weights = np.stack([W, -2.0 * log_dx * W, log_d * W])
+    mats = np.einsum("pij,ijm->pjm", weights, disc.digit_tensor(alphabet))
+    moments = None
+    if alphabet.has_tail:
+        moments = _tail_moments(t, q, disc.nodes, alphabet.cutoff)
+        S, S_dt, S_dq, _ = moments
+        jr = disc.jet_rows[:JET_ORDER + 1]
+        mats += np.stack([S[:JET_ORDER + 1].T @ jr, S_dt.T @ jr, S_dq.T @ jr])
+    return mats, moments
 
 
-def _power_iterate(A: np.ndarray, tol: float, max_iter: int) -> tuple[float, np.ndarray, int]:
-    n = A.shape[0]
-    v = np.ones(n)
-    lam = 0.0
-    for it in range(1, max_iter + 1):
-        w = A @ v
-        idx = int(np.argmax(np.abs(w)))
-        lam_new = float(w[idx]) if v[idx] == 0 else float(w[idx] / v[idx])
-        norm = float(np.abs(w[idx]))
-        if norm == 0.0 or not math.isfinite(norm):
-            raise ConvergenceError("power iteration collapsed to zero / overflow")
-        v_new = w / norm * (1.0 if w[idx] > 0 else -1.0)
-        if it >= 3 and abs(lam_new - lam) <= tol * abs(lam_new):
-            return lam_new, v_new, it
-        lam, v = lam_new, v_new
-    raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
+def _resolved(h: np.ndarray) -> bool:
+    """Whether the two trailing Chebyshev coefficients of the node values h
+    (their DCT-I) are within RESOLVED_TAIL of the largest one."""
+    c = np.abs(dct(h, type=1))
+    return float(np.max(c[-2:])) <= RESOLVED_TAIL * float(np.max(c))
 
 
-def _dense_positive_pair(A: np.ndarray) -> tuple[float, np.ndarray] | None:
-    """The Perron pair of A: largest real positive eigenvalue whose eigenvector
-    is strictly positive.  Used when spurious collocation modes outgrow it."""
-    w, V = np.linalg.eig(A)
-    order = np.argsort(-w.real)
-    for k in order:
-        lam = w[k]
-        if lam.real <= 0.0 or abs(lam.imag) > 1e-9 * (1.0 + abs(lam.real)):
+def _perron_pair(A: np.ndarray, params: PressureParams, disc: Discretization):
+    """(h, nu): the right (largest entry 1) and left (entries summing to 1)
+    eigenvectors of the Perron eigenvalue of A.
+
+    The candidates are the real positive eigenvalues whose right eigenvector
+    is positive at every node.  The operator has one positive eigenfunction,
+    so when several qualify the others are collocation artefacts; their
+    Chebyshev tails do not decay, and the unresolved ones are dropped before
+    the largest remaining eigenvalue is taken.
+    """
+    w, vl, vr = scipy.linalg.eig(A, left=True)
+    modes = []
+    for k in np.argsort(-w.real):
+        if w[k].imag != 0.0 or w[k].real <= 0.0:
             continue
-        v = V[:, k].real
-        v = v / v[np.argmax(np.abs(v))]
-        if np.all(v > 0.0):
-            return float(lam.real), v
-    return None
-
-
-def _solve_eigen(pieces: _Pieces, tol: float, max_iter: int):
-    A = pieces.A
-    iters = 0
-    try:
-        lam, h, it_r = _power_iterate(A, tol, max_iter)
-        iters += it_r
-        if lam <= 0.0 or np.any(h <= 0.0):
-            raise ConvergenceError("power iteration found a non-Perron mode")
-    except ConvergenceError:
-        got = _dense_positive_pair(A)
-        if got is None:
-            raise ConvergenceError(
-                f"no positive dominant eigenpair at {pieces.params} "
-                f"(order {pieces.disc.order}); spurious modes dominate")
-        lam, h = got
-
-    try:
-        lam_l, nu, it_l = _power_iterate(A.T, tol, max_iter)
-        iters += it_l
-        if abs(lam_l - lam) > 1e-6 * abs(lam):
-            raise ConvergenceError("left iteration found a different mode")
-    except ConvergenceError:
-        w, V = np.linalg.eig(A.T)
-        k = int(np.argmin(np.abs(w - lam)))
-        nu = V[:, k].real
-    if np.sum(nu) < 0:
-        nu = -nu
-    nu = nu / np.sum(nu)
-    # one two-sided Rayleigh quotient sharpens the eigenvalue estimate
-    denom = float(nu @ h)
-    if denom != 0.0:
-        lam_rq = float(nu @ (A @ h)) / denom
-        if lam_rq > 0.0 and abs(lam_rq - lam) < 1e-6 * abs(lam):
-            lam = lam_rq
-    return lam, h, nu, iters
+        h = vr[:, k].real
+        h = h / h[np.argmax(np.abs(h))]
+        if np.all(h > 0.0):
+            modes.append((k, h))
+    if len(modes) > 1:
+        modes = [(k, h) for k, h in modes if _resolved(h)]
+    if not modes:
+        raise ConvergenceError(
+            f"no resolved positive eigenmode at {params} (order {disc.order})")
+    k, h = modes[0]
+    nu = vl[:, k].real
+    return h, nu / np.sum(nu)
 
 
 def required_order(t: float, base_order: int) -> int:
@@ -395,40 +316,51 @@ def _effective_disc(params: PressureParams, disc: Discretization) -> Discretizat
     return disc if k == disc.order else _boosted_disc(k)
 
 
-def _tail_error_bound(pieces: _Pieces, h: np.ndarray, lam: float) -> float:
-    if not pieces.alphabet.has_tail:
-        return 0.0
-    m = pieces._get_moments(False)
-    jets = pieces.disc.jet_rows[: JET_ORDER + 1] @ h
-    jet_term = float(abs(jets[-1])) * float(np.max(np.abs(m.S(JET_ORDER))))
-    binom_term = float(abs(jets[0])) * pieces.binom_trunc
-    return float((jet_term + binom_term) / lam)
+def _solve(params: PressureParams, alphabet: Alphabet,
+           disc: Discretization) -> PressureResult:
+    """The eigen-solve behind every pressure value and derivative.
 
-
-def pressure(params: PressureParams, alphabet: Alphabet | None = None,
-             disc: Discretization | None = None, tol: float = POWER_TOL,
-             max_iter: int = POWER_MAX_ITER) -> PressureResult:
-    """P(t, q) as the log of the dominant collocation eigenvalue."""
-    alphabet = alphabet or Alphabet.full()
-    disc = _effective_disc(params, disc or Discretization.chebyshev())
+    Checks the domain, raises the collocation order where t needs it,
+    assembles A with its derivatives once and takes the Perron pair from
+    one dense eigen-decomposition.  The derivatives are the exact ones of
+    the discretized eigenvalue, nu dA h / (lambda nu h).
+    """
     check_domain(params, alphabet)
-    pieces = _Pieces(params, alphabet, disc)
-    lam, h, nu, iters = _solve_eigen(pieces, tol, max_iter)
+    disc = _effective_disc(params, disc)
+    mats, moments = _assemble(params, alphabet, disc)
+    h, nu = _perron_pair(mats[0], params, disc)
+    # nu (A, dA/dt, dA/dq) h / nu h = (lambda, lambda P_t, lambda P_q); the
+    # two-sided quotient is second-order accurate in the eigenvectors, which
+    # matters where the Perron eigenvalue is ill-conditioned (large t)
+    lam, lam_t, lam_q = np.einsum("i,pij,j->p", nu, mats, h) / float(nu @ h)
+    tail_bound = 0.0
+    if moments is not None:
+        S, _, _, binom_trunc = moments
+        jets = disc.jet_rows[:JET_ORDER + 1] @ h
+        tail_bound = float((abs(jets[-1]) * np.max(np.abs(S[JET_ORDER]))
+                            + abs(jets[0]) * binom_trunc) / lam)
     return PressureResult(
         params=params,
         value=math.log(lam),
+        dP_dt=float(lam_t / lam),
+        dP_dq=float(lam_q / lam),
         eigenfunction_values=h,
         left_eigen_weights=nu,
-        tail_error_bound=_tail_error_bound(pieces, h, lam),
-        iterations=iters,
+        tail_error_bound=tail_bound,
         disc=disc,
     )
 
 
+def pressure(params: PressureParams, alphabet: Alphabet | None = None,
+             disc: Discretization | None = None) -> PressureResult:
+    """P(t, q) as the log of the Perron collocation eigenvalue, with P_t and P_q."""
+    return _solve(params, alphabet or Alphabet.full(), disc or Discretization.chebyshev())
+
+
 def pressure_1d(t: float, alphabet: Alphabet | None = None,
-                disc: Discretization | None = None, **kw) -> PressureResult:
+                disc: Discretization | None = None) -> PressureResult:
     """The one-parameter pressure P(t) = P(t, 0)."""
-    return pressure(PressureParams(t, 0.0), alphabet, disc, **kw)
+    return pressure(PressureParams(t, 0.0), alphabet, disc)
 
 
 def apply_operator(params: PressureParams, alphabet: Alphabet | None,
@@ -440,57 +372,44 @@ def apply_operator(params: PressureParams, alphabet: Alphabet | None,
     g = np.asarray(g, dtype=float)
     if g.shape != disc.nodes.shape or not np.all(np.isfinite(g)):
         raise ValueError("g must be finite node values matching the discretization")
-    return _Pieces(params, alphabet, disc).A @ g
+    return _assemble(params, alphabet, disc)[0][0] @ g
 
 
-def _eigen_derivative(pieces: _Pieces, which: str, lam: float,
-                      h: np.ndarray, nu: np.ndarray) -> float:
-    dA = pieces.derivative_matrix(which)
-    return float(nu @ (dA @ h)) / (lam * float(nu @ h))
+def _derivative(which: str, params: PressureParams, alphabet: Alphabet | None,
+                disc: Discretization | None, check: bool, fd_step: float,
+                check_tol: float) -> float:
+    """P_t or P_q at params, optionally checked by a central difference of P."""
+    alphabet = alphabet or Alphabet.full()
+    disc = disc or Discretization.chebyshev()
+    res = _solve(params, alphabet, disc)
+    val = res.dP_dt if which == "t" else res.dP_dq
+    if check:
+        dt, dq = (fd_step, 0.0) if which == "t" else (0.0, fd_step)
+        t, q = params.t, params.q
+        fd = (_solve(PressureParams(t + dt, q + dq), alphabet, disc).value
+              - _solve(PressureParams(t - dt, q - dq), alphabet, disc).value) / (2 * fd_step)
+        if abs(fd - val) > check_tol:
+            raise ConsistencyError(
+                f"dP/d{which} mismatch at {params}: gibbs {val}, finite difference {fd}")
+    return val
 
 
 def dP_dq(params: PressureParams, alphabet: Alphabet | None = None,
           disc: Discretization | None = None, check: bool = False,
           fd_step: float = 1e-5, check_tol: float = 1e-4) -> float:
     """Gibbs average of log a_1, i.e. the exact q-derivative of the pressure."""
-    alphabet = alphabet or Alphabet.full()
-    disc = _effective_disc(params, disc or Discretization.chebyshev())
-    check_domain(params, alphabet)
-    pieces = _Pieces(params, alphabet, disc)
-    lam, h, nu, _ = _solve_eigen(pieces, POWER_TOL, POWER_MAX_ITER)
-    val = _eigen_derivative(pieces, "q", lam, h, nu)
-    if check:
-        t, q = params.t, params.q
-        fd = (pressure(PressureParams(t, q + fd_step), alphabet, disc).value
-              - pressure(PressureParams(t, q - fd_step), alphabet, disc).value) / (2 * fd_step)
-        if abs(fd - val) > check_tol:
-            raise ConsistencyError(
-                f"dP/dq mismatch at {params}: gibbs {val}, finite difference {fd}")
-    return val
+    return _derivative("q", params, alphabet, disc, check, fd_step, check_tol)
 
 
 def dP_dt(params: PressureParams, alphabet: Alphabet | None = None,
           disc: Discretization | None = None, check: bool = False,
           fd_step: float = 1e-5, check_tol: float = 1e-4) -> float:
     """Gibbs average of -log|T'|, i.e. the exact t-derivative of the pressure."""
-    alphabet = alphabet or Alphabet.full()
-    disc = _effective_disc(params, disc or Discretization.chebyshev())
-    check_domain(params, alphabet)
-    pieces = _Pieces(params, alphabet, disc)
-    lam, h, nu, _ = _solve_eigen(pieces, POWER_TOL, POWER_MAX_ITER)
-    val = _eigen_derivative(pieces, "t", lam, h, nu)
-    if check:
-        t, q = params.t, params.q
-        fd = (pressure(PressureParams(t + fd_step, q), alphabet, disc).value
-              - pressure(PressureParams(t - fd_step, q), alphabet, disc).value) / (2 * fd_step)
-        if abs(fd - val) > check_tol:
-            raise ConsistencyError(
-                f"dP/dt mismatch at {params}: gibbs {val}, finite difference {fd}")
-    return val
+    return _derivative("t", params, alphabet, disc, check, fd_step, check_tol)
 
 
 class PressureProvider:
-    """Caches eigen-solves so spectrum solvers can hammer one (alphabet, grid).
+    """Caches one PressureResult per parameter point of one (alphabet, grid).
 
     Results are keyed by the exact float pair (t, q); warm-started solvers
     re-query identical points constantly.  Individual instances are not
@@ -498,50 +417,28 @@ class PressureProvider:
     """
 
     def __init__(self, alphabet: Alphabet | None = None,
-                 disc: Discretization | None = None,
-                 tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER):
+                 disc: Discretization | None = None):
         self.alphabet = alphabet or Alphabet.full()
         self.disc = disc or Discretization.chebyshev()
-        self.tol = tol
-        self.max_iter = max_iter
-        self._cache: dict[tuple[float, float], dict] = {}
+        self._cache: dict[tuple[float, float], PressureResult] = {}
 
-    def _entry(self, t: float, q: float) -> dict:
-        key = (t, q)
-        e = self._cache.get(key)
-        if e is None:
-            params = PressureParams(t, q)
-            check_domain(params, self.alphabet)
-            use_disc = _effective_disc(params, self.disc)
-            pieces = _Pieces(params, self.alphabet, use_disc)
-            lam, h, nu, iters = _solve_eigen(pieces, self.tol, self.max_iter)
-            e = {"pieces": pieces, "lam": lam, "h": h, "nu": nu,
-                 "iters": iters, "disc": use_disc}
-            self._cache[key] = e
-        return e
+    def _lookup(self, t: float, q: float) -> PressureResult:
+        res = self._cache.get((t, q))
+        if res is None:
+            res = self._cache[(t, q)] = _solve(PressureParams(t, q), self.alphabet, self.disc)
+        return res
 
     def result(self, t: float, q: float) -> PressureResult:
-        e = self._entry(t, q)
-        return PressureResult(
-            params=PressureParams(t, q),
-            value=math.log(e["lam"]),
-            eigenfunction_values=e["h"],
-            left_eigen_weights=e["nu"],
-            tail_error_bound=_tail_error_bound(e["pieces"], e["h"], e["lam"]),
-            iterations=e["iters"],
-            disc=e["disc"],
-        )
+        return self._lookup(t, q)
 
     def pressure(self, t: float, q: float) -> float:
-        return math.log(self._entry(t, q)["lam"])
+        return self._lookup(t, q).value
 
     def dP_dq(self, t: float, q: float) -> float:
-        e = self._entry(t, q)
-        return _eigen_derivative(e["pieces"], "q", e["lam"], e["h"], e["nu"])
+        return self._lookup(t, q).dP_dq
 
     def dP_dt(self, t: float, q: float) -> float:
-        e = self._entry(t, q)
-        return _eigen_derivative(e["pieces"], "t", e["lam"], e["h"], e["nu"])
+        return self._lookup(t, q).dP_dt
 
 
 @dataclass(frozen=True)
@@ -576,12 +473,10 @@ class GibbsApprox:
         probs = self._explicit_probs(x)
         tail_mass = 0.0
         if self.alphabet.has_tail:
-            moments = _TailMoments(
-                self.params.t, self.params.q, np.asarray([x]),
-                self.alphabet.cutoff, JET_ORDER, False,
-            )
+            S = _tail_moments(self.params.t, self.params.q, np.asarray([x]),
+                              self.alphabet.cutoff)[0]
             jets = self.disc.jet_rows[: JET_ORDER + 1] @ self.h_values
-            tail = sum(jets[r] * moments.S(r)[0] for r in range(JET_ORDER + 1))
+            tail = float(jets @ S[: JET_ORDER + 1, 0])
             hx = float(self.disc.interpolate(self.h_values, np.asarray([x]))[0])
             tail_mass = math.exp(-self.pressure) * tail / hx
         return probs, tail_mass

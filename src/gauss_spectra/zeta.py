@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import integrate
 
@@ -168,21 +166,3 @@ def golden_constant() -> float:
 # fractions with digits in {1, 2}; the restricted-alphabet pressure root
 # reproduces the leading digits of this.
 DIM_E2_REFERENCE = 0.531280506277205
-
-
-@dataclass(frozen=True)
-class ConstantsTable:
-    xi0: float
-    lambda0: float
-    gamma0: float
-    dimE2_reference: float
-
-
-@functools.lru_cache(maxsize=1)
-def constants_table() -> ConstantsTable:
-    return ConstantsTable(
-        xi0=khintchine_constant(),
-        lambda0=lyapunov_constant(),
-        gamma0=golden_constant(),
-        dimE2_reference=DIM_E2_REFERENCE,
-    )

@@ -138,6 +138,13 @@ def test_lyapunov_routes_agree(provider):
         assert abs(p1.q_value - p2.q_value) < 1e-8
 
 
+def test_lyapunov_point_near_floor_solves():
+    # u = t - q lands near 4.37, where odd collocation orders carry a
+    # spurious positive mode above the Perron value
+    pt = sp.lyapunov_point(GAMMA0 + 0.0213, sp.default_provider())
+    assert max(pt.residuals) <= 1e-10
+
+
 def test_lyapunov_bottom_edge(provider):
     lo = sp.lyapunov_point(GAMMA0 + 0.02, provider)
     hi = sp.lyapunov_point(GAMMA0 + 0.04, provider)

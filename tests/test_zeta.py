@@ -1,4 +1,4 @@
-"""Zeta evaluation against independent oracles and the constants table."""
+"""Zeta evaluation against independent oracles, and the Gauss-map constants."""
 
 import math
 
@@ -7,10 +7,9 @@ import pytest
 from scipy import integrate
 from scipy.special import zeta as scipy_zeta
 
-from gauss_spectra.zeta import (ConstantsTable, constants_table, golden_constant,
-                                hurwitz_zeta, khintchine_constant,
-                                khintchine_exponent, lyapunov_constant,
-                                riemann_zeta)
+from gauss_spectra.zeta import (DIM_E2_REFERENCE, golden_constant, hurwitz_zeta,
+                                khintchine_constant, khintchine_exponent,
+                                lyapunov_constant, riemann_zeta)
 
 LOG2 = math.log(2.0)
 
@@ -105,10 +104,8 @@ def test_golden_constant():
     assert g0 == pytest.approx(-2.0 * math.log(theta0), rel=1e-14)
 
 
-def test_constants_table_ordering():
-    t = constants_table()
-    assert isinstance(t, ConstantsTable)
-    assert 0.0 < t.gamma0 < t.lambda0 < 2.0 * t.xi0
-    assert t.lambda0 == pytest.approx(math.pi ** 2 / (6.0 * LOG2), rel=1e-14)
-    assert t.gamma0 == pytest.approx(2.0 * math.log((1 + math.sqrt(5)) / 2), rel=1e-14)
-    assert t.dimE2_reference == pytest.approx(0.531280506277205, abs=1e-15)
+def test_constants_ordering():
+    # |T'(x)| = x^-2 >= a_1^2 gives 2 xi <= lambda pointwise, hence at the
+    # constants gamma0 < 2 xi0 < lambda0
+    assert 0.0 < golden_constant() < 2.0 * khintchine_exponent() < lyapunov_constant()
+    assert DIM_E2_REFERENCE == pytest.approx(0.531280506277205, abs=1e-15)
