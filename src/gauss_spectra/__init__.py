@@ -47,7 +47,6 @@ from .transfer import (
     sample_digits,
 )
 from .spectra import (
-    BracketError,
     CantorDimensionEstimate,
     GrowthRatioEstimate,
     ShapeReport,

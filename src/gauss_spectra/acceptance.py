@@ -144,13 +144,12 @@ def c05_derivative_anchors(cfg: VerifyConfig) -> CriterionResult:
 def c06_sandwich_convexity(cfg: VerifyConfig) -> CriterionResult:
     start = time.perf_counter()
     prov = cfg.provider()
-    # keep 2t - q - 1 >= 0.3: at the divergence line the Hessian degenerates
-    # to rank one and finite differences cannot see its positivity
+    # 2t - q - 1 >= 0.3 on the grid: at the divergence line the Hessian
+    # degenerates to rank one
     ts = np.linspace(0.6, 0.95, 7)
     qs = np.linspace(-2.0, -0.1, 7)
     worst_sandwich = -1.0
     min_eig = np.inf
-    h = 2e-3
     for t in ts:
         for q in qs:
             res = prov.result(float(t), float(q))
@@ -159,18 +158,14 @@ def c06_sandwich_convexity(cfg: VerifyConfig) -> CriterionResult:
             lo = -t * math.log(4.0) + math.log(zeta.riemann_zeta(2 * t - q))
             hi = math.log(zeta.riemann_zeta(2 * t - q))
             worst_sandwich = max(worst_sandwich, lo - eps - p, p - hi - eps)
-            ptt = (prov.pressure(t + h, q) - 2 * p + prov.pressure(t - h, q)) / h ** 2
-            pqq = (prov.pressure(t, q + h) - 2 * p + prov.pressure(t, q - h)) / h ** 2
-            ptq = (prov.pressure(t + h, q + h) - prov.pressure(t + h, q - h)
-                   - prov.pressure(t - h, q + h) + prov.pressure(t - h, q - h)) / (4 * h ** 2)
-            eigs = np.linalg.eigvalsh(np.array([[ptt, ptq], [ptq, pqq]]))
-            min_eig = min(min_eig, float(eigs.min()))
-    ok = worst_sandwich <= 0.0 and min_eig > -1e-6
+            hessian = [[res.d2P_dt2, res.d2P_dtdq], [res.d2P_dtdq, res.d2P_dq2]]
+            min_eig = min(min_eig, float(np.linalg.eigvalsh(hessian).min()))
+    ok = worst_sandwich <= 0.0 and min_eig > 0.0
     return _result(
         "c06", "Pressure sandwich and Hessian positivity on a 7x7 grid",
         start, 30.0, ok,
         f"worst sandwich excess {worst_sandwich:.2e}; min Hessian eig {min_eig:.2e}",
-        "inside zeta sandwich; PSD Hessian", "tail bound + 1e-8; -1e-6")
+        "inside zeta sandwich; positive definite Hessian", "tail bound + 1e-8; > 0")
 
 
 _ORACLE_POINTS = ((1.0, 0.0), (0.95, -0.2), (0.9, -0.4), (0.85, -0.7), (0.8, -1.0))

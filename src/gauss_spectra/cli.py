@@ -26,8 +26,8 @@ from .acceptance import CRITERIA, VerifyConfig, run_criterion
 from .spectra import (SolverConfig, WindowError, _central_derivatives,
                       bounded_digit_dimension, khintchine_curve, lyapunov_curve,
                       spectrum_shape_report, InsufficientGridError)
-from .transfer import (DOMAIN_MARGIN, Alphabet, Discretization, DomainError,
-                       PressureProvider)
+from .transfer import (DOMAIN_MARGIN, Alphabet, ConvergenceError, Discretization,
+                       DomainError, PressureProvider)
 from .zeta import (golden_constant, khintchine_constant, khintchine_exponent,
                    lyapunov_constant)
 
@@ -364,7 +364,7 @@ def main(argv=None) -> int:
             return cmd_constants(args)
         if args.command == "verify":
             return cmd_verify(args)
-    except DomainError as exc:
+    except (DomainError, ConvergenceError) as exc:
         return _usage_error(str(exc))
     raise AssertionError("unreachable")
 

@@ -8,12 +8,15 @@ system
 whose unique solution (t, q) has t = dim of the level set.  It is found by
 damped Newton iteration on F(t, q) = (P - q xi, dP/dq - xi), started from
 the neighbouring solved point when a curve is marched outward from the
-peak (implicit-function continuation), else from the peak (1, 0).
+peak (implicit-function continuation), else from the peak (1, 0).  The
+Jacobian is exact, built from the pressure's gradient and Hessian, so each
+iterate costs one eigen-solve.
 
 The Lyapunov spectrum reduces to the one-parameter pressure P(u) = P(u, 0):
-find u with P'(u) = -beta (brentq), then q = P(u)/beta and t = u + q.  The
-same Newton iteration on the two-parameter form, with u = t - q, is kept
-alongside as an independent consistency route.
+find u with P'(u) = -beta by a damped 1-D Newton iteration on u with the
+exact P''(u), then q = P(u)/beta and t = u + q.  The 2x2 Newton iteration
+on the two-parameter form, with u = t - q, is kept alongside as an
+independent consistency route; the two share no root-finding code.
 
 Also here: the flat fast spectrum 1/(b+1), the growth-ratio estimator for
 b, the Cantor-set dimension quotient for digit ranges s_n <= a_n < N s_n,
@@ -38,10 +41,6 @@ class WindowError(ValueError):
     """Requested exponent lies outside the supported solver window."""
 
 
-class BracketError(RuntimeError):
-    """A monotone root could not be bracketed; diagnostics in the message."""
-
-
 class HypothesisError(ValueError):
     """Input sequence violates a hypothesis of the formula being applied."""
 
@@ -57,7 +56,7 @@ class SolverConfig:
     ``xi_window`` and ``beta_window`` bound the exponents a point or curve
     accepts.  ``residual_tol`` is the largest max |F| a Newton solve may
     end at when its step stalls before reaching NEWTON_TOL; ``inner_xtol``
-    is the brentq tolerance on u in the 1-D Lyapunov route.
+    is the Newton step on u at which the 1-D Lyapunov route stops.
     """
 
     xi_window: tuple[float, float] = (0.05, 50.0)
@@ -81,6 +80,7 @@ class SpectrumPoint:
     residuals: tuple[float, float]
     t_slope: float | None = None      # analytic d(dimension)/d(exponent)
     kind: str = "khintchine"
+    t_curvature: float | None = None  # analytic d^2(dimension)/d(exponent)^2
 
 
 @dataclass
@@ -109,34 +109,27 @@ def default_provider(cutoff: int = 64, order: int = 16) -> PressureProvider:
 NEWTON_MAX_ITER = 60
 NEWTON_TOL = 1e-12       # max |F| at which an iterate is accepted outright
 NEWTON_MIN_STEP = 1e-15  # a damped step this small ends the iteration
-NEWTON_FD_STEP = 1e-6    # difference step for the second Jacobian row
+LYAPUNOV_U_MIN = 0.506   # 1-D Newton iterates stay above this u (domain edge 0.505)
 
 
-def _newton(residual: Callable[[float, float], tuple[float, float]],
-            first_row: Callable[[float, float], tuple[float, float]],
+def _newton(system: Callable[[float, float], tuple[tuple[float, float], np.ndarray]],
             t: float, q: float, tol: float) -> tuple[float, float]:
     """Damped Newton iteration for F(t, q) = 0 from (t, q).
 
-    ``residual`` returns F; ``first_row`` returns the exact gradient of its
-    first component.  The gradient of the second component is a one-sided
-    difference of F2; both offsets (t + h and q - h) move away from the
-    divergence line 2t - q = 1.  A step is halved until t stays positive,
-    the pressure is defined and max |F| decreases.  The iteration ends at
-    max |F| <= NEWTON_TOL, or when the damped step falls below
+    ``system`` returns F and its exact Jacobian from one pressure result, so
+    an iterate costs one eigen-solve.  A step is halved until t stays
+    positive, the pressure is defined and max |F| decreases.  The iteration
+    ends at max |F| <= NEWTON_TOL, or when the damped step falls below
     NEWTON_MIN_STEP with max |F| <= ``tol``; otherwise it raises
     ``ConvergenceError``.
     """
-    h = NEWTON_FD_STEP
-    F = np.asarray(residual(t, q))
-    norm = float(np.max(np.abs(F)))
+    F, jac = system(t, q)
+    norm = max(abs(F[0]), abs(F[1]))
     for _ in range(NEWTON_MAX_ITER):
         if norm <= NEWTON_TOL:
             return t, q
-        jac = np.array([first_row(t, q),
-                        [(residual(t + h, q)[1] - F[1]) / h,
-                         (F[1] - residual(t, q - h)[1]) / h]])
         try:
-            dt, dq = np.linalg.solve(jac, -F)
+            dt, dq = np.linalg.solve(jac, -np.asarray(F))
         except np.linalg.LinAlgError:
             raise transfer.ConvergenceError(
                 f"singular Newton Jacobian at (t, q) = ({t}, {q})") from None
@@ -150,14 +143,14 @@ def _newton(residual: Callable[[float, float], tuple[float, float]],
             t_new, q_new = t + scale * dt, q + scale * dq
             if t_new > 0.0:
                 try:
-                    F_new = np.asarray(residual(t_new, q_new))
+                    F_new, jac_new = system(t_new, q_new)
                 except transfer.DomainError:
                     F_new = None
-                if F_new is not None and float(np.max(np.abs(F_new))) < norm:
+                if F_new is not None and max(abs(F_new[0]), abs(F_new[1])) < norm:
                     break
             scale *= 0.5
-        t, q, F = t_new, q_new, F_new
-        norm = float(np.max(np.abs(F)))
+        t, q, F, jac = t_new, q_new, F_new, jac_new
+        norm = max(abs(F[0]), abs(F[1]))
     if norm <= tol:
         return t, q
     raise transfer.ConvergenceError(
@@ -176,30 +169,52 @@ def _start(hint: SpectrumPoint | None) -> tuple[float, float]:
 def khintchine_point(xi: float, provider: PressureProvider | None = None,
                      config: SolverConfig | None = None,
                      hint: SpectrumPoint | None = None) -> SpectrumPoint:
-    """Dimension of the level set of mean log-digit equal to ``xi``."""
+    """Dimension of the level set of mean log-digit equal to ``xi``.
+
+    ``t_slope`` and ``t_curvature`` come from implicit differentiation of
+    P(t, q) = q xi, P_q(t, q) = xi: t' = q / P_t, q' = (1 - P_tq t') / P_qq
+    and t'' = (q' P_t - q (P_tt t' + P_tq q')) / P_t^2.
+    """
     cfg = config or SolverConfig()
     lo, hi = cfg.xi_window
     if not lo <= xi <= hi:
         raise WindowError(f"xi = {xi} outside the solver window [{lo}, {hi}]")
     prov = provider or default_provider()
 
-    def residual(t: float, q: float) -> tuple[float, float]:
-        return prov.pressure(t, q) - q * xi, prov.dP_dq(t, q) - xi
+    def system(t: float, q: float):
+        r = prov.result(t, q)
+        return ((r.value - q * xi, r.dP_dq - xi),
+                np.array([[r.dP_dt, r.dP_dq - xi], [r.d2P_dtdq, r.d2P_dq2]]))
 
-    def first_row(t: float, q: float) -> tuple[float, float]:
-        return prov.dP_dt(t, q), prov.dP_dq(t, q) - xi
-
-    t, q = _newton(residual, first_row, *_start(hint), cfg.residual_tol)
-    r1, r2 = residual(t, q)
+    t, q = _newton(system, *_start(hint), cfg.residual_tol)
+    r = prov.result(t, q)
+    slope = q / r.dP_dt
+    dq = (1.0 - r.d2P_dtdq * slope) / r.d2P_dq2
+    curvature = (dq * r.dP_dt - q * (r.d2P_dt2 * slope + r.d2P_dtdq * dq)) / r.dP_dt ** 2
     return SpectrumPoint(
-        exponent=xi, dimension=t, q_value=q, residuals=(abs(r1), abs(r2)),
-        t_slope=q / prov.dP_dt(t, q), kind="khintchine",
+        exponent=xi, dimension=t, q_value=q,
+        residuals=(abs(r.value - q * xi), abs(r.dP_dq - xi)),
+        t_slope=slope, kind="khintchine", t_curvature=curvature,
     )
 
 
-def _lyapunov_slope_gap(u: float, prov: PressureProvider, beta: float) -> float:
-    """P'(u) + beta; module-level so brentq's wrapper holds no provider."""
-    return prov.dP_dt(u, 0.0) + beta
+# ---------------------------------------------------------------------------
+# Lyapunov spectrum
+# ---------------------------------------------------------------------------
+
+def _lyapunov_point(beta: float, t: float, q: float,
+                    res: transfer.PressureResult) -> SpectrumPoint:
+    """The point (t, q) with its residuals from the result at u = t - q.
+
+    With u' = -1 / P''(u) and q' = -u' - q / beta, the slope is -q / beta and
+    the curvature t'' = -q' / beta + q / beta^2.
+    """
+    dq = 1.0 / res.d2P_dt2 - q / beta
+    return SpectrumPoint(
+        exponent=beta, dimension=t, q_value=q,
+        residuals=(abs(res.value - q * beta), abs(res.dP_dt + beta)),
+        t_slope=-q / beta, kind="lyapunov", t_curvature=-dq / beta + q / beta ** 2,
+    )
 
 
 def lyapunov_point(beta: float, provider: PressureProvider | None = None,
@@ -208,7 +223,13 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
     """Dimension of the level set of expansion rate ``beta`` (Legendre route).
 
     Solves P'(u) = -beta for u, sets q = P(u)/beta, t = u + q; the returned
-    residuals re-check the two-parameter system at (t, q).
+    residuals re-check the two-parameter system at (t, q).  P' is increasing
+    and concave in u on the beta window, so Newton from the left of the root
+    climbs monotonically to it, and a step from the right that would leave
+    the domain is halved until u stays above LYAPUNOV_U_MIN.  The iteration
+    starts from the hint's u (else 1) and stops when the Newton step is at
+    most ``inner_xtol``, or when it stops shrinking once |P' + beta| is
+    within ``residual_tol`` (the rounding floor of P').
     """
     cfg = config or SolverConfig()
     lo, hi = cfg.resolved_beta_window()
@@ -216,26 +237,22 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
         raise WindowError(f"beta = {beta} outside the solver window [{lo}, {hi}]")
     prov = provider or default_provider()
 
-    u_lo = 0.5 + 0.006
-    if _lyapunov_slope_gap(u_lo, prov, beta) >= 0.0:
-        raise BracketError(f"P' at the domain edge already exceeds -beta = {-beta}")
-    u_hi = hint.dimension - hint.q_value + 0.5 if hint is not None else 1.0
-    u_hi = max(u_hi, 1.0)
-    while _lyapunov_slope_gap(u_hi, prov, beta) <= 0.0:
-        u_hi *= 1.6
-        if u_hi > 60.0:
-            raise BracketError(f"P'(u) = {-beta} not bracketed below u = 60")
-    u = float(brentq(_lyapunov_slope_gap, u_lo, u_hi, args=(prov, beta),
-                     xtol=cfg.inner_xtol, rtol=8.9e-16))
-    q = prov.pressure(u, 0.0) / beta
-    t = u + q
-    u_back = t - q
-    r1 = abs(prov.pressure(u_back, 0.0) - q * beta)
-    r2 = abs(-prov.dP_dt(u_back, 0.0) - beta)
-    return SpectrumPoint(
-        exponent=beta, dimension=t, q_value=q, residuals=(r1, r2),
-        t_slope=-q / beta, kind="lyapunov",
-    )
+    u = hint.dimension - hint.q_value if hint is not None else 1.0
+    last_step = math.inf
+    for _ in range(NEWTON_MAX_ITER):
+        res = prov.result(u, 0.0)
+        gap = res.dP_dt + beta
+        step = -gap / res.d2P_dt2
+        if abs(step) <= cfg.inner_xtol or (
+                abs(step) >= last_step and abs(gap) <= cfg.residual_tol):
+            q = res.value / beta
+            return _lyapunov_point(beta, u + q, q, res)
+        last_step = abs(step)
+        while u + step <= LYAPUNOV_U_MIN:
+            step *= 0.5
+        u += step
+    raise transfer.ConvergenceError(
+        f"P'(u) = {-beta} not reached in {NEWTON_MAX_ITER} Newton steps; u = {u}")
 
 
 def lyapunov_point_2d(beta: float, provider: PressureProvider | None = None,
@@ -252,20 +269,13 @@ def lyapunov_point_2d(beta: float, provider: PressureProvider | None = None,
         raise WindowError(f"beta = {beta} outside the solver window [{lo}, {hi}]")
     prov = provider or default_provider()
 
-    def residual(t: float, q: float) -> tuple[float, float]:
-        u = t - q
-        return prov.pressure(u, 0.0) - q * beta, -prov.dP_dt(u, 0.0) - beta
+    def system(t: float, q: float):
+        r = prov.result(t - q, 0.0)
+        return ((r.value - q * beta, -r.dP_dt - beta),
+                np.array([[r.dP_dt, -r.dP_dt - beta], [-r.d2P_dt2, r.d2P_dt2]]))
 
-    def first_row(t: float, q: float) -> tuple[float, float]:
-        slope = prov.dP_dt(t - q, 0.0)
-        return slope, -slope - beta
-
-    t, q = _newton(residual, first_row, *_start(hint), cfg.residual_tol)
-    r1, r2 = residual(t, q)
-    return SpectrumPoint(
-        exponent=beta, dimension=t, q_value=q, residuals=(abs(r1), abs(r2)),
-        t_slope=-q / beta, kind="lyapunov",
-    )
+    t, q = _newton(system, *_start(hint), cfg.residual_tol)
+    return _lyapunov_point(beta, t, q, prov.result(t - q, 0.0))
 
 
 def _solve_curve(kind: str, grid: Sequence[float], solver, center: float,
@@ -282,7 +292,7 @@ def _solve_curve(kind: str, grid: Sequence[float], solver, center: float,
                 pt = solver(grid[idx], provider, cfg, hint)
                 solved[idx] = pt
                 hint = pt
-            except (BracketError, WindowError, transfer.DomainError,
+            except (WindowError, transfer.DomainError,
                     transfer.ConvergenceError) as exc:
                 failures.append({"exponent": float(grid[idx]), "error": str(exc)})
 

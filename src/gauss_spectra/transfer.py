@@ -162,20 +162,20 @@ class Discretization:
         return out
 
     def digit_tensor(self, alphabet: Alphabet) -> np.ndarray:
-        """coefficients of g(1/(i + node)) as C[i, j, m], cached per alphabet."""
+        """coefficients of g(1/(i + node_j)) as C[j, i, m], cached per alphabet."""
         key = (alphabet.kind, alphabet.cutoff, alphabet.digits)
         tensor = self._tensor_cache.get(key)
         if tensor is None:
             d = alphabet.digit_values()
-            y = 1.0 / (d[:, None] + self.nodes[None, :])
-            tensor = self.coefficients(y)
-            self._tensor_cache[key] = tensor
+            y = 1.0 / (d[None, :] + self.nodes[:, None])
+            tensor = self._tensor_cache[key] = self.coefficients(y)
         return tensor
 
 
 @dataclass(frozen=True)
 class PressureResult:
-    """Pressure value and its exact derivatives, eigendata and tail diagnostics.
+    """Pressure value with its exact gradient and Hessian, eigendata and tail
+    diagnostics.
 
     ``disc`` is the discretization the eigendata lives on; it is finer than
     the requested one when the eigenfunction's dynamic range forced a
@@ -186,6 +186,9 @@ class PressureResult:
     value: float
     dP_dt: float
     dP_dq: float
+    d2P_dt2: float
+    d2P_dtdq: float
+    d2P_dq2: float
     eigenfunction_values: np.ndarray
     left_eigen_weights: np.ndarray
     tail_error_bound: float
@@ -210,50 +213,59 @@ def _binom_coeffs(q: float, count: int) -> np.ndarray:
 
 
 def _tail_moments(t: float, q: float, nodes: np.ndarray, cutoff: int):
-    """Closed-form digit-tail moments above the cutoff, one row per order r.
+    """Closed-form digit-tail moments above the cutoff and their (t, q)-derivatives.
 
-    Returns (S, S_dt, S_dq, binom_trunc) with
+    Returns (moments, binom_trunc).  moments[p, r, k] for r <= JET_ORDER is
 
-        S[r, k]    = sum_{i>M} i^q (i + x_k)^(-(2t+r)),   r <= JET_ORDER + LOG_EXTRA
-        S_dt[r, k] = -2 sum_{i>M} log(i + x_k) i^q (i + x_k)^(-(2t+r)),   r <= JET_ORDER
-        S_dq[r, k] = sum_{i>M} log(i) i^q (i + x_k)^(-(2t+r)),            r <= JET_ORDER
+        sum_{i>M} f_p(i, x_k) i^q (i + x_k)^(-(2t+r)),
 
-    via i^q (i+x)^(-rho) = sum_j C(q, j) (-x)^j (i+x)^(q-rho-j) and a single
-    Hurwitz zeta evaluation, with its s-derivative, at a = M + 1 + x.
+    f_p = 1, -2 log(i+x), log i, 4 log^2(i+x), -2 log i log(i+x), log^2 i for
+    p = 0..5: the moment and its t, q, tt, tq and qq derivatives.  They come
+    from i^q (i+x)^(-rho) = sum_j C(q, j) (-x)^j (i+x)^(q-rho-j) and one
+    Hurwitz zeta evaluation, with two s-derivatives, at a = M + 1 + x; the
+    log i factors use log i = log(i+x) - L with L = sum_k x^k / (k (i+x)^k)
+    and L^2 = sum_m c_m x^m (i+x)^(-m), c_m = (2/m) H_{m-1}.
     ``binom_trunc`` is the size of the last binomial term at r = 0, a
     truncation proxy.
     """
     r_max = JET_ORDER + LOG_EXTRA
     s_grid = 2.0 * t - q + np.arange(r_max + BINOM_TERMS + 1, dtype=float)
-    Z, Zp = hurwitz_zeta(s_grid[:, None], cutoff + 1.0 + nodes[None, :], derivative=True)
-    bx = (_binom_coeffs(q, BINOM_TERMS + 1)[:, None]
-          * (-nodes[None, :]) ** np.arange(BINOM_TERMS + 1)[:, None])      # (J+1, K)
-    # window [r, k, j] of a zeta table is its entry [r + j, k]
-    S = np.einsum("jk,rkj->rk", bx, sliding_window_view(Z, BINOM_TERMS + 1, axis=0))
-    dS = np.einsum("jk,rkj->rk", bx, sliding_window_view(
-        Zp[:JET_ORDER + BINOM_TERMS + 1], BINOM_TERMS + 1, axis=0))
-    # log i = log(i+x) - sum_{k>=1} x^k / (k (i+x)^k)
-    S_dq = -dS - sum((nodes ** k / k) * S[k:k + JET_ORDER + 1]
-                     for k in range(1, LOG_EXTRA + 1))
-    binom_trunc = float(np.max(np.abs(bx[-1] * Z[BINOM_TERMS])))
-    return S, 2.0 * dS, S_dq, binom_trunc
+    Z = np.stack(hurwitz_zeta(s_grid[:, None], cutoff + 1.0 + nodes[None, :], derivative=2))
+    bx = _binom_coeffs(q, BINOM_TERMS + 1)[:, None] * np.vander(
+        -nodes, BINOM_TERMS + 1, increasing=True).T                          # (J+1, K)
+    # D[d, r, k] = sum_{i>M} (-log(i+x))^d i^q (i+x)^(-(2t+r)), r <= r_max;
+    # window [d, r, k, j] of the zeta tables is their entry [d, r + j, k]
+    D = np.einsum("jk,drkj->drk", bx, sliding_window_view(Z, BINOM_TERMS + 1, axis=1))
+    # the L and L^2 corrections, k = 1..LOG_EXTRA and r <= JET_ORDER:
+    # L_d[r] = sum_k x^k / k D[d, r + k] and L2_0[r] = sum_k c_k x^k D[0, r + k]
+    k = np.arange(1, LOG_EXTRA + 1)
+    powers = np.vander(nodes, LOG_EXTRA + 1, increasing=True).T[1:]           # x^k
+    harmonic = np.concatenate([[0.0], np.cumsum(1.0 / k[:-1])])            # H_{k-1}
+    coefs = np.stack([powers / k[:, None], powers * (2.0 * harmonic / k)[:, None]])
+    windows = sliding_window_view(D[:2, 1:], LOG_EXTRA, axis=1)[:, :JET_ORDER + 1]
+    (L_0, L_1), (L2_0, _) = np.einsum("ckx,drxk->cdrx", coefs, windows)
+    D0, D1, D2 = D[:, :JET_ORDER + 1]
+    moments = np.stack([D0, 2.0 * D1, -D1 - L_0, 4.0 * D2,
+                        -2.0 * (D2 + L_1), D2 + 2.0 * L_1 + L2_0])
+    binom_trunc = float(np.max(np.abs(bx[-1] * Z[0, BINOM_TERMS])))
+    return moments, binom_trunc
 
 
 def _assemble(params: PressureParams, alphabet: Alphabet, disc: Discretization):
-    """A, dA/dt and dA/dq stacked as (3, K, K), and the tail moments (or None)."""
+    """A and its derivatives d/dt, d/dq, d2/dt2, d2/dtdq, d2/dq2 stacked as
+    (6, K, K), and the tail moments (or None)."""
     t, q = params.t, params.q
     d = alphabet.digit_values()
-    log_d = np.log(d)[:, None]                      # (M, 1)
-    log_dx = np.log(d[:, None] + disc.nodes)        # (M, K)
-    W = np.exp(q * log_d - 2.0 * t * log_dx)
-    weights = np.stack([W, -2.0 * log_dx * W, log_d * W])
-    mats = np.einsum("pij,ijm->pjm", weights, disc.digit_tensor(alphabet))
+    lq = np.log(d)[:, None]                      # (M, 1): d log W / dq
+    lt = -2.0 * np.log(d[:, None] + disc.nodes)  # (M, K): d log W / dt
+    W = np.exp(q * lq + t * lt)
+    weights = np.stack([W, lt * W, lq * W, lt * lt * W, lt * lq * W, lq * lq * W])
+    # mats[p, j, m] = sum_i weights[p, i, j] C[j, i, m], batched over j
+    mats = np.matmul(weights.transpose(2, 0, 1), disc.digit_tensor(alphabet)).transpose(1, 0, 2)
     moments = None
     if alphabet.has_tail:
         moments = _tail_moments(t, q, disc.nodes, alphabet.cutoff)
-        S, S_dt, S_dq, _ = moments
-        jr = disc.jet_rows[:JET_ORDER + 1]
-        mats += np.stack([S[:JET_ORDER + 1].T @ jr, S_dt.T @ jr, S_dq.T @ jr])
+        mats = mats + moments[0].transpose(0, 2, 1) @ disc.jet_rows[:JET_ORDER + 1]
     return mats, moments
 
 
@@ -321,29 +333,50 @@ def _solve(params: PressureParams, alphabet: Alphabet,
     """The eigen-solve behind every pressure value and derivative.
 
     Checks the domain, raises the collocation order where t needs it,
-    assembles A with its derivatives once and takes the Perron pair from
-    one dense eigen-decomposition.  The derivatives are the exact ones of
-    the discretized eigenvalue, nu dA h / (lambda nu h).
+    assembles A with its first and second derivatives once and takes the
+    Perron pair from one dense eigen-decomposition.  The derivatives are the
+    exact ones of the discretized eigenvalue: with nu h = 1,
+
+        lambda_i  = nu A_i h,
+        lambda_ij = nu A_ij h + nu A_i h_j + nu A_j h_i,
+
+    where the eigenvector derivative h_i solves (lambda - A) h_i =
+    (A_i - lambda_i) h with nu h_i = 0, one bordered solve for both i.
     """
     check_domain(params, alphabet)
     disc = _effective_disc(params, disc)
     mats, moments = _assemble(params, alphabet, disc)
     h, nu = _perron_pair(mats[0], params, disc)
-    # nu (A, dA/dt, dA/dq) h / nu h = (lambda, lambda P_t, lambda P_q); the
-    # two-sided quotient is second-order accurate in the eigenvectors, which
-    # matters where the Perron eigenvalue is ill-conditioned (large t)
-    lam, lam_t, lam_q = np.einsum("i,pij,j->p", nu, mats, h) / float(nu @ h)
+    # nu (A, A_t, A_q, A_tt, A_tq, A_qq) h with nu h = 1; the two-sided
+    # quotient is second-order accurate in the eigenvectors, which matters
+    # where the Perron eigenvalue is ill-conditioned (large t)
+    nu_h = nu / float(nu @ h)
+    nu_mats = nu_h @ mats
+    lam, lam_t, lam_q, lam_tt, lam_tq, lam_qq = nu_mats @ h
+    n = len(h)
+    border = np.zeros((n + 1, n + 1))
+    border[:n, :n] = lam * np.eye(n) - mats[0]
+    border[:n, n] = h
+    border[n, :n] = nu_h
+    rhs = np.zeros((n + 1, 2))
+    rhs[:n] = (mats[1:3] @ h).T - np.outer(h, (lam_t, lam_q))
+    dh = np.linalg.solve(border, rhs)[:n]          # columns h_t, h_q
+    cross = nu_mats[1:3] @ dh                      # cross[i, j] = nu A_i h_j
+    P_t, P_q = lam_t / lam, lam_q / lam
     tail_bound = 0.0
     if moments is not None:
-        S, _, _, binom_trunc = moments
+        S, binom_trunc = moments
         jets = disc.jet_rows[:JET_ORDER + 1] @ h
-        tail_bound = float((abs(jets[-1]) * np.max(np.abs(S[JET_ORDER]))
+        tail_bound = float((abs(jets[-1]) * np.max(np.abs(S[0, JET_ORDER]))
                             + abs(jets[0]) * binom_trunc) / lam)
     return PressureResult(
         params=params,
         value=math.log(lam),
-        dP_dt=float(lam_t / lam),
-        dP_dq=float(lam_q / lam),
+        dP_dt=float(P_t),
+        dP_dq=float(P_q),
+        d2P_dt2=float((lam_tt + 2.0 * cross[0, 0]) / lam - P_t * P_t),
+        d2P_dtdq=float((lam_tq + cross[0, 1] + cross[1, 0]) / lam - P_t * P_q),
+        d2P_dq2=float((lam_qq + 2.0 * cross[1, 1]) / lam - P_q * P_q),
         eigenfunction_values=h,
         left_eigen_weights=nu,
         tail_error_bound=tail_bound,
@@ -476,7 +509,7 @@ class GibbsApprox:
             S = _tail_moments(self.params.t, self.params.q, np.asarray([x]),
                               self.alphabet.cutoff)[0]
             jets = self.disc.jet_rows[: JET_ORDER + 1] @ self.h_values
-            tail = float(jets @ S[: JET_ORDER + 1, 0])
+            tail = float(jets @ S[0, :, 0])
             hx = float(self.disc.interpolate(self.h_values, np.asarray([x]))[0])
             tail_mass = math.exp(-self.pressure) * tail / hx
         return probs, tail_mass

@@ -61,6 +61,15 @@ def test_pressure_domain_exit(capsys):
     assert "0.4" in err
 
 
+def test_pressure_without_perron_mode_exits_2(capsys):
+    # at t = 40 the collocation matrix has no resolved positive mode
+    code, out, err = run(capsys, "pressure", "--t", "40", "--q", "0", "--jobs", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: no resolved positive eigenmode")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_pressure_missing_args(capsys):
     code, _, err = run(capsys, "pressure", "--jobs", "1")
     assert code == 2

@@ -66,6 +66,21 @@ def test_slope_identity_with_tight_steps(provider):
         assert abs(fd - mid.t_slope) < 1e-3
 
 
+@pytest.mark.parametrize("point_fn, exponents", [
+    (sp.khintchine_point, (0.3, 0.6, 2.0, 8.0, 30.0)),
+    (sp.lyapunov_point, (GAMMA0 + 0.1, 1.8, 4.0, 20.0, 100.0)),
+    (sp.lyapunov_point_2d, (GAMMA0 + 0.1, 4.0, 100.0)),
+])
+def test_curvature_matches_difference_of_slopes(provider, point_fn, exponents):
+    for x in exponents:
+        h = 1e-4 * x
+        mid = point_fn(x, provider)
+        up = point_fn(x + h, provider, hint=mid)
+        dn = point_fn(x - h, provider, hint=mid)
+        fd = (up.t_slope - dn.t_slope) / (2 * h)
+        assert mid.t_curvature == pytest.approx(fd, rel=1e-5, abs=1e-9)
+
+
 def test_near_zero_window_edge(provider):
     lo = sp.khintchine_point(0.05, provider)
     hi = sp.khintchine_point(0.07, provider)
@@ -100,7 +115,14 @@ def test_newton_curve_solve_count():
     prov = sp.default_provider()
     curve = sp.khintchine_curve(np.geomspace(0.3, 40.0, 60), prov)
     assert len(curve.points) == 60
-    assert len(prov._cache) < 1500
+    assert len(prov._cache) < 400
+
+
+def test_lyapunov_curve_solve_count():
+    prov = sp.default_provider()
+    curve = sp.lyapunov_curve(np.geomspace(GAMMA0 + 0.01, 150.0, 25), prov)
+    assert len(curve.points) == 25
+    assert len(prov._cache) < 200
 
 
 def test_newton_failure_is_recorded():
@@ -136,6 +158,7 @@ def test_lyapunov_routes_agree(provider):
         p2 = sp.lyapunov_point_2d(beta, provider)
         assert abs(p1.dimension - p2.dimension) < 1e-8
         assert abs(p1.q_value - p2.q_value) < 1e-8
+        assert p1.t_curvature == pytest.approx(p2.t_curvature, rel=1e-6)
 
 
 def test_lyapunov_point_near_floor_solves():

@@ -152,7 +152,11 @@ def test_tail_moments_against_direct_sums():
     # independent of the binomial/Hurwitz-zeta expansion: the sums themselves
     mpmath = pytest.importorskip("mpmath")
     t, q, cutoff, x = 0.9, 0.3, 64, 1.0
-    S, S_dt, S_dq, _ = tr._tail_moments(t, q, np.array([x]), cutoff)
+    moments, _ = tr._tail_moments(t, q, np.array([x]), cutoff)
+    log = mpmath.log
+    factors = (lambda i: 1, lambda i: -2 * log(i + x), log,
+               lambda i: 4 * log(i + x) ** 2, lambda i: -2 * log(i) * log(i + x),
+               lambda i: log(i) ** 2)
 
     def direct(r, factor):
         with mpmath.workdps(20):
@@ -161,10 +165,8 @@ def test_tail_moments_against_direct_sums():
                 [cutoff + 1, mpmath.inf], method="euler-maclaurin"))
 
     for r in (0, tr.JET_ORDER):
-        assert S[r, 0] == pytest.approx(direct(r, lambda i: 1), rel=1e-12)
-        assert S_dt[r, 0] == pytest.approx(
-            direct(r, lambda i: -2 * mpmath.log(i + x)), rel=1e-12)
-        assert S_dq[r, 0] == pytest.approx(direct(r, mpmath.log), rel=1e-12)
+        for p, factor in enumerate(factors):
+            assert moments[p, r, 0] == pytest.approx(direct(r, factor), rel=1e-12)
 
 
 def test_domain_margin_rejection():
@@ -214,6 +216,32 @@ def test_derivatives_consistent_with_finite_differences():
     for (t, q) in [(0.75, 0.0), (1.0, 0.0), (0.9, -0.8)]:
         tr.dP_dq(tr.PressureParams(t, q), ALPH, DISC, check=True, check_tol=1e-4)
         tr.dP_dt(tr.PressureParams(t, q), ALPH, DISC, check=True, check_tol=1e-4)
+
+
+HESSIAN_POINTS = (
+    [(ALPH, t, q) for t in (0.6, 1.0, 1.5, 3.0, 6.0) for q in (-3.0, -1.0, 0.0, 2.0)
+     if 2 * t - q - 1 >= 0.3]
+    + [(tr.Alphabet.restricted({1, 2}), t, q) for t in (0.6, 1.0, 1.5, 3.0, 6.0)
+       for q in (-3.0, 0.0, 2.0)])
+
+
+@pytest.mark.parametrize("alphabet, t, q", HESSIAN_POINTS)
+def test_exact_hessian_matches_differences_of_gradient(alphabet, t, q):
+    # t-differences use points at or below t: the collocation order steps up
+    # just above t = 1, and the stencil must stay on one discretization
+    h = 1e-5
+
+    def grad(tt, qq):
+        r = tr.pressure(tr.PressureParams(tt, qq), alphabet, DISC)
+        return np.array([r.dP_dt, r.dP_dq])
+
+    res = tr.pressure(tr.PressureParams(t, q), alphabet, DISC)
+    d_dt = (3 * grad(t, q) - 4 * grad(t - h, q) + grad(t - 2 * h, q)) / (2 * h)
+    d_dq = (grad(t, q + h) - grad(t, q - h)) / (2 * h)
+    assert abs(res.d2P_dt2 - d_dt[0]) <= 1e-7
+    assert abs(res.d2P_dtdq - d_dt[1]) <= 1e-7
+    assert abs(res.d2P_dtdq - d_dq[0]) <= 1e-7
+    assert abs(res.d2P_dq2 - d_dq[1]) <= 1e-7
 
 
 # ---------------------------------------------------------------------------

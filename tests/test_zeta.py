@@ -64,6 +64,20 @@ def test_hurwitz_derivative_against_richardson_fd():
         assert np.max(np.abs(dv - fd)) < 1e-8 * np.max(np.abs(fd))
 
 
+def test_hurwitz_second_derivative_against_mpmath_on_tail_grid():
+    # the digit tail evaluates zeta(s, M + 1 + x) with M = 64, x in [0, 1];
+    # mpmath needs more than 40 digits here (at 40 its zeta(26, 65) is off
+    # by 3e-12 relative)
+    mpmath = pytest.importorskip("mpmath")
+    s = np.linspace(2.0, 80.0, 27)
+    a = 65.0 + np.array([0.0, 0.25, 0.5, 1.0])
+    mine = hurwitz_zeta(s[:, None], a[None, :], derivative=2)
+    with mpmath.workdps(60):
+        for d in range(3):
+            ref = np.array([[float(mpmath.zeta(si, ai, d)) for ai in a] for si in s])
+            assert np.max(np.abs(mine[d] - ref) / np.abs(ref)) < 1e-12
+
+
 def test_khintchine_exponent_against_cylinder_quadrature():
     # independent oracle: sum log(n) * mu_G(I_1(n)) with the cylinder masses
     # obtained by quadrature of the density, not from the closed form
