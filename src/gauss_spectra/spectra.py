@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import transfer
 from .transfer import Alphabet, Discretization, PressureProvider
@@ -453,6 +452,8 @@ def bounded_digit_dimension(digits: Iterable[int],
     The unique zero of the restricted-alphabet pressure t -> P_digits(t);
     a single digit gives a single point, dimension 0.
     """
+    from scipy.optimize import brentq   # deferred: the package import stays light
+
     ds = tuple(sorted(set(int(d) for d in digits)))
     if not ds:
         raise ValueError("digit set must be nonempty")

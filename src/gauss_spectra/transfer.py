@@ -12,13 +12,15 @@ converges spectrally in the number of nodes.
 
 For the full alphabet the digits beyond the cutoff M are summed in closed
 form: g near 0 is replaced by the Taylor jet of its interpolant and each
-moment sum_{i>M} i^q (i+x)^(-rho) is expanded binomially into Hurwitz zeta
-values at M+1+x.  This keeps the cutoff error orders of magnitude below
-the collocation error instead of the ~1/M^2 a crude integral bound leaves.
+moment sum_{i>M} i^q (i+x)^(-rho) is expanded binomially in x/i into
+Hurwitz zeta values at the single point M+1, one zeta row for every order
+and node.  This keeps the cutoff error orders of magnitude below the
+collocation error instead of the ~1/M^2 a crude integral bound leaves.
 
 Every value comes from one path: the collocation matrix A is assembled
-together with dA/dt and dA/dq, and one dense eigen-decomposition gives the
-Perron eigenvalue with its right and left eigenvectors.  The Perron pair is
+together with its first and second (t, q)-derivatives, and one LAPACK
+dgeev call gives the eigenvalues with their right and left eigenvectors,
+from which the Perron pair is picked.  The Perron pair is
 the largest real positive eigenvalue whose right eigenvector is positive at
 every node; when spurious collocation modes also qualify, the ones whose
 Chebyshev tails have not decayed to RESOLVED_TAIL are dropped first.
@@ -35,17 +37,15 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
+from scipy.linalg import lapack
 
 from .cf import PartialQuotients
 from .zeta import hurwitz_zeta
 
 DOMAIN_MARGIN = 0.01  # reject 2t - q below 1 + this; the pressure diverges at 1
 JET_ORDER = 6         # Taylor orders of g kept in the tail
-LOG_EXTRA = 8         # extra moment orders for the log-digit tail
-BINOM_TERMS = 40      # binomial expansion length; terms shrink like (x/M)^j
+BINOM_TERMS = 40      # binomial expansion length; terms shrink like (x/(M+1))^j
 RESOLVED_TAIL = 1e-6  # trailing/leading Chebyshev coefficient ratio of a resolved mode
 
 
@@ -130,17 +130,15 @@ class Discretization:
         weights[-1] *= 0.5
 
         # differentiation matrix straight from the barycentric weights
-        diff = np.zeros((order, order))
-        for i in range(order):
-            for j in range(order):
-                if i != j:
-                    diff[i, j] = (weights[j] / weights[i]) / (nodes[i] - nodes[j])
-            diff[i, i] = -np.sum(diff[i, np.arange(order) != i])
+        gaps = nodes[:, None] - nodes
+        np.fill_diagonal(gaps, 1.0)
+        diff = (weights / weights[:, None]) / gaps
+        np.fill_diagonal(diff, 0.0)
+        np.fill_diagonal(diff, -diff.sum(axis=1))
 
-        jet_max = JET_ORDER + LOG_EXTRA
-        rows = np.zeros((jet_max + 1, order))
+        rows = np.zeros((JET_ORDER + 1, order))
         rows[0, 0] = 1.0
-        for r in range(1, jet_max + 1):
+        for r in range(1, JET_ORDER + 1):
             rows[r] = rows[r - 1] @ diff / r
         return cls(order=order, nodes=nodes, bary_weights=weights, jet_rows=rows)
 
@@ -204,12 +202,29 @@ def check_domain(params: PressureParams, alphabet: Alphabet) -> None:
         )
 
 
-def _binom_coeffs(q: float, count: int) -> np.ndarray:
-    b = np.empty(count)
-    b[0] = 1.0
-    for j in range(count - 1):
-        b[j + 1] = b[j] * (q - j) / (j + 1)
-    return b
+def _binomial_polys(count: int) -> np.ndarray:
+    """C(-rho, j) = (-1)^j (rho)_j / j! for j < count and its first two
+    t-derivatives (rho = 2t + r, drho/dt = 2) as polynomials in rho.
+
+    Column d * count + j holds the coefficients of d^d C(-rho, j) / dt^d in
+    powers rho^k, k = row.  They come from the rising-factorial recurrence
+    (rho)_j = (rho)_{j-1} (rho + j - 1) applied to coefficient vectors, so
+    the values are polynomial evaluations with no division by rho + m
+    (which is 0/0 at rho = 0)."""
+    poly = np.zeros((count, count))            # poly[j, k]: rho^k in (rho)_j
+    poly[0, 0] = 1.0
+    for j in range(1, count):
+        poly[j, 1:] = poly[j - 1, :-1]
+        poly[j] += (j - 1) * poly[j - 1]
+    poly *= np.array([(-1.0) ** j / math.factorial(j) for j in range(count)])[:, None]
+    d_dt = np.diag(2.0 * np.arange(1, count), -1)   # d/dt rho^k = 2k rho^(k-1)
+    return np.concatenate([poly, poly @ d_dt, poly @ d_dt @ d_dt]).T
+
+
+_BINOM_POLYS = _binomial_polys(BINOM_TERMS + 1)
+_POWERS = np.arange(BINOM_TERMS + 1, dtype=float)
+# zeta row index of term j at Taylor order r
+_ZETA_WINDOW = np.arange(JET_ORDER + 1)[:, None] + np.arange(BINOM_TERMS + 1)
 
 
 def _tail_moments(t: float, q: float, nodes: np.ndarray, cutoff: int):
@@ -220,34 +235,29 @@ def _tail_moments(t: float, q: float, nodes: np.ndarray, cutoff: int):
         sum_{i>M} f_p(i, x_k) i^q (i + x_k)^(-(2t+r)),
 
     f_p = 1, -2 log(i+x), log i, 4 log^2(i+x), -2 log i log(i+x), log^2 i for
-    p = 0..5: the moment and its t, q, tt, tq and qq derivatives.  They come
-    from i^q (i+x)^(-rho) = sum_j C(q, j) (-x)^j (i+x)^(q-rho-j) and one
-    Hurwitz zeta evaluation, with two s-derivatives, at a = M + 1 + x; the
-    log i factors use log i = log(i+x) - L with L = sum_k x^k / (k (i+x)^k)
-    and L^2 = sum_m c_m x^m (i+x)^(-m), c_m = (2/m) H_{m-1}.
+    p = 0..5: the moment and its t, q, tt, tq and qq derivatives.  Expanding
+    (i+x)^(-rho) = sum_j C(-rho, j) x^j i^(-rho-j) in x/i <= 1/(M+1) gives
+
+        sum_{i>M} i^q (i+x)^(-rho) = sum_j C(-rho, j) x^j zeta(rho + j - q, M + 1),
+
+    so every zeta value sits at the one point a = M + 1 and one Hurwitz zeta
+    row, with two s-derivatives, serves all orders r and nodes x.  With
+    rho = 2t + r the coefficients depend on t alone and s = rho + j - q has
+    ds/dt = 2, ds/dq = -1, so the derivative tables follow by the chain rule.
     ``binom_trunc`` is the size of the last binomial term at r = 0, a
     truncation proxy.
     """
-    r_max = JET_ORDER + LOG_EXTRA
-    s_grid = 2.0 * t - q + np.arange(r_max + BINOM_TERMS + 1, dtype=float)
-    Z = np.stack(hurwitz_zeta(s_grid[:, None], cutoff + 1.0 + nodes[None, :], derivative=2))
-    bx = _binom_coeffs(q, BINOM_TERMS + 1)[:, None] * np.vander(
-        -nodes, BINOM_TERMS + 1, increasing=True).T                          # (J+1, K)
-    # D[d, r, k] = sum_{i>M} (-log(i+x))^d i^q (i+x)^(-(2t+r)), r <= r_max;
-    # window [d, r, k, j] of the zeta tables is their entry [d, r + j, k]
-    D = np.einsum("jk,drkj->drk", bx, sliding_window_view(Z, BINOM_TERMS + 1, axis=1))
-    # the L and L^2 corrections, k = 1..LOG_EXTRA and r <= JET_ORDER:
-    # L_d[r] = sum_k x^k / k D[d, r + k] and L2_0[r] = sum_k c_k x^k D[0, r + k]
-    k = np.arange(1, LOG_EXTRA + 1)
-    powers = np.vander(nodes, LOG_EXTRA + 1, increasing=True).T[1:]           # x^k
-    harmonic = np.concatenate([[0.0], np.cumsum(1.0 / k[:-1])])            # H_{k-1}
-    coefs = np.stack([powers / k[:, None], powers * (2.0 * harmonic / k)[:, None]])
-    windows = sliding_window_view(D[:2, 1:], LOG_EXTRA, axis=1)[:, :JET_ORDER + 1]
-    (L_0, L_1), (L2_0, _) = np.einsum("ckx,drxk->cdrx", coefs, windows)
-    D0, D1, D2 = D[:, :JET_ORDER + 1]
-    moments = np.stack([D0, 2.0 * D1, -D1 - L_0, 4.0 * D2,
-                        -2.0 * (D2 + L_1), D2 + 2.0 * L_1 + L2_0])
-    binom_trunc = float(np.max(np.abs(bx[-1] * Z[0, BINOM_TERMS])))
+    s_grid = 2.0 * t - q + np.arange(JET_ORDER + BINOM_TERMS + 1, dtype=float)
+    Z0, Z1, Z2 = (z[_ZETA_WINDOW] for z in hurwitz_zeta(s_grid, cutoff + 1.0, derivative=2))
+    rho = 2.0 * t + np.arange(JET_ORDER + 1, dtype=float)
+    c0, c1, c2 = (rho[:, None] ** _POWERS @ _BINOM_POLYS).reshape(
+        JET_ORDER + 1, 3, BINOM_TERMS + 1).transpose(1, 0, 2)    # (R, J+1) each
+    coefs = np.stack([c0 * Z0, c1 * Z0 + 2.0 * c0 * Z1, -c0 * Z1,
+                      c2 * Z0 + 4.0 * c1 * Z1 + 4.0 * c0 * Z2,
+                      -c1 * Z1 - 2.0 * c0 * Z2, c0 * Z2])
+    xpow = nodes ** _POWERS[:, None]                                   # (J+1, K)
+    moments = coefs @ xpow
+    binom_trunc = float(np.max(np.abs(coefs[0, 0, -1] * xpow[-1])))
     return moments, binom_trunc
 
 
@@ -265,7 +275,7 @@ def _assemble(params: PressureParams, alphabet: Alphabet, disc: Discretization):
     moments = None
     if alphabet.has_tail:
         moments = _tail_moments(t, q, disc.nodes, alphabet.cutoff)
-        mats = mats + moments[0].transpose(0, 2, 1) @ disc.jet_rows[:JET_ORDER + 1]
+        mats = mats + moments[0].transpose(0, 2, 1) @ disc.jet_rows
     return mats, moments
 
 
@@ -286,22 +296,22 @@ def _perron_pair(A: np.ndarray, params: PressureParams, disc: Discretization):
     Chebyshev tails do not decay, and the unresolved ones are dropped before
     the largest remaining eigenvalue is taken.
     """
-    w, vl, vr = scipy.linalg.eig(A, left=True)
-    modes = []
-    for k in np.argsort(-w.real):
-        if w[k].imag != 0.0 or w[k].real <= 0.0:
-            continue
-        h = vr[:, k].real
-        h = h / h[np.argmax(np.abs(h))]
-        if np.all(h > 0.0):
-            modes.append((k, h))
+    wr, wi, vl, vr, info = lapack.dgeev(A, compute_vl=1, compute_vr=1)
+    if info != 0:
+        raise ConvergenceError(f"dgeev failed (info {info}) at {params} (order {disc.order})")
+    order = np.argsort(-wr)
+    order = order[(wi[order] == 0.0) & (wr[order] > 0.0)]   # real modes have wi == 0
+    H = vr[:, order]
+    H = H / H[np.argmax(np.abs(H), axis=0), np.arange(order.size)]
+    positive = np.all(H > 0.0, axis=0)
+    modes = list(zip(order[positive], H[:, positive].T))
     if len(modes) > 1:
         modes = [(k, h) for k, h in modes if _resolved(h)]
     if not modes:
         raise ConvergenceError(
             f"no resolved positive eigenmode at {params} (order {disc.order})")
     k, h = modes[0]
-    nu = vl[:, k].real
+    nu = vl[:, k]
     return h, nu / np.sum(nu)
 
 
@@ -366,7 +376,7 @@ def _solve(params: PressureParams, alphabet: Alphabet,
     tail_bound = 0.0
     if moments is not None:
         S, binom_trunc = moments
-        jets = disc.jet_rows[:JET_ORDER + 1] @ h
+        jets = disc.jet_rows @ h
         tail_bound = float((abs(jets[-1]) * np.max(np.abs(S[0, JET_ORDER]))
                             + abs(jets[0]) * binom_trunc) / lam)
     return PressureResult(
@@ -508,7 +518,7 @@ class GibbsApprox:
         if self.alphabet.has_tail:
             S = _tail_moments(self.params.t, self.params.q, np.asarray([x]),
                               self.alphabet.cutoff)[0]
-            jets = self.disc.jet_rows[: JET_ORDER + 1] @ self.h_values
+            jets = self.disc.jet_rows @ self.h_values
             tail = float(jets @ S[0, :, 0])
             hx = float(self.disc.interpolate(self.h_values, np.asarray([x]))[0])
             tail_mass = math.exp(-self.pressure) * tail / hx

@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 import numpy as np
-from scipy import integrate
 
 LOG2 = math.log(2.0)
 
@@ -141,6 +140,8 @@ def khintchine_exponent() -> float:
     of the same expression, so the absolute error is far below the 1e-6
     this constant is contracted to.
     """
+    from scipy import integrate   # deferred: the package import stays light
+
     n_terms = 200_000
     n = np.arange(1, n_terms + 1, dtype=float)
     head = float(np.sum(np.log(n) * np.log1p(1.0 / (n * (n + 2.0)))))

@@ -2,6 +2,9 @@
 
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -19,6 +22,17 @@ GAMMA0 = golden_constant()
 @pytest.fixture(scope="module")
 def provider():
     return sp.default_provider()
+
+
+def test_package_import_defers_integrate_and_optimize():
+    # only khintchine_exponent and bounded_digit_dimension use them
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("import sys, gauss_spectra; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -148,10 +148,15 @@ def test_unresolved_positive_modes_are_not_selected():
                         tr.PressureParams(1.0, 0.0), DISC)
 
 
-def test_tail_moments_against_direct_sums():
-    # independent of the binomial/Hurwitz-zeta expansion: the sums themselves
+@pytest.mark.parametrize("x", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("t, q", [(0.9, 0.3), (0.0, -1.5), (0.05, -9.5),
+                                  (6.0, 0.0), (12.0, 0.0), (2.0, 2.9)])
+def test_tail_moments_against_direct_sums(t, q, x):
+    # independent of the binomial/Hurwitz-zeta expansion: the sums themselves,
+    # by Euler-Maclaurin from the first tail digit; the tail integral is taken
+    # in u = log i, where it decays exponentially even at 2t - q near 1
     mpmath = pytest.importorskip("mpmath")
-    t, q, cutoff, x = 0.9, 0.3, 64, 1.0
+    cutoff = 64
     moments, _ = tr._tail_moments(t, q, np.array([x]), cutoff)
     log = mpmath.log
     factors = (lambda i: 1, lambda i: -2 * log(i + x), log,
@@ -159,10 +164,16 @@ def test_tail_moments_against_direct_sums():
                lambda i: log(i) ** 2)
 
     def direct(r, factor):
-        with mpmath.workdps(20):
-            return float(mpmath.nsum(
-                lambda i: factor(i) * i ** q * (i + x) ** (-(2 * t + r)),
-                [cutoff + 1, mpmath.inf], method="euler-maclaurin"))
+        with mpmath.workdps(17):
+            scale = mpmath.mpf(cutoff + 1) ** (2 * t + r - q)   # terms of order 1
+
+            def term(i):
+                return scale * factor(i) * i ** q * (i + x) ** (-(2 * t + r))
+
+            integral = mpmath.quad(lambda u: term(mpmath.exp(u)) * mpmath.exp(u),
+                                   [mpmath.log(cutoff + 1), mpmath.inf])
+            return float(mpmath.sumem(term, [cutoff + 1, mpmath.inf],
+                                      integral=integral) / scale)
 
     for r in (0, tr.JET_ORDER):
         for p, factor in enumerate(factors):
@@ -198,6 +209,19 @@ def test_dP_dq_matches_zeta_derivative_oracle():
     oracle = (math.log(riemann_zeta(3.0 - h)) - math.log(riemann_zeta(3.0 + h))) / (2 * h)
     assert tr.dP_dq(tr.PressureParams(0.0, -3.0), ALPH, DISC) == pytest.approx(
         oracle, abs=1e-6)
+
+
+def test_result_fields_finite_at_t_zero():
+    # t = 0 puts rho = 2t + r at 0 for the r = 0 tail moment
+    res = tr.pressure(tr.PressureParams(0.0, -3.0), ALPH, DISC)
+    fields = (res.value, res.dP_dt, res.dP_dq, res.d2P_dt2, res.d2P_dtdq, res.d2P_dq2,
+              res.tail_error_bound)
+    assert np.all(np.isfinite(fields))
+    assert res.dP_dt < 0.0
+    h = 1e-4
+    log_zeta = [math.log(riemann_zeta(3.0 + k * h)) for k in (-1, 0, 1)]
+    assert res.d2P_dq2 == pytest.approx(
+        (log_zeta[0] - 2 * log_zeta[1] + log_zeta[2]) / h ** 2, rel=1e-5)
 
 
 def test_dP_dq_increasing_in_q():
@@ -335,3 +359,5 @@ def test_one_tail_moment_build_per_point(monkeypatch):
     prov.dP_dq(0.8, 0.2)
     prov.dP_dt(0.8, 0.2)
     assert len(calls) == 1
+    # one zeta row at the single point a = M + 1 serves every node
+    assert np.ndim(calls[0][1]) == 0 and float(calls[0][1]) == ALPH.cutoff + 1

@@ -65,11 +65,11 @@ def test_hurwitz_derivative_against_richardson_fd():
 
 
 def test_hurwitz_second_derivative_against_mpmath_on_tail_grid():
-    # the digit tail evaluates zeta(s, M + 1 + x) with M = 64, x in [0, 1];
-    # mpmath needs more than 40 digits here (at 40 its zeta(26, 65) is off
-    # by 3e-12 relative)
+    # the digit tail evaluates zeta(s, M + 1) with M = 64 from s = 2t - q,
+    # which reaches 1 + DOMAIN_MARGIN; mpmath needs more than 40 digits here
+    # (at 40 its zeta(26, 65) is off by 3e-12 relative)
     mpmath = pytest.importorskip("mpmath")
-    s = np.linspace(2.0, 80.0, 27)
+    s = np.concatenate([np.linspace(1.01, 2.0, 12, endpoint=False), np.linspace(2.0, 80.0, 27)])
     a = 65.0 + np.array([0.0, 0.25, 0.5, 1.0])
     mine = hurwitz_zeta(s[:, None], a[None, :], derivative=2)
     with mpmath.workdps(60):
