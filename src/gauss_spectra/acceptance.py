@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from . import cf, spectra, transfer, zeta
 
@@ -73,6 +72,8 @@ def _digit_mass_quadrature(n_max: int) -> np.ndarray:
 
 
 def c01_khintchine_constant(cfg: VerifyConfig) -> CriterionResult:
+    from scipy import integrate   # deferred: the CLI imports this module
+
     start = time.perf_counter()
     kc = zeta.khintchine_constant()
     xe = zeta.khintchine_exponent()
@@ -93,6 +94,8 @@ def c01_khintchine_constant(cfg: VerifyConfig) -> CriterionResult:
 
 
 def c02_lyapunov_constant(cfg: VerifyConfig) -> CriterionResult:
+    from scipy import integrate   # deferred: the CLI imports this module
+
     start = time.perf_counter()
     lam = zeta.lyapunov_constant()
     quad_val, _ = integrate.quad(
@@ -251,10 +254,10 @@ def c10_route_equivalence(cfg: VerifyConfig) -> CriterionResult:
 def c11_bounded_digits(cfg: VerifyConfig) -> CriterionResult:
     start = time.perf_counter()
     d = spectra.bounded_digit_dimension({1, 2}, cfg.disc())
-    err = abs(d - 0.5312805)
+    err = abs(d - zeta.DIM_E2_REFERENCE)
     return _result(
-        "c11", "Dimension of the digit-{1,2} set", start, 5.0, err < 1e-5,
-        f"{d:.9f} (err {err:.1e})", "0.5312805", "1e-5")
+        "c11", "Dimension of the digit-{1,2} set", start, 5.0, err <= 1e-13,
+        f"{d:.16f} (err {err:.1e})", f"{zeta.DIM_E2_REFERENCE}", "1e-13")
 
 
 def c12_fast_spectrum(cfg: VerifyConfig) -> CriterionResult:

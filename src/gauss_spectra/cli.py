@@ -303,6 +303,7 @@ def cmd_spectrum(args) -> int:
         "grid_min": float(grid[0]), "grid_max": float(grid[-1]),
         "grid_count": len(grid), "grid_spacing": args.spacing,
         "solved": len(curve.points), "failed": len(curve.metadata["failures"]),
+        "solves": curve.metadata["solves"],
     })
     header = ["exponent", "dimension", "q_value", "residual_1", "residual_2",
               "slope_fd"]
@@ -319,7 +320,7 @@ def cmd_constants(args) -> int:
         ["khintchine_constant", khintchine_constant(),
          "exp of the mean log-digit series"],
         ["khintchine_exponent", khintchine_exponent(),
-         "digit-mass weighted log series (spectrum peak abscissa)"],
+         "Bailey-Borwein-Crandall zeta series (spectrum peak abscissa)"],
         ["lyapunov_constant", lyapunov_constant(), "pi^2 / (6 log 2)"],
         ["golden_constant", golden_constant(), "2 log((1 + sqrt 5)/2)"],
         ["dim_E2", bounded_digit_dimension({1, 2}, disc),

@@ -12,11 +12,18 @@ peak (implicit-function continuation), else from the peak (1, 0).  The
 Jacobian is exact, built from the pressure's gradient and Hessian, so each
 iterate costs one eigen-solve.
 
+Each step is Newton's on the reciprocal slope equation 1/xi - 1/P_q = 0.
+Near the divergence line 2t - q = 1, P ~ -log(2t - q - 1), so P_q grows
+like 1/(2t - q - 1) while 1/P_q is nearly linear, and the plain step would
+overshoot toward the line.  Only the step changes: F, its residuals, the
+damping test and the tolerances stay those of the plain system.
+
 The Lyapunov spectrum reduces to the one-parameter pressure P(u) = P(u, 0):
 find u with P'(u) = -beta by a damped 1-D Newton iteration on u with the
-exact P''(u), then q = P(u)/beta and t = u + q.  The 2x2 Newton iteration
-on the two-parameter form, with u = t - q, is kept alongside as an
-independent consistency route; the two share no root-finding code.
+exact P''(u), its step taken from 1/beta + 1/P'(u) = 0 likewise, then
+q = P(u)/beta and t = u + q.  The 2x2 Newton iteration on the
+two-parameter form, with u = t - q, is kept alongside as an independent
+consistency route with the plain step; the two share no root-finding code.
 
 Also here: the flat fast spectrum 1/(b+1), the growth-ratio estimator for
 b, the Cantor-set dimension quotient for digit ranges s_n <= a_n < N s_n,
@@ -55,7 +62,8 @@ class SolverConfig:
     ``xi_window`` and ``beta_window`` bound the exponents a point or curve
     accepts.  ``residual_tol`` is the largest max |F| a Newton solve may
     end at when its step stalls before reaching NEWTON_TOL; ``inner_xtol``
-    is the Newton step on u at which the 1-D Lyapunov route stops.
+    is the Newton step at which the 1-D Lyapunov route stops (its default
+    also ends ``bounded_digit_dimension``).
     """
 
     xi_window: tuple[float, float] = (0.05, 50.0)
@@ -84,6 +92,8 @@ class SpectrumPoint:
 
 @dataclass
 class SpectrumCurve:
+    """Solved points; ``metadata["solves"]`` counts new provider eigen-solves."""
+
     kind: str
     points: list[SpectrumPoint]
     metadata: dict = field(default_factory=dict)
@@ -115,12 +125,14 @@ def _newton(system: Callable[[float, float], tuple[tuple[float, float], np.ndarr
             t: float, q: float, tol: float) -> tuple[float, float]:
     """Damped Newton iteration for F(t, q) = 0 from (t, q).
 
-    ``system`` returns F and its exact Jacobian from one pressure result, so
-    an iterate costs one eigen-solve.  A step is halved until t stays
-    positive, the pressure is defined and max |F| decreases.  The iteration
-    ends at max |F| <= NEWTON_TOL, or when the damped step falls below
-    NEWTON_MIN_STEP with max |F| <= ``tol``; otherwise it raises
-    ``ConvergenceError``.
+    ``system`` returns F and the Jacobian the step uses (jac @ step = -F),
+    from one pressure result, so an iterate costs one eigen-solve.  A row
+    of the exact Jacobian scaled by a positive factor gives the step of an
+    equation with the same roots; damping and termination read F alone.
+    A step is halved until t stays positive, the pressure is defined and
+    max |F| decreases.  The iteration ends at max |F| <= NEWTON_TOL, or
+    when the damped step falls below NEWTON_MIN_STEP with max |F| <=
+    ``tol``; otherwise it raises ``ConvergenceError``.
     """
     F, jac = system(t, q)
     norm = max(abs(F[0]), abs(F[1]))
@@ -170,6 +182,11 @@ def khintchine_point(xi: float, provider: PressureProvider | None = None,
                      hint: SpectrumPoint | None = None) -> SpectrumPoint:
     """Dimension of the level set of mean log-digit equal to ``xi``.
 
+    The Newton step is that of (P - q xi, 1/xi - 1/P_q) = 0: the exact
+    Jacobian of F = (P - q xi, P_q - xi) with its second row scaled by
+    xi / P_q, while F and the residuals are the plain ones.  P_q <= 0 (only
+    on the alphabet {1}) raises ``ConvergenceError``.
+
     ``t_slope`` and ``t_curvature`` come from implicit differentiation of
     P(t, q) = q xi, P_q(t, q) = xi: t' = q / P_t, q' = (1 - P_tq t') / P_qq
     and t'' = (q' P_t - q (P_tt t' + P_tq q')) / P_t^2.
@@ -182,8 +199,13 @@ def khintchine_point(xi: float, provider: PressureProvider | None = None,
 
     def system(t: float, q: float):
         r = prov.result(t, q)
+        if r.dP_dq <= 0.0:
+            raise transfer.ConvergenceError(
+                f"dP/dq = {r.dP_dq} <= 0 at (t, q) = ({t}, {q}); xi = {xi} is unreachable")
+        scale = xi / r.dP_dq
         return ((r.value - q * xi, r.dP_dq - xi),
-                np.array([[r.dP_dt, r.dP_dq - xi], [r.d2P_dtdq, r.d2P_dq2]]))
+                np.array([[r.dP_dt, r.dP_dq - xi],
+                          [scale * r.d2P_dtdq, scale * r.d2P_dq2]]))
 
     t, q = _newton(system, *_start(hint), cfg.residual_tol)
     r = prov.result(t, q)
@@ -223,12 +245,15 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
 
     Solves P'(u) = -beta for u, sets q = P(u)/beta, t = u + q; the returned
     residuals re-check the two-parameter system at (t, q).  P' is increasing
-    and concave in u on the beta window, so Newton from the left of the root
-    climbs monotonically to it, and a step from the right that would leave
-    the domain is halved until u stays above LYAPUNOV_U_MIN.  The iteration
-    starts from the hint's u (else 1) and stops when the Newton step is at
-    most ``inner_xtol``, or when it stops shrinking once |P' + beta| is
-    within ``residual_tol`` (the rounding floor of P').
+    in u and behaves like -2/(2u - 1) near the domain edge, where 1/P' is
+    nearly linear.  So the step is Newton's on 1/beta + 1/P'(u) = 0: the
+    plain step on P' + beta times -P'(u)/beta, shorter right of the root
+    (where |P'| < beta), so a step toward the edge does not overshoot it.
+    A step that would still leave the domain is halved until u stays above
+    LYAPUNOV_U_MIN.  The iteration starts from the hint's u (else 1) and
+    stops when the step is at most ``inner_xtol``, or when it stops
+    shrinking once |P' + beta| is within ``residual_tol`` (the rounding
+    floor of P').
     """
     cfg = config or SolverConfig()
     lo, hi = cfg.resolved_beta_window()
@@ -241,7 +266,7 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
     for _ in range(NEWTON_MAX_ITER):
         res = prov.result(u, 0.0)
         gap = res.dP_dt + beta
-        step = -gap / res.d2P_dt2
+        step = gap * res.dP_dt / (beta * res.d2P_dt2)
         if abs(step) <= cfg.inner_xtol or (
                 abs(step) >= last_step and abs(gap) <= cfg.residual_tol):
             q = res.value / beta
@@ -283,6 +308,7 @@ def _solve_curve(kind: str, grid: Sequence[float], solver, center: float,
     start = int(np.argmin(np.abs(grid - center)))
     solved: dict[int, SpectrumPoint] = {}
     failures: list[dict] = []
+    solves_before = provider.solves
 
     def march(indices):
         hint = solved.get(start)
@@ -302,6 +328,7 @@ def _solve_curve(kind: str, grid: Sequence[float], solver, center: float,
         "kind": kind,
         "grid_size": len(grid),
         "failures": failures,
+        "solves": provider.solves - solves_before,
         "center": center,
         "residual_tol": cfg.residual_tol,
         "collocation_order": provider.disc.order,
@@ -449,11 +476,13 @@ def bounded_digit_dimension(digits: Iterable[int],
                             disc: Discretization | None = None) -> float:
     """Hausdorff dimension of continued fractions with digits in a finite set.
 
-    The unique zero of the restricted-alphabet pressure t -> P_digits(t);
-    a single digit gives a single point, dimension 0.
+    The unique zero of the restricted-alphabet pressure t -> P_D(t); a
+    single digit gives a single point, dimension 0.  P_D is decreasing and
+    convex with P_D(0) = log |D| > 0, so Newton on the exact P_D' from
+    t = 0 climbs monotonically to the zero; it stops at a step of at most
+    the default ``SolverConfig.inner_xtol`` or once steps stop shrinking
+    (the rounding floor).
     """
-    from scipy.optimize import brentq   # deferred: the package import stays light
-
     ds = tuple(sorted(set(int(d) for d in digits)))
     if not ds:
         raise ValueError("digit set must be nonempty")
@@ -462,10 +491,18 @@ def bounded_digit_dimension(digits: Iterable[int],
     alphabet = Alphabet.restricted(ds)
     disc = disc or Discretization.chebyshev()
 
-    def f(t: float) -> float:
-        return transfer.pressure_1d(t, alphabet, disc).value
-
-    return float(brentq(f, 1e-9, 1.0, xtol=1e-13, rtol=8.9e-16))
+    t, last_step = 0.0, math.inf
+    for _ in range(NEWTON_MAX_ITER):
+        res = transfer.pressure_1d(t, alphabet, disc)
+        step = -res.value / res.dP_dt
+        if abs(step) >= last_step:
+            return t
+        t += step
+        if abs(step) <= SolverConfig.inner_xtol:
+            return t
+        last_step = abs(step)
+    raise transfer.ConvergenceError(
+        f"P_D(t) = 0 not reached in {NEWTON_MAX_ITER} Newton steps for D = {ds}; t = {t}")
 
 
 # ---------------------------------------------------------------------------

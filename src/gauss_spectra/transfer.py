@@ -471,6 +471,11 @@ class PressureProvider:
             res = self._cache[(t, q)] = _solve(PressureParams(t, q), self.alphabet, self.disc)
         return res
 
+    @property
+    def solves(self) -> int:
+        """Eigen-solves made so far: one per cached parameter point."""
+        return len(self._cache)
+
     def result(self, t: float, q: float) -> PressureResult:
         return self._lookup(t, q)
 

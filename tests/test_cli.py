@@ -186,7 +186,8 @@ def test_spectrum_failure_rows_and_exit3(capsys, monkeypatch):
         return SpectrumCurve(kind="khintchine", points=[pt],
                              metadata={"failures": [
                                  {"exponent": float(grid[0]), "error": "x"},
-                                 {"exponent": float(grid[2]), "error": "x"}]})
+                                 {"exponent": float(grid[2]), "error": "x"}],
+                                 "solves": 0})
 
     monkeypatch.setattr(cli_mod, "khintchine_curve", fake_curve)
     code, out, _ = run(capsys, "spectrum", "khintchine", "--min", "0.5",

@@ -12,7 +12,8 @@ import pytest
 
 from gauss_spectra import spectra as sp
 from gauss_spectra import transfer as tr
-from gauss_spectra.zeta import golden_constant, khintchine_exponent, lyapunov_constant
+from gauss_spectra.zeta import (DIM_E2_REFERENCE, golden_constant, khintchine_exponent,
+                                lyapunov_constant)
 
 XI0 = khintchine_exponent()
 LAM0 = lyapunov_constant()
@@ -25,9 +26,11 @@ def provider():
 
 
 def test_package_import_defers_integrate_and_optimize():
-    # only khintchine_exponent and bounded_digit_dimension use them
+    # the package and its CLI use neither, outside the c01/c02 quadrature oracles
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    code = ("import sys, gauss_spectra; "
+    code = ("import sys, gauss_spectra, gauss_spectra.cli; "
+            "gauss_spectra.zeta.khintchine_exponent(); "
+            "gauss_spectra.bounded_digit_dimension({1, 2}); "
             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")))
@@ -129,14 +132,52 @@ def test_newton_curve_solve_count():
     prov = sp.default_provider()
     curve = sp.khintchine_curve(np.geomspace(0.3, 40.0, 60), prov)
     assert len(curve.points) == 60
-    assert len(prov._cache) < 400
+    assert curve.metadata["solves"] == len(prov._cache) < 220
 
 
 def test_lyapunov_curve_solve_count():
     prov = sp.default_provider()
     curve = sp.lyapunov_curve(np.geomspace(GAMMA0 + 0.01, 150.0, 25), prov)
     assert len(curve.points) == 25
-    assert len(prov._cache) < 200
+    assert curve.metadata["solves"] == len(prov._cache) < 110
+
+
+def test_curve_solves_count_only_new_solves():
+    prov = sp.default_provider()
+    grid = np.geomspace(0.5, 5.0, 8)
+    first = sp.khintchine_curve(grid, prov)
+    again = sp.khintchine_curve(grid, prov)
+    assert first.metadata["solves"] == len(prov._cache) > 0
+    assert again.metadata["solves"] == 0
+
+
+@pytest.mark.parametrize("point_fn, exponent", [
+    (sp.khintchine_point, 5.0), (sp.khintchine_point, 50.0),
+    (sp.lyapunov_point, 40.0), (sp.lyapunov_point, 150.0),
+])
+def test_cold_start_stays_inside_the_domain(monkeypatch, point_fn, exponent):
+    # the reciprocal Newton step does not overshoot toward 2t - q = 1
+    probes = []
+    check = tr.check_domain
+
+    def recording_check(params, alphabet):
+        if params.gap() < tr.DOMAIN_MARGIN:
+            probes.append(params)
+        check(params, alphabet)
+
+    monkeypatch.setattr(tr, "check_domain", recording_check)
+    prov = sp.default_provider()
+    pt = point_fn(exponent, prov)
+    assert max(pt.residuals) <= sp.SolverConfig().residual_tol
+    assert len(prov._cache) <= 7
+    assert probes == []
+
+
+def test_khintchine_point_on_single_digit_alphabet_raises():
+    # P_q vanishes identically on the alphabet {1}, so no xi > 0 is reachable
+    prov = tr.PressureProvider(tr.Alphabet.restricted({1}), tr.Discretization.chebyshev(16))
+    with pytest.raises(tr.ConvergenceError):
+        sp.khintchine_point(0.5, prov)
 
 
 def test_newton_failure_is_recorded():
@@ -347,7 +388,7 @@ def test_bounded_digit_dimension_values():
     assert sp.bounded_digit_dimension({2}) == 0.0
     assert sp.bounded_digit_dimension({5}) == 0.0
     d12 = sp.bounded_digit_dimension({1, 2})
-    assert abs(d12 - 0.5312805) < 1e-5
+    assert abs(d12 - DIM_E2_REFERENCE) <= 1e-13
     d123 = sp.bounded_digit_dimension({1, 2, 3})
     assert 0.5313 < d123 < 1.0
     assert d12 < d123

@@ -93,6 +93,14 @@ def test_khintchine_exponent_against_cylinder_quadrature():
     assert khintchine_exponent() == pytest.approx(head + tail, abs=1e-6)
 
 
+def test_khintchine_exponent_against_mpmath():
+    # the Bailey-Borwein-Crandall series against mpmath's Khintchine constant
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = mpmath.log(mpmath.khinchin)
+        assert abs(mpmath.mpf(khintchine_exponent()) - ref) <= 1e-15
+
+
 def test_khintchine_constant_display_value():
     assert abs(khintchine_constant() - 2.6854) < 1e-4
     assert khintchine_constant() == pytest.approx(
