@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None, help="output file (default stdout)")
     common.add_argument("--seed", type=int, default=0, help="random seed")
     common.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for grid sweeps "
-                             "(default: $GAUSS_SPECTRA_JOBS or all cores)")
+                        help="accepted and echoed in the metadata; sweeps run in "
+                             "one process (default: $GAUSS_SPECTRA_JOBS or all cores)")
     common.add_argument("--gnuplot", action="store_true",
                         help="also write a gnuplot script next to --output")
 
@@ -197,13 +196,6 @@ def _metadata(args, extra: dict) -> dict:
 
 # ---------------------------------------------------------------------------
 
-def _pressure_task(task) -> tuple:
-    t, q, cutoff, order = task
-    prov = PressureProvider(Alphabet.full(cutoff), Discretization.chebyshev(order))
-    res = prov.result(t, q)
-    return (t, q, res.value, res.dP_dt, res.dP_dq, res.tail_error_bound)
-
-
 def cmd_pressure(args) -> int:
     try:
         grid = _make_grid(args)
@@ -225,22 +217,16 @@ def cmd_pressure(args) -> int:
                 f"(t, q) = ({t}, {q}) outside the pressure domain: "
                 f"2t - q = {2 * t - q} <= {1 + DOMAIN_MARGIN}")
 
-    tasks = [(t, q, args.cutoff, args.order) for (t, q) in points]
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    if jobs > 1 and len(tasks) >= 4:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_pressure_task, tasks, chunksize=4))
-    else:
-        prov = PressureProvider(Alphabet.full(args.cutoff),
-                                Discretization.chebyshev(args.order))
-        rows = []
-        for (t, q, *_rest) in tasks:
-            res = prov.result(t, q)
-            rows.append((t, q, res.value, res.dP_dt, res.dP_dq, res.tail_error_bound))
+    prov = PressureProvider(Alphabet.full(args.cutoff), Discretization.chebyshev(args.order))
+    rows = []
+    for (t, q) in points:
+        res = prov.result(t, q)
+        rows.append([t, q, res.value, res.dP_dt, res.dP_dq, res.tail_error_bound])
 
+    jobs = args.jobs if args.jobs is not None else _default_jobs()
     meta = _metadata(args, {"jobs": jobs, "points": len(points)})
     header = ["t", "q", "pressure", "dP_dt", "dP_dq", "tail_error"]
-    _write(meta, header, [list(r) for r in rows], args)
+    _write(meta, header, rows, args)
     err = _write_gnuplot(args, "q" if args.t is not None and grid is not None else "t",
                          "pressure", 2 if args.t is not None and grid is not None else 1, 3)
     return err if err is not None else 0

@@ -61,15 +61,12 @@ class SolverConfig:
 
     ``xi_window`` and ``beta_window`` bound the exponents a point or curve
     accepts.  ``residual_tol`` is the largest max |F| a Newton solve may
-    end at when its step stalls before reaching NEWTON_TOL; ``inner_xtol``
-    is the Newton step at which the 1-D Lyapunov route stops (its default
-    also ends ``bounded_digit_dimension``).
+    end at when its step stalls before reaching NEWTON_TOL.
     """
 
     xi_window: tuple[float, float] = (0.05, 50.0)
     beta_window: tuple[float, float] | None = None  # default (gamma0 + 1e-3, 150)
     residual_tol: float = 1e-8
-    inner_xtol: float = 1e-13
 
     def resolved_beta_window(self) -> tuple[float, float]:
         if self.beta_window is not None:
@@ -119,6 +116,7 @@ NEWTON_MAX_ITER = 60
 NEWTON_TOL = 1e-12       # max |F| at which an iterate is accepted outright
 NEWTON_MIN_STEP = 1e-15  # a damped step this small ends the iteration
 LYAPUNOV_U_MIN = 0.506   # 1-D Newton iterates stay above this u (domain edge 0.505)
+DIMENSION_XTOL = 1e-13   # Newton step at which bounded_digit_dimension stops
 
 
 def _newton(system: Callable[[float, float], tuple[tuple[float, float], np.ndarray]],
@@ -251,7 +249,7 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
     (where |P'| < beta), so a step toward the edge does not overshoot it.
     A step that would still leave the domain is halved until u stays above
     LYAPUNOV_U_MIN.  The iteration starts from the hint's u (else 1) and
-    stops when the step is at most ``inner_xtol``, or when it stops
+    stops at |P' + beta| <= NEWTON_TOL * beta, or when the step stops
     shrinking once |P' + beta| is within ``residual_tol`` (the rounding
     floor of P').
     """
@@ -267,7 +265,7 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
         res = prov.result(u, 0.0)
         gap = res.dP_dt + beta
         step = gap * res.dP_dt / (beta * res.d2P_dt2)
-        if abs(step) <= cfg.inner_xtol or (
+        if abs(gap) <= NEWTON_TOL * beta or (
                 abs(step) >= last_step and abs(gap) <= cfg.residual_tol):
             q = res.value / beta
             return _lyapunov_point(beta, u + q, q, res)
@@ -480,8 +478,7 @@ def bounded_digit_dimension(digits: Iterable[int],
     single digit gives a single point, dimension 0.  P_D is decreasing and
     convex with P_D(0) = log |D| > 0, so Newton on the exact P_D' from
     t = 0 climbs monotonically to the zero; it stops at a step of at most
-    the default ``SolverConfig.inner_xtol`` or once steps stop shrinking
-    (the rounding floor).
+    DIMENSION_XTOL or once steps stop shrinking (the rounding floor).
     """
     ds = tuple(sorted(set(int(d) for d in digits)))
     if not ds:
@@ -498,7 +495,7 @@ def bounded_digit_dimension(digits: Iterable[int],
         if abs(step) >= last_step:
             return t
         t += step
-        if abs(step) <= SolverConfig.inner_xtol:
+        if abs(step) <= DIMENSION_XTOL:
             return t
         last_step = abs(step)
     raise transfer.ConvergenceError(

@@ -20,13 +20,19 @@ collocation error instead of the ~1/M^2 a crude integral bound leaves.
 Every value comes from one path: the collocation matrix A is assembled
 together with its first and second (t, q)-derivatives, and one LAPACK
 dgeev call gives the eigenvalues with their right and left eigenvectors,
-from which the Perron pair is picked.  The Perron pair is
+from which the Perron pair is picked; everything that does not depend on
+(t, q) (the interpolation tensor, the stacked log-weights of the digit
+weights and the node powers of the tail expansion) is built once per
+discretization and alphabet, so an assembly is one exp, one product and
+one batched matrix product.  The Perron pair is
 the largest real positive eigenvalue whose right eigenvector is positive at
 every node; when spurious collocation modes also qualify, the ones whose
 Chebyshev tails have not decayed to RESOLVED_TAIL are dropped first.
 Pressure derivatives are exact derivatives of the discretized eigenvalue
 (left/right eigenvector contraction of the differentiated matrix), which
-is precisely the node-weighted Gibbs average of log a_1 resp. -log|T'|.
+is precisely the node-weighted Gibbs average of log a_1 resp. -log|T'|;
+the second derivatives add one bordered LAPACK dgesv solve for the
+eigenvector derivatives.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.fft import dct
@@ -107,6 +113,21 @@ class Alphabet:
         return np.asarray(self.digits, dtype=float)
 
 
+class DigitTables(NamedTuple):
+    """The parameter-free tables of one (discretization, alphabet) pair.
+
+    ``tensor[j, i, m]`` is the barycentric coefficient of node m in
+    g(1/(i + x_j)); ``log_weights[j, :, i]`` stacks the log-derivatives
+    (1, l_t, l_q, l_t^2, l_t l_q, l_q^2) of the digit weight
+    i^q (i + x_j)^(-2t), with l_t = -2 log(i + x_j) and l_q = log i; and
+    ``node_powers[j, m]`` is x_m^j for the binomial digit-tail expansion.
+    """
+
+    tensor: np.ndarray
+    log_weights: np.ndarray
+    node_powers: np.ndarray
+
+
 @dataclass(eq=False)
 class Discretization:
     """Chebyshev-Lobatto nodes on [0, 1] with barycentric machinery."""
@@ -159,15 +180,20 @@ class Discretization:
         out = self.coefficients(y) @ np.asarray(values, dtype=float)
         return out
 
-    def digit_tensor(self, alphabet: Alphabet) -> np.ndarray:
-        """coefficients of g(1/(i + node_j)) as C[j, i, m], cached per alphabet."""
+    def digit_tables(self, alphabet: Alphabet) -> DigitTables:
+        """The ``DigitTables`` of this grid and ``alphabet``, built once per alphabet."""
         key = (alphabet.kind, alphabet.cutoff, alphabet.digits)
-        tensor = self._tensor_cache.get(key)
-        if tensor is None:
+        tables = self._tensor_cache.get(key)
+        if tables is None:
             d = alphabet.digit_values()
-            y = 1.0 / (d[None, :] + self.nodes[:, None])
-            tensor = self._tensor_cache[key] = self.coefficients(y)
-        return tensor
+            z = d + self.nodes[:, None]                              # (K, M): i + x_j
+            lt, lq = -2.0 * np.log(z), np.broadcast_to(np.log(d), z.shape)
+            tables = self._tensor_cache[key] = DigitTables(
+                tensor=self.coefficients(1.0 / z),
+                log_weights=np.stack([np.ones_like(lt), lt, lq, lt * lt, lt * lq, lq * lq],
+                                     axis=1),
+                node_powers=_node_powers(self.nodes))
+        return tables
 
 
 @dataclass(frozen=True)
@@ -206,8 +232,9 @@ def _binomial_polys(count: int) -> np.ndarray:
     """C(-rho, j) = (-1)^j (rho)_j / j! for j < count and its first two
     t-derivatives (rho = 2t + r, drho/dt = 2) as polynomials in rho.
 
-    Column d * count + j holds the coefficients of d^d C(-rho, j) / dt^d in
-    powers rho^k, k = row.  They come from the rising-factorial recurrence
+    Entry [d, k, j] is the coefficient of rho^k in d^d C(-rho, j) / dt^d,
+    so a row of powers of rho times the table gives all three at once.  They
+    come from the rising-factorial recurrence
     (rho)_j = (rho)_{j-1} (rho + j - 1) applied to coefficient vectors, so
     the values are polynomial evaluations with no division by rho + m
     (which is 0/0 at rho = 0)."""
@@ -218,19 +245,37 @@ def _binomial_polys(count: int) -> np.ndarray:
         poly[j] += (j - 1) * poly[j - 1]
     poly *= np.array([(-1.0) ** j / math.factorial(j) for j in range(count)])[:, None]
     d_dt = np.diag(2.0 * np.arange(1, count), -1)   # d/dt rho^k = 2k rho^(k-1)
-    return np.concatenate([poly, poly @ d_dt, poly @ d_dt @ d_dt]).T
+    return np.stack([poly, poly @ d_dt, poly @ d_dt @ d_dt]).transpose(0, 2, 1)
 
 
 _BINOM_POLYS = _binomial_polys(BINOM_TERMS + 1)
 _POWERS = np.arange(BINOM_TERMS + 1, dtype=float)
+_ORDERS = np.arange(JET_ORDER + 1, dtype=float)
+_S_OFFSETS = np.arange(JET_ORDER + BINOM_TERMS + 1, dtype=float)
 # zeta row index of term j at Taylor order r
 _ZETA_WINDOW = np.arange(JET_ORDER + 1)[:, None] + np.arange(BINOM_TERMS + 1)
+# the six tables as combinations of the products C_a Z_b (column 3a + b) of
+# the binomial coefficients C, C_t, C_tt and the zeta values Z, Z', Z''
+_TAIL_MIX = np.array([
+    [1, 0, 0, 0, 0, 0, 0, 0, 0],     # C Z
+    [0, 2, 0, 1, 0, 0, 0, 0, 0],     # C_t Z + 2 C Z'
+    [0, -1, 0, 0, 0, 0, 0, 0, 0],    # -C Z'
+    [0, 0, 4, 0, 4, 0, 1, 0, 0],     # C_tt Z + 4 C_t Z' + 4 C Z''
+    [0, 0, -2, 0, -1, 0, 0, 0, 0],   # -C_t Z' - 2 C Z''
+    [0, 0, 1, 0, 0, 0, 0, 0, 0],     # C Z''
+], dtype=float)
 
 
-def _tail_moments(t: float, q: float, nodes: np.ndarray, cutoff: int):
+def _node_powers(x: np.ndarray) -> np.ndarray:
+    """x_k^j for the binomial terms j <= BINOM_TERMS, as [j, k]."""
+    return np.asarray(x, dtype=float) ** _POWERS[:, None]
+
+
+def _tail_moments(t: float, q: float, node_powers: np.ndarray, cutoff: int):
     """Closed-form digit-tail moments above the cutoff and their (t, q)-derivatives.
 
-    Returns (moments, binom_trunc).  moments[p, r, k] for r <= JET_ORDER is
+    ``node_powers`` is ``_node_powers(x)`` of the points x_k.  Returns
+    (moments, binom_trunc).  moments[p, r, k] for r <= JET_ORDER is
 
         sum_{i>M} f_p(i, x_k) i^q (i + x_k)^(-(2t+r)),
 
@@ -243,21 +288,19 @@ def _tail_moments(t: float, q: float, nodes: np.ndarray, cutoff: int):
     so every zeta value sits at the one point a = M + 1 and one Hurwitz zeta
     row, with two s-derivatives, serves all orders r and nodes x.  With
     rho = 2t + r the coefficients depend on t alone and s = rho + j - q has
-    ds/dt = 2, ds/dq = -1, so the derivative tables follow by the chain rule.
-    ``binom_trunc`` is the size of the last binomial term at r = 0, a
-    truncation proxy.
+    ds/dt = 2, ds/dq = -1, so the derivative tables follow by the chain rule:
+    the six coefficient tables are one constant mixing matrix times the
+    products of (C, C_t, C_tt) with (Z, Z', Z'').  ``binom_trunc`` is the
+    size of the last binomial term at r = 0, a truncation proxy.
     """
-    s_grid = 2.0 * t - q + np.arange(JET_ORDER + BINOM_TERMS + 1, dtype=float)
-    Z0, Z1, Z2 = (z[_ZETA_WINDOW] for z in hurwitz_zeta(s_grid, cutoff + 1.0, derivative=2))
-    rho = 2.0 * t + np.arange(JET_ORDER + 1, dtype=float)
-    c0, c1, c2 = (rho[:, None] ** _POWERS @ _BINOM_POLYS).reshape(
-        JET_ORDER + 1, 3, BINOM_TERMS + 1).transpose(1, 0, 2)    # (R, J+1) each
-    coefs = np.stack([c0 * Z0, c1 * Z0 + 2.0 * c0 * Z1, -c0 * Z1,
-                      c2 * Z0 + 4.0 * c1 * Z1 + 4.0 * c0 * Z2,
-                      -c1 * Z1 - 2.0 * c0 * Z2, c0 * Z2])
-    xpow = nodes ** _POWERS[:, None]                                   # (J+1, K)
-    moments = coefs @ xpow
-    binom_trunc = float(np.max(np.abs(coefs[0, 0, -1] * xpow[-1])))
+    s_grid = 2.0 * t - q + _S_OFFSETS
+    zeta = np.stack(hurwitz_zeta(s_grid, cutoff + 1.0, derivative=2))[:, _ZETA_WINDOW]
+    rho = 2.0 * t + _ORDERS
+    binom = rho[:, None] ** _POWERS @ _BINOM_POLYS                  # (3, R, J+1)
+    products = binom.reshape(3, 1, -1) * zeta.reshape(1, 3, -1)     # C_a Z_b at [a, b]
+    coefs = (_TAIL_MIX @ products.reshape(9, -1)).reshape(6 * (JET_ORDER + 1), -1)
+    moments = (coefs @ node_powers).reshape(6, JET_ORDER + 1, -1)
+    binom_trunc = abs(float(coefs[0, -1])) * float(np.max(node_powers[-1]))
     return moments, binom_trunc
 
 
@@ -265,16 +308,13 @@ def _assemble(params: PressureParams, alphabet: Alphabet, disc: Discretization):
     """A and its derivatives d/dt, d/dq, d2/dt2, d2/dtdq, d2/dq2 stacked as
     (6, K, K), and the tail moments (or None)."""
     t, q = params.t, params.q
-    d = alphabet.digit_values()
-    lq = np.log(d)[:, None]                      # (M, 1): d log W / dq
-    lt = -2.0 * np.log(d[:, None] + disc.nodes)  # (M, K): d log W / dt
-    W = np.exp(q * lq + t * lt)
-    weights = np.stack([W, lt * W, lq * W, lt * lt * W, lt * lq * W, lq * lq * W])
-    # mats[p, j, m] = sum_i weights[p, i, j] C[j, i, m], batched over j
-    mats = np.matmul(weights.transpose(2, 0, 1), disc.digit_tensor(alphabet)).transpose(1, 0, 2)
+    tables = disc.digit_tables(alphabet)
+    W = np.exp(q * tables.log_weights[:, 2] + t * tables.log_weights[:, 1])    # (K, M)
+    # mats[p, j, m] = sum_i log_weights[j, p, i] W[j, i] C[j, i, m], batched over j
+    mats = np.matmul(tables.log_weights * W[:, None], tables.tensor).transpose(1, 0, 2)
     moments = None
     if alphabet.has_tail:
-        moments = _tail_moments(t, q, disc.nodes, alphabet.cutoff)
+        moments = _tail_moments(t, q, tables.node_powers, alphabet.cutoff)
         mats = mats + moments[0].transpose(0, 2, 1) @ disc.jet_rows
     return mats, moments
 
@@ -299,20 +339,17 @@ def _perron_pair(A: np.ndarray, params: PressureParams, disc: Discretization):
     wr, wi, vl, vr, info = lapack.dgeev(A, compute_vl=1, compute_vr=1)
     if info != 0:
         raise ConvergenceError(f"dgeev failed (info {info}) at {params} (order {disc.order})")
-    order = np.argsort(-wr)
-    order = order[(wi[order] == 0.0) & (wr[order] > 0.0)]   # real modes have wi == 0
-    H = vr[:, order]
-    H = H / H[np.argmax(np.abs(H), axis=0), np.arange(order.size)]
-    positive = np.all(H > 0.0, axis=0)
-    modes = list(zip(order[positive], H[:, positive].T))
+    real = np.flatnonzero((wi == 0.0) & (wr > 0.0))          # real modes have wi == 0
+    real = real[np.argsort(-wr[real])]
+    # one strict sign at every node: positive once the first entry's sign is divided out
+    modes = real[np.all(vr[:, real] * np.sign(vr[0, real]) > 0.0, axis=0)]
     if len(modes) > 1:
-        modes = [(k, h) for k, h in modes if _resolved(h)]
-    if not modes:
+        modes = [k for k in modes if _resolved(vr[:, k])]
+    if not len(modes):
         raise ConvergenceError(
             f"no resolved positive eigenmode at {params} (order {disc.order})")
-    k, h = modes[0]
-    nu = vl[:, k]
-    return h, nu / np.sum(nu)
+    h, nu = vr[:, modes[0]], vl[:, modes[0]]
+    return h / h[np.argmax(np.abs(h))], nu / np.sum(nu)
 
 
 def required_order(t: float, base_order: int) -> int:
@@ -370,7 +407,11 @@ def _solve(params: PressureParams, alphabet: Alphabet,
     border[n, :n] = nu_h
     rhs = np.zeros((n + 1, 2))
     rhs[:n] = (mats[1:3] @ h).T - np.outer(h, (lam_t, lam_q))
-    dh = np.linalg.solve(border, rhs)[:n]          # columns h_t, h_q
+    _, _, dh, info = lapack.dgesv(border, rhs)
+    if info != 0:
+        raise ConvergenceError(
+            f"singular bordered eigenvector system at {params} (order {disc.order})")
+    dh = dh[:n]                                    # columns h_t, h_q
     cross = nu_mats[1:3] @ dh                      # cross[i, j] = nu A_i h_j
     P_t, P_q = lam_t / lam, lam_q / lam
     tail_bound = 0.0
@@ -521,7 +562,7 @@ class GibbsApprox:
         probs = self._explicit_probs(x)
         tail_mass = 0.0
         if self.alphabet.has_tail:
-            S = _tail_moments(self.params.t, self.params.q, np.asarray([x]),
+            S = _tail_moments(self.params.t, self.params.q, _node_powers([x]),
                               self.alphabet.cutoff)[0]
             jets = self.disc.jet_rows @ self.h_values
             tail = float(jets @ S[0, :, 0])

@@ -4,7 +4,8 @@ Everything here is real-variable only.  ``hurwitz_zeta`` evaluates
 
     zeta(s, a) = sum_{n>=0} (n + a)^(-s),     s > 1,  a > 0,
 
-by direct summation up to a shift plus an Euler-Maclaurin correction, and
+by direct summation up to a shift plus an Euler-Maclaurin correction whose
+eight terms are summed as one polynomial in s from a constant table, and
 optionally returns its first and second derivatives in s as well.  The
 Riemann zeta function is the a = 1 special case.  The remaining functions package the three
 constants attached to the Gauss map
@@ -35,6 +36,40 @@ _BERN_FACT = np.array([
     7.0 / 6.0 / 87178291200.0,
     -3617.0 / 510.0 / 20922789888000.0,
 ])
+_EM_DEGREE = 2 * len(_BERN_FACT)          # monomials s^0 .. s^15
+_EM_POWERS = np.arange(_EM_DEGREE, dtype=float)
+_B_POWERS = np.arange(len(_BERN_FACT), dtype=float)
+
+
+def _euler_maclaurin_table() -> np.ndarray:
+    """Monomial coefficients of the Euler-Maclaurin correction polynomial.
+
+    The correction is base^(-s-1) E(s) with
+
+        E(s) = sum_k B_2k/(2k)! (s)_{2k-1} base^(-2(k-1)),
+
+    (s)_n = s (s+1) ... (s+n-1) the rising factorial.  Row k-1 holds the
+    coefficients of s^m in B_2k/(2k)! (s)_{2k-1} (columns m), of its first
+    s-derivative (columns 16 + m) and of its second (columns 32 + m), so
+    the powers of base^-2 times this table are E, E' and E'' in monomials.
+    All coefficients of (s)_n are positive, so for s > 0 the monomial sum
+    of each term has no cancellation.
+    """
+    poch = np.zeros((_EM_DEGREE, _EM_DEGREE))     # poch[n, m]: s^m in (s)_n
+    poch[0, 0] = 1.0
+    for n in range(1, _EM_DEGREE):
+        poch[n, 1:] = poch[n - 1, :-1]
+        poch[n] += (n - 1) * poch[n - 1]
+    value = _BERN_FACT[:, None] * poch[1::2]
+    d_ds = np.diag(_EM_POWERS[1:], -1)            # d/ds s^m = m s^(m-1)
+    return np.concatenate([value, value @ d_ds, value @ d_ds @ d_ds], axis=1)
+
+
+_EM_TABLE = _euler_maclaurin_table()               # (8, 48)
+# Leibniz rule for x^(-s) g(s): its d-th s-derivative is
+# x^(-s) sum_j _LEIBNIZ[d, j] (log x)^_LEIBNIZ_POWERS[d, j] g^(j)(s)
+_LEIBNIZ = np.array([[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [1.0, -2.0, 1.0]])
+_LEIBNIZ_POWERS = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 1.0, 0.0]])
 
 
 def hurwitz_zeta(s, a=1.0, derivative: int = 0):
@@ -42,39 +77,40 @@ def hurwitz_zeta(s, a=1.0, derivative: int = 0):
 
     ``derivative`` is the highest s-derivative returned: 0 gives zeta alone,
     1 the pair (zeta, d zeta / ds) and 2 the triple that adds d^2 zeta / ds^2
-    (``True`` counts as 1).
+    (``True`` counts as 1).  NaN in ``s`` or ``a`` raises ``ValueError``.
 
     The Euler-Maclaurin base point is pushed out far enough that the
     correction series converges geometrically for every requested s, so
-    the relative error stays near 1e-14 on s in (1.001, 60].  Logarithms
-    are taken on the shape of ``a`` alone and powers are exp(-s log), so a
-    grid of many s against few a costs one exp per entry and summed term.
+    the relative error stays near 1e-14 on s in (1, 60] (checked against
+    mpmath down to s = 1 + 1e-6, where zeta ~ 1/(s - 1)).  The eight
+    correction terms are one polynomial in s of degree 15 whose monomial
+    coefficients, for each base point, are the powers of base^-2 times a
+    constant table; with one base point (a scalar ``a``), the corrections
+    and both derivatives of a whole row of s come from one Vandermonde
+    matrix and one matrix product.
     """
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
-    if np.any(s <= 1.0):
+    s_max, a_min = float(s.max()), float(a.min())
+    if not s.min() > 1.0:                         # False for NaN as well
         raise ValueError("hurwitz_zeta requires s > 1")
-    if np.any(a <= 0.0):
+    if not a_min > 0.0:
         raise ValueError("hurwitz_zeta requires a > 0")
     order = int(derivative)
     if order not in (0, 1, 2):
         raise ValueError("derivative must be 0, 1 or 2")
 
-    s_max = float(np.max(s))
-    a_min = float(np.min(a))
     # base ~ 0.75*(s+16) keeps the correction-term ratio ((s+2k)/(2 pi base))^2
     # near 0.05, so eight Bernoulli terms reach ~1e-14 relative error.
     base_needed = max(14.0, 0.75 * (s_max + 16.0))
     n_shift = max(0, math.ceil(base_needed - a_min))
 
-    # out[d] accumulates d^d zeta / ds^d; the s-derivatives of x^(-s) are
+    # out[d] is d^d zeta / ds^d; the s-derivatives of x^(-s) are
     # (-log x)^d x^(-s)
-    shape = np.broadcast_shapes(s.shape, a.shape)
-    a = a.reshape((1,) * (len(shape) - a.ndim) + a.shape)
     out = [0.0] * (order + 1)
 
     if n_shift > 0:
-        n = np.arange(n_shift, dtype=float).reshape((n_shift,) + (1,) * len(shape))
+        n = np.arange(n_shift, dtype=float).reshape((n_shift,) + (1,) * max(s.ndim, a.ndim))
         log_an = np.log(a + n)
         pw = np.exp(-s * log_an)
         for d in range(order + 1):
@@ -82,40 +118,30 @@ def hurwitz_zeta(s, a=1.0, derivative: int = 0):
             if d < order:
                 pw = pw * -log_an
 
+    # the rest is base^(-s) times base/(s-1) (the integral), 1/2 (the
+    # end-point term) and E(s)/base (the corrections); the last two are
+    # polynomials in s, so their s-derivatives, Leibniz factors of base^(-s)
+    # included, are rows of monomial coefficients per base point
     base = a + n_shift
     logb = np.log(base)
+    em = ((base ** -2.0)[..., None] ** _B_POWERS @ _EM_TABLE).reshape(
+        base.shape + (3, _EM_DEGREE)) / base[..., None, None]
+    em[..., 0, 0] += 0.5
+    em = (logb[..., None, None] ** _LEIBNIZ_POWERS * _LEIBNIZ)[..., :order + 1, :] @ em
+    vander = s[..., None] ** _EM_POWERS
+    if base.size == 1:
+        poly = vander @ em.reshape(order + 1, _EM_DEGREE).T
+    else:
+        poly = np.einsum("...m,...dm->...d", vander, em)
     pw_s = np.exp(-s * logb)                      # base^(-s)
-    sm1 = s - 1.0
-    intg = base * pw_s / sm1                      # base^(1-s) / (s-1)
-    half = 0.5 * pw_s
-    out[0] = out[0] + intg + half
+    inv = 1.0 / (s - 1.0)
+    intg = pw_s * base * inv                      # base^(1-s)/(s-1), the largest term
+    out[0] = out[0] + intg + pw_s * poly[..., 0]
     if order >= 1:
-        c1 = logb + 1.0 / sm1
-        out[1] = out[1] - c1 * intg - logb * half
+        c1 = logb + inv
+        out[1] = out[1] - c1 * intg + pw_s * poly[..., 1]
     if order == 2:
-        out[2] = out[2] + (c1 * c1 + 1.0 / sm1 ** 2) * intg + logb * logb * half
-
-    # Euler-Maclaurin corrections sum_k coef_k poch_k(s) base^(-s-2k+1) with
-    # the rising factorial poch_k(s) = s (s+1) ... (s+2k-2), written as
-    # base^(-s-1) sum_k c_k(s) base^(-2(k-1)): c_k = coef_k poch_k and its
-    # s-derivatives live on the shape of s, the powers of base^-2 on that of a
-    shifted = s[..., None] + np.arange(2 * len(_BERN_FACT) - 1)        # s + j
-    c = _BERN_FACT * np.cumprod(shifted, axis=-1)[..., ::2]
-    b_pow = (1.0 / (base * base))[..., None] ** np.arange(len(_BERN_FACT))
-    pw = pw_s / base
-    em = [np.einsum("...k,...k->...", c, b_pow)]
-    if order >= 1:
-        # d poch_k / ds = poch_k h1_k and d^2 poch_k / ds^2 = poch_k (h1_k^2 - h2_k)
-        h1 = np.cumsum(1.0 / shifted, axis=-1)[..., ::2]
-        em.append(np.einsum("...k,...k->...", c * h1, b_pow))
-    if order == 2:
-        h2 = np.cumsum(1.0 / shifted ** 2, axis=-1)[..., ::2]
-        em.append(np.einsum("...k,...k->...", c * (h1 * h1 - h2), b_pow))
-    out[0] = out[0] + pw * em[0]
-    if order >= 1:
-        out[1] = out[1] + pw * (em[1] - logb * em[0])
-    if order == 2:
-        out[2] = out[2] + pw * (em[2] - 2.0 * logb * em[1] + logb * logb * em[0])
+        out[2] = out[2] + (c1 * c1 + inv * inv) * intg + pw_s * poly[..., 2]
 
     return out[0] if order == 0 else tuple(out)
 

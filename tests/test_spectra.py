@@ -173,6 +173,14 @@ def test_cold_start_stays_inside_the_domain(monkeypatch, point_fn, exponent):
     assert probes == []
 
 
+@pytest.mark.parametrize("beta", [40.0, 150.0])
+def test_lyapunov_cold_start_stops_on_the_residual(beta):
+    # the stop test reads |P'(u) + beta|, not the Newton step in u, whose
+    # residual grows like P''(u) ~ beta^2 near the domain edge
+    pt = sp.lyapunov_point(beta, sp.default_provider())
+    assert pt.residuals[1] <= 1e-12 * beta
+
+
 def test_khintchine_point_on_single_digit_alphabet_raises():
     # P_q vanishes identically on the alphabet {1}, so no xi > 0 is reachable
     prov = tr.PressureProvider(tr.Alphabet.restricted({1}), tr.Discretization.chebyshev(16))

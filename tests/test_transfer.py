@@ -157,7 +157,7 @@ def test_tail_moments_against_direct_sums(t, q, x):
     # in u = log i, where it decays exponentially even at 2t - q near 1
     mpmath = pytest.importorskip("mpmath")
     cutoff = 64
-    moments, _ = tr._tail_moments(t, q, np.array([x]), cutoff)
+    moments, _ = tr._tail_moments(t, q, tr._node_powers([x]), cutoff)
     log = mpmath.log
     factors = (lambda i: 1, lambda i: -2 * log(i + x), log,
                lambda i: 4 * log(i + x) ** 2, lambda i: -2 * log(i) * log(i + x),
@@ -343,6 +343,29 @@ def test_provider_caches_and_agrees_with_module_functions():
     assert res is prov.result(0.9, -0.5)
     assert res.dP_dq == pytest.approx(tr.dP_dq(params, ALPH, DISC), abs=1e-12)
     assert res.dP_dt == pytest.approx(tr.dP_dt(params, ALPH, DISC), abs=1e-12)
+
+
+def test_shared_discretization_matches_fresh_ones():
+    # the digit tables are cached per alphabet on the discretization
+    shared = tr.Discretization.chebyshev(16)
+    alphabets = [tr.Alphabet.full(64), tr.Alphabet.full(32), tr.Alphabet.restricted({1, 2})]
+    for params in (tr.PressureParams(0.8, 0.1), tr.PressureParams(0.6, -0.4)):
+        for alphabet in alphabets:
+            got = tr.pressure(params, alphabet, shared)
+            ref = tr.pressure(params, alphabet, tr.Discretization.chebyshev(16))
+            assert got.disc is shared
+            for name in ("value", "dP_dt", "dP_dq", "d2P_dt2", "d2P_dtdq", "d2P_dq2",
+                         "tail_error_bound"):
+                assert getattr(got, name) == getattr(ref, name), (alphabet, name)
+            assert np.array_equal(got.eigenfunction_values, ref.eigenfunction_values)
+            assert np.array_equal(got.left_eigen_weights, ref.left_eigen_weights)
+    assert len(shared._tensor_cache) == len(alphabets)
+
+
+def test_singular_bordered_solve_raises(monkeypatch):
+    monkeypatch.setattr(tr.lapack, "dgesv", lambda a, b: (a, None, b, 3))
+    with pytest.raises(tr.ConvergenceError, match="bordered"):
+        tr.pressure(tr.PressureParams(1.0, 0.0), ALPH, DISC)
 
 
 def test_one_tail_moment_build_per_point(monkeypatch):

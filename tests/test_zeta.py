@@ -78,6 +78,26 @@ def test_hurwitz_second_derivative_against_mpmath_on_tail_grid():
             assert np.max(np.abs(mine[d] - ref) / np.abs(ref)) < 1e-12
 
 
+@pytest.mark.parametrize("s, a", [(math.nan, 1.0), (2.0, math.nan),
+                                  ([2.0, math.nan], 65.0), (3.0, [65.0, math.nan])])
+def test_hurwitz_rejects_nan(s, a):
+    for derivative in (0, 2):
+        with pytest.raises(ValueError, match="hurwitz_zeta requires"):
+            hurwitz_zeta(s, a, derivative=derivative)
+
+
+@pytest.mark.parametrize("a", [1.0, 65.0])
+@pytest.mark.parametrize("s", [1.0 + 1e-6, 1.0 + 1e-4, 1.001])
+def test_hurwitz_near_the_pole_against_mpmath(s, a):
+    # zeta ~ 1/(s - 1) and its derivatives ~ -1/(s - 1)^2, 2/(s - 1)^3 here
+    mpmath = pytest.importorskip("mpmath")
+    mine = hurwitz_zeta(s, a, derivative=2)
+    with mpmath.workdps(50):
+        for d in range(3):
+            ref = float(mpmath.zeta(s, a, d))
+            assert abs(float(mine[d]) - ref) <= 2e-15 * abs(ref)
+
+
 def test_khintchine_exponent_against_cylinder_quadrature():
     # independent oracle: sum log(n) * mu_G(I_1(n)) with the cylinder masses
     # obtained by quadrature of the density, not from the closed form
