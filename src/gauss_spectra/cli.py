@@ -55,6 +55,17 @@ def _default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cutoff", type=int, default=64,
@@ -75,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write a gnuplot script next to --output")
 
     grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--min", type=float, default=None)
-    grid.add_argument("--max", type=float, default=None)
+    grid.add_argument("--min", type=_finite_float, default=None)
+    grid.add_argument("--max", type=_finite_float, default=None)
     grid.add_argument("--count", type=int, default=None)
     grid.add_argument("--spacing", choices=("linear", "log"), default="linear")
 
@@ -88,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser("pressure", parents=[common, grid],
                         help="pressure and its derivatives at points or sweeps")
-    pp.add_argument("--t", type=float, default=None)
-    pp.add_argument("--q", type=float, default=None)
+    pp.add_argument("--t", type=_finite_float, default=None)
+    pp.add_argument("--q", type=_finite_float, default=None)
 
     ps = sub.add_parser("spectrum", parents=[common, grid],
                         help="solve a dimension spectrum on a grid")

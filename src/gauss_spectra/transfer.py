@@ -5,54 +5,64 @@ The operator acting on functions over [0, 1] is
     (L g)(x) = sum_{i in alphabet} i^q (i + x)^(-2t) g(1/(i + x)),
 
 whose dominant eigenvalue exp(P(t, q)) defines the two-parameter pressure
-P.  Functions are represented by their values on Chebyshev-Lobatto nodes
-with barycentric interpolation; the operator image of an analytic function
-is analytic on a neighbourhood of [0, 1], so the collocation eigenvalue
-converges spectrally in the number of nodes.
+P.  What is collocated is the golden-weighted operator L_w f = w^-1 L(w f)
+with w(x) = (x + phi)^(-2t), phi the golden ratio.  w is the exact
+eigenfunction of the one-digit branch x -> 1/(1 + x), so the eigenfunction
+f = h / w of L_w stays smooth at every t, while h itself falls by a factor
+up to e^(2t log phi) across [0, 1]; the kernel of L_w is
+
+    i^q ((1 + psi x) / (i + x + psi))^(2t),   psi = 1/phi,
+
+and its spectrum is that of L.  Functions are represented by their values
+on Chebyshev-Lobatto nodes with barycentric interpolation; the image of an
+analytic function is analytic on a neighbourhood of [0, 1], so the
+collocation eigenvalue converges spectrally in the number of nodes, and one
+order serves every t.
 
 For the full alphabet the digits beyond the cutoff M are summed in closed
-form: g near 0 is replaced by the Taylor jet of its interpolant and each
-moment sum_{i>M} i^q (i+x)^(-rho) is expanded binomially in x/i into
+form: f(1/(i + x)) = F(1/(i + x + psi)) near 0 is replaced by the Taylor
+jet F of the interpolant's composition and each moment
+sum_{i>M} i^q (i+x+psi)^(-rho) is expanded binomially in (x+psi)/i into
 Hurwitz zeta values at the single point M+1, one zeta row for every order
 and node.  This keeps the cutoff error orders of magnitude below the
 collocation error instead of the ~1/M^2 a crude integral bound leaves.
 
 Every value comes from one path: the collocation matrix A is assembled
-together with its first and second (t, q)-derivatives, and one LAPACK
-dgeev call gives the eigenvalues with their right and left eigenvectors,
-from which the Perron pair is picked; everything that does not depend on
-(t, q) (the interpolation tensor, the stacked log-weights of the digit
-weights and the node powers of the tail expansion) is built once per
-discretization and alphabet, so an assembly is one exp, one product and
-one batched matrix product.  The Perron pair is
-the largest real positive eigenvalue whose right eigenvector is positive at
-every node; when spurious collocation modes also qualify, the ones whose
-Chebyshev tails have not decayed to RESOLVED_TAIL are dropped first.
+together with its first and second (t, q)-derivatives; everything that does
+not depend on (t, q) (the interpolation tensor, the stacked log-weights of
+the digit weights, the node powers and jet rows of the tail expansion and
+the per-node mixing of its tables) is built once per discretization and
+alphabet, so an assembly is one exp, one product and two batched matrix
+products.  The Perron eigenvalue is strictly dominant, so it is the largest
+real eigenvalue of an eigenvalues-only LAPACK dgeev call, and one LU of
+lambda (1 + 1e-14) I - A gives its right and left eigenvectors by one step
+of inverse iteration each; the solve fails with ConvergenceError unless
+lambda > 0 and the right eigenvector is positive at every node.
 Pressure derivatives are exact derivatives of the discretized eigenvalue
 (left/right eigenvector contraction of the differentiated matrix), which
 is precisely the node-weighted Gibbs average of log a_1 resp. -log|T'|;
 the second derivatives add one bordered LAPACK dgesv solve for the
-eigenvector derivatives.
+eigenvector derivatives.  Eigendata handed out (eigenfunction values,
+left weights, the Gibbs eigenfunction) are those of L: h = w f.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.fft import dct
 from scipy.linalg import lapack
 
 from .cf import PartialQuotients
 from .zeta import hurwitz_zeta
 
 DOMAIN_MARGIN = 0.01  # reject 2t - q below 1 + this; the pressure diverges at 1
-JET_ORDER = 6         # Taylor orders of g kept in the tail
-BINOM_TERMS = 40      # binomial expansion length; terms shrink like (x/(M+1))^j
-RESOLVED_TAIL = 1e-6  # trailing/leading Chebyshev coefficient ratio of a resolved mode
+JET_ORDER = 6         # Taylor orders of the eigenfunction kept in the tail
+BINOM_TERMS = 20      # binomial expansion length; terms shrink like ((x+psi)/(M+1))^j
+PSI = (math.sqrt(5.0) - 1.0) / 2.0   # 1/phi: the weight is (x + phi)^(-2t) ~ (1 + PSI x)^(-2t)
+PERRON_SHIFT = 1e-14  # relative shift of lambda for the inverse-iteration LU
 
 
 class DomainError(ValueError):
@@ -60,9 +70,10 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """No result could be computed: the collocation matrix has no resolved
-    eigenmode that is positive at every node (no Perron pair), or a spectrum
-    solver's Newton iteration did not converge."""
+    """No result could be computed: the largest real eigenvalue of the
+    collocation matrix is not positive or its eigenvector is not positive at
+    every node (no Perron pair), or a spectrum solver's Newton iteration did
+    not converge."""
 
 
 class ConsistencyError(RuntimeError):
@@ -117,15 +128,48 @@ class DigitTables(NamedTuple):
     """The parameter-free tables of one (discretization, alphabet) pair.
 
     ``tensor[j, i, m]`` is the barycentric coefficient of node m in
-    g(1/(i + x_j)); ``log_weights[j, :, i]`` stacks the log-derivatives
-    (1, l_t, l_q, l_t^2, l_t l_q, l_q^2) of the digit weight
-    i^q (i + x_j)^(-2t), with l_t = -2 log(i + x_j) and l_q = log i; and
-    ``node_powers[j, m]`` is x_m^j for the binomial digit-tail expansion.
+    f(1/(i + x_j)); ``log_weights[j, :, i]`` stacks the log-derivatives
+    (1, l_t, l_q, l_t^2, l_t l_q, l_q^2) of the golden-weighted digit weight
+    i^q ((1 + psi x_j) / (i + x_j + psi))^(2t), with
+    l_t = a_j - 2 log(i + x_j + psi), a_j = 2 log(1 + psi x_j) and
+    l_q = log i.  For the digit tail, ``golden_log[j]`` is a_j;
+    ``node_powers[j, m]`` is (x_m + psi)^j for the binomial expansion;
+    ``tail_rows`` maps node values of f to the Taylor jet F of
+    f(u / (1 - psi u)), so f(1/(i + x)) = F(1/(i + x + psi)); and
+    ``tail_mix[j]`` turns the six moment tables (S, S_t, S_q, S_tt, S_tq,
+    S_qq) into those of e^(t a_j) S divided by e^(t a_j).
     """
 
     tensor: np.ndarray
     log_weights: np.ndarray
+    golden_log: np.ndarray
     node_powers: np.ndarray
+    tail_rows: np.ndarray
+    tail_mix: np.ndarray
+
+
+def _golden_shift() -> np.ndarray:
+    """G[n, r] = C(n - 1, r - 1) psi^(n - r) (G[0, 0] = 1): the Taylor
+    coefficients of f(u / (1 - psi u)) are G times those of f."""
+    shift = np.zeros((JET_ORDER + 1, JET_ORDER + 1))
+    shift[0, 0] = 1.0
+    for n in range(1, JET_ORDER + 1):
+        for r in range(1, n + 1):
+            shift[n, r] = math.comb(n - 1, r - 1) * PSI ** (n - r)
+    return shift
+
+
+def _tail_mix(a: np.ndarray) -> np.ndarray:
+    """Per-node (6, 6) matrices taking (S, S_t, S_q, S_tt, S_tq, S_qq) to
+    (S, S_t + aS, S_q, S_tt + 2aS_t + a^2 S, S_tq + aS_q, S_qq), the
+    tables of e^(t a) S over e^(t a)."""
+    mix = np.zeros((len(a), 6, 6))
+    mix[:, range(6), range(6)] = 1.0
+    mix[:, 1, 0] = a
+    mix[:, 3, 0] = a * a
+    mix[:, 3, 1] = 2.0 * a
+    mix[:, 4, 2] = a
+    return mix
 
 
 @dataclass(eq=False)
@@ -186,13 +230,17 @@ class Discretization:
         tables = self._tensor_cache.get(key)
         if tables is None:
             d = alphabet.digit_values()
-            z = d + self.nodes[:, None]                              # (K, M): i + x_j
-            lt, lq = -2.0 * np.log(z), np.broadcast_to(np.log(d), z.shape)
+            a = 2.0 * np.log1p(PSI * self.nodes)
+            lt = a[:, None] - 2.0 * np.log(d + self.nodes[:, None] + PSI)     # (K, M)
+            lq = np.broadcast_to(np.log(d), lt.shape)
             tables = self._tensor_cache[key] = DigitTables(
-                tensor=self.coefficients(1.0 / z),
+                tensor=self.coefficients(1.0 / (d + self.nodes[:, None])),
                 log_weights=np.stack([np.ones_like(lt), lt, lq, lt * lt, lt * lq, lq * lq],
                                      axis=1),
-                node_powers=_node_powers(self.nodes))
+                golden_log=a,
+                node_powers=_node_powers(self.nodes + PSI),
+                tail_rows=_golden_shift() @ self.jet_rows,
+                tail_mix=_tail_mix(a))
         return tables
 
 
@@ -201,9 +249,10 @@ class PressureResult:
     """Pressure value with its exact gradient and Hessian, eigendata and tail
     diagnostics.
 
-    ``disc`` is the discretization the eigendata lives on; it is finer than
-    the requested one when the eigenfunction's dynamic range forced a
-    higher collocation order (large t).
+    ``disc`` is the discretization the eigendata lives on: the requested
+    one, at every t.  ``eigenfunction_values`` are the node values of the
+    eigenfunction h of the unweighted operator (largest 1) and
+    ``left_eigen_weights`` the matching left eigenvector (sum 1).
     """
 
     params: PressureParams
@@ -281,7 +330,7 @@ def _tail_moments(t: float, q: float, node_powers: np.ndarray, cutoff: int):
 
     f_p = 1, -2 log(i+x), log i, 4 log^2(i+x), -2 log i log(i+x), log^2 i for
     p = 0..5: the moment and its t, q, tt, tq and qq derivatives.  Expanding
-    (i+x)^(-rho) = sum_j C(-rho, j) x^j i^(-rho-j) in x/i <= 1/(M+1) gives
+    (i+x)^(-rho) = sum_j C(-rho, j) x^j i^(-rho-j) in x/i gives
 
         sum_{i>M} i^q (i+x)^(-rho) = sum_j C(-rho, j) x^j zeta(rho + j - q, M + 1),
 
@@ -291,135 +340,133 @@ def _tail_moments(t: float, q: float, node_powers: np.ndarray, cutoff: int):
     ds/dt = 2, ds/dq = -1, so the derivative tables follow by the chain rule:
     the six coefficient tables are one constant mixing matrix times the
     products of (C, C_t, C_tt) with (Z, Z', Z'').  ``binom_trunc`` is the
-    size of the last binomial term at r = 0, a truncation proxy.
+    size of the last binomial term at r = 0, a truncation proxy.  The
+    assembly passes the shifted nodes x + psi <= 1 + psi, so the ratio x/i
+    is at most 0.025 and BINOM_TERMS = 20 terms reach 1e-32.
     """
     s_grid = 2.0 * t - q + _S_OFFSETS
-    zeta = np.stack(hurwitz_zeta(s_grid, cutoff + 1.0, derivative=2))[:, _ZETA_WINDOW]
+    zeta = np.array(hurwitz_zeta(s_grid, cutoff + 1.0, derivative=2))[:, _ZETA_WINDOW]
     rho = 2.0 * t + _ORDERS
     binom = rho[:, None] ** _POWERS @ _BINOM_POLYS                  # (3, R, J+1)
     products = binom.reshape(3, 1, -1) * zeta.reshape(1, 3, -1)     # C_a Z_b at [a, b]
     coefs = (_TAIL_MIX @ products.reshape(9, -1)).reshape(6 * (JET_ORDER + 1), -1)
     moments = (coefs @ node_powers).reshape(6, JET_ORDER + 1, -1)
-    binom_trunc = abs(float(coefs[0, -1])) * float(np.max(node_powers[-1]))
+    binom_trunc = abs(float(coefs[0, -1])) * float(node_powers[-1].max())
     return moments, binom_trunc
 
 
 def _assemble(params: PressureParams, alphabet: Alphabet, disc: Discretization):
-    """A and its derivatives d/dt, d/dq, d2/dt2, d2/dtdq, d2/dq2 stacked as
-    (6, K, K), and the tail moments (or None)."""
+    """The golden-weighted A and its derivatives d/dt, d/dq, d2/dt2, d2/dtdq,
+    d2/dq2 stacked as (6, K, K), the tail moments (or None) and the node
+    weights e^(t a_j) = w(0) / w(x_j)."""
     t, q = params.t, params.q
     tables = disc.digit_tables(alphabet)
+    weight = np.exp(t * tables.golden_log)
     W = np.exp(q * tables.log_weights[:, 2] + t * tables.log_weights[:, 1])    # (K, M)
-    # mats[p, j, m] = sum_i log_weights[j, p, i] W[j, i] C[j, i, m], batched over j
-    mats = np.matmul(tables.log_weights * W[:, None], tables.tensor).transpose(1, 0, 2)
+    # mats[j, p, m] = sum_i log_weights[j, p, i] W[j, i] C[j, i, m], batched over j
+    mats = np.matmul(tables.log_weights * W[:, None], tables.tensor)
     moments = None
     if alphabet.has_tail:
         moments = _tail_moments(t, q, tables.node_powers, alphabet.cutoff)
-        mats = mats + moments[0].transpose(0, 2, 1) @ disc.jet_rows
-    return mats, moments
-
-
-def _resolved(h: np.ndarray) -> bool:
-    """Whether the two trailing Chebyshev coefficients of the node values h
-    (their DCT-I) are within RESOLVED_TAIL of the largest one."""
-    c = np.abs(dct(h, type=1))
-    return float(np.max(c[-2:])) <= RESOLVED_TAIL * float(np.max(c))
+        tail = tables.tail_mix @ moments[0].transpose(2, 0, 1)                # (K, 6, R)
+        mats += (weight[:, None, None] * tail) @ tables.tail_rows
+    return mats.transpose(1, 0, 2), moments, weight
 
 
 def _perron_pair(A: np.ndarray, params: PressureParams, disc: Discretization):
     """(h, nu): the right (largest entry 1) and left (entries summing to 1)
     eigenvectors of the Perron eigenvalue of A.
 
-    The candidates are the real positive eigenvalues whose right eigenvector
-    is positive at every node.  The operator has one positive eigenfunction,
-    so when several qualify the others are collocation artefacts; their
-    Chebyshev tails do not decay, and the unresolved ones are dropped before
-    the largest remaining eigenvalue is taken.
+    The Perron eigenvalue is the largest real one, from an eigenvalues-only
+    dgeev.  It is strictly dominant, so one LU of M = lambda (1 + 1e-14) I - A
+    gives both eigenvectors by one step of inverse iteration from the ones
+    vector (M h = 1 and M^T nu = 1).  The LU is of M^T, which is the
+    Fortran-ordered view of M, so its plain solve gives nu and its
+    transposed solve h.
     """
-    wr, wi, vl, vr, info = lapack.dgeev(A, compute_vl=1, compute_vr=1)
+    wr, wi, _, _, info = lapack.dgeev(A.T, compute_vl=0, compute_vr=0)
     if info != 0:
         raise ConvergenceError(f"dgeev failed (info {info}) at {params} (order {disc.order})")
-    real = np.flatnonzero((wi == 0.0) & (wr > 0.0))          # real modes have wi == 0
-    real = real[np.argsort(-wr[real])]
-    # one strict sign at every node: positive once the first entry's sign is divided out
-    modes = real[np.all(vr[:, real] * np.sign(vr[0, real]) > 0.0, axis=0)]
-    if len(modes) > 1:
-        modes = [k for k in modes if _resolved(vr[:, k])]
-    if not len(modes):
+    real = wr[wi == 0.0]                                     # real modes have wi == 0
+    lam = float(real.max()) if real.size else math.nan
+    if not lam > 0.0:
         raise ConvergenceError(
-            f"no resolved positive eigenmode at {params} (order {disc.order})")
-    h, nu = vr[:, modes[0]], vl[:, modes[0]]
-    return h / h[np.argmax(np.abs(h))], nu / np.sum(nu)
+            f"no positive real eigenvalue at {params} (order {disc.order})")
+    shifted = -A
+    shifted.flat[::len(A) + 1] += lam * (1.0 + PERRON_SHIFT)
+    lu, piv, info = lapack.dgetrf(shifted.T, overwrite_a=1)
+    if info != 0:
+        raise ConvergenceError(f"singular shifted matrix at {params} (order {disc.order})")
+    ones = np.ones(len(A))
+    h, _ = lapack.dgetrs(lu, piv, ones, trans=1)
+    nu, _ = lapack.dgetrs(lu, piv, ones)
+    h = h / h[np.abs(h).argmax()]
+    if not (h > 0.0).all():
+        raise ConvergenceError(
+            f"the eigenvector of the largest real eigenvalue is not positive at {params} "
+            f"(order {disc.order})")
+    return h, nu / nu.sum()
 
 
 def required_order(t: float, base_order: int) -> int:
-    """Collocation order needed to resolve the eigenfunction at parameter t.
+    """The collocation order of a solve at parameter t: ``base_order``.
 
-    The eigenfunction's dynamic range grows like e^(~1.04 t) while the
-    interpolation error shrinks like 5.8^(-K), so for t beyond 1 the order
-    is raised above the requested baseline to keep the Perron mode above
-    the spurious spectrum; at t <= 1 the request is honored as-is.
+    The golden weight keeps the collocated eigenfunction smooth at every t,
+    so the requested order serves every t and is never raised.  The
+    function stays because the benchmark's tracer
+    (``spectra_bench/tracing.py``) reports the order of each solve with it.
     """
-    boost = max(0, math.ceil(1.04 * (t - 1.0) / 1.75))
-    return min(96, base_order + boost)
-
-
-@functools.lru_cache(maxsize=96)
-def _boosted_disc(order: int) -> Discretization:
-    """One shared discretization per raised order (orders are capped at 96)."""
-    return Discretization.chebyshev(order)
-
-
-def _effective_disc(params: PressureParams, disc: Discretization) -> Discretization:
-    k = required_order(params.t, disc.order)
-    return disc if k == disc.order else _boosted_disc(k)
+    return base_order
 
 
 def _solve(params: PressureParams, alphabet: Alphabet,
            disc: Discretization) -> PressureResult:
     """The eigen-solve behind every pressure value and derivative.
 
-    Checks the domain, raises the collocation order where t needs it,
-    assembles A with its first and second derivatives once and takes the
-    Perron pair from one dense eigen-decomposition.  The derivatives are the
-    exact ones of the discretized eigenvalue: with nu h = 1,
+    Checks the domain, assembles the golden-weighted A with its first and
+    second derivatives once and takes the Perron pair (f, nu) from
+    ``_perron_pair``.  The derivatives are the exact ones of the discretized
+    eigenvalue: with nu f = 1,
 
-        lambda_i  = nu A_i h,
-        lambda_ij = nu A_ij h + nu A_i h_j + nu A_j h_i,
+        lambda_i  = nu A_i f,
+        lambda_ij = nu A_ij f + nu A_i f_j + nu A_j f_i,
 
-    where the eigenvector derivative h_i solves (lambda - A) h_i =
-    (A_i - lambda_i) h with nu h_i = 0, one bordered solve for both i.
+    where the eigenvector derivative f_i solves (lambda - A) f_i =
+    (A_i - lambda_i) f with nu f_i = 0, one bordered solve for both i.
+    The eigendata returned are those of the unweighted operator: h = w f
+    and nu / w, each up to normalization.
     """
     check_domain(params, alphabet)
-    disc = _effective_disc(params, disc)
-    mats, moments = _assemble(params, alphabet, disc)
-    h, nu = _perron_pair(mats[0], params, disc)
-    # nu (A, A_t, A_q, A_tt, A_tq, A_qq) h with nu h = 1; the two-sided
-    # quotient is second-order accurate in the eigenvectors, which matters
-    # where the Perron eigenvalue is ill-conditioned (large t)
-    nu_h = nu / float(nu @ h)
-    nu_mats = nu_h @ mats
-    lam, lam_t, lam_q, lam_tt, lam_tq, lam_qq = nu_mats @ h
-    n = len(h)
+    mats, moments, weight = _assemble(params, alphabet, disc)
+    f, nu = _perron_pair(mats[0], params, disc)
+    # nu (A, A_t, A_q, A_tt, A_tq, A_qq) f with nu f = 1; the two-sided
+    # quotient is second-order accurate in the eigenvectors
+    nu_f = nu / float(nu @ f)
+    nu_mats = nu_f @ mats
+    lam, lam_t, lam_q, lam_tt, lam_tq, lam_qq = nu_mats @ f
+    n = len(f)
     border = np.zeros((n + 1, n + 1))
-    border[:n, :n] = lam * np.eye(n) - mats[0]
-    border[:n, n] = h
-    border[n, :n] = nu_h
+    border[:n, :n] = -mats[0]
+    border.flat[:n * (n + 1):n + 2] += lam
+    border[:n, n] = f
+    border[n, :n] = nu_f
     rhs = np.zeros((n + 1, 2))
-    rhs[:n] = (mats[1:3] @ h).T - np.outer(h, (lam_t, lam_q))
-    _, _, dh, info = lapack.dgesv(border, rhs)
+    rhs[:n] = (mats[1:3] @ f).T - f[:, None] * (lam_t, lam_q)
+    _, _, df, info = lapack.dgesv(border, rhs)
     if info != 0:
         raise ConvergenceError(
             f"singular bordered eigenvector system at {params} (order {disc.order})")
-    dh = dh[:n]                                    # columns h_t, h_q
-    cross = nu_mats[1:3] @ dh                      # cross[i, j] = nu A_i h_j
+    df = df[:n]                                    # columns f_t, f_q
+    cross = nu_mats[1:3] @ df                      # cross[i, j] = nu A_i f_j
     P_t, P_q = lam_t / lam, lam_q / lam
     tail_bound = 0.0
     if moments is not None:
         S, binom_trunc = moments
-        jets = disc.jet_rows @ h
-        tail_bound = float((abs(jets[-1]) * np.max(np.abs(S[0, JET_ORDER]))
-                            + abs(jets[0]) * binom_trunc) / lam)
+        jets = disc.digit_tables(alphabet).tail_rows @ f
+        tail_bound = float((abs(jets[-1]) * (weight * np.abs(S[0, JET_ORDER])).max()
+                            + abs(jets[0]) * binom_trunc * weight.max()) / lam)
+    eigenfunction = f / weight
+    left = nu * weight
     return PressureResult(
         params=params,
         value=math.log(lam),
@@ -428,8 +475,8 @@ def _solve(params: PressureParams, alphabet: Alphabet,
         d2P_dt2=float((lam_tt + 2.0 * cross[0, 0]) / lam - P_t * P_t),
         d2P_dtdq=float((lam_tq + cross[0, 1] + cross[1, 0]) / lam - P_t * P_q),
         d2P_dq2=float((lam_qq + 2.0 * cross[1, 1]) / lam - P_q * P_q),
-        eigenfunction_values=h,
-        left_eigen_weights=nu,
+        eigenfunction_values=eigenfunction / eigenfunction.max(),
+        left_eigen_weights=left / left.sum(),
         tail_error_bound=tail_bound,
         disc=disc,
     )
@@ -456,7 +503,8 @@ def apply_operator(params: PressureParams, alphabet: Alphabet | None,
     g = np.asarray(g, dtype=float)
     if g.shape != disc.nodes.shape or not np.all(np.isfinite(g)):
         raise ValueError("g must be finite node values matching the discretization")
-    return _assemble(params, alphabet, disc)[0][0] @ g
+    mats, _, weight = _assemble(params, alphabet, disc)
+    return (mats[0] @ (weight * g)) / weight
 
 
 def _derivative(which: str, params: PressureParams, alphabet: Alphabet | None,
@@ -538,36 +586,36 @@ class GibbsApprox:
 
         p(i | x) = e^(-P) i^q (i + x)^(-2t) h(1/(i+x)) / h(x),
 
-    which sums to 1 over all digits up to the eigen-solve residual.
+    which sums to 1 over all digits up to the eigen-solve residual.  The
+    eigenfunction is h(y) = (1 + psi y)^(-2t) f(y), with f, the smooth
+    eigenfunction of the golden-weighted operator, interpolated from its
+    node values ``f_values``.
     """
 
     params: PressureParams
     alphabet: Alphabet
     disc: Discretization
     pressure: float
-    h_values: np.ndarray = field(repr=False)
+    f_values: np.ndarray = field(repr=False)
 
     def eigenfunction(self, y):
-        return self.disc.interpolate(self.h_values, y)
-
-    def _explicit_probs(self, x: float) -> np.ndarray:
-        d = self.alphabet.digit_values()
-        y = 1.0 / (d + x)
-        w = d ** self.params.q * (d + x) ** (-2.0 * self.params.t)
-        hx = float(self.disc.interpolate(self.h_values, np.asarray([x]))[0])
-        return math.exp(-self.pressure) * w * self.disc.interpolate(self.h_values, y) / hx
+        y = np.asarray(y, dtype=float)
+        return (1.0 + PSI * y) ** (-2.0 * self.params.t) * self.disc.interpolate(self.f_values, y)
 
     def digit_probabilities(self, x: float) -> tuple[np.ndarray, float]:
         """Explicit digit probabilities and the analytic mass of the tail."""
-        probs = self._explicit_probs(x)
+        t, q = self.params.t, self.params.q
+        d = self.alphabet.digit_values()
+        scale = math.exp(-self.pressure) / float(self.eigenfunction(x))
+        probs = scale * d ** q * (d + x) ** (-2.0 * t) * self.eigenfunction(1.0 / (d + x))
         tail_mass = 0.0
         if self.alphabet.has_tail:
-            S = _tail_moments(self.params.t, self.params.q, _node_powers([x]),
-                              self.alphabet.cutoff)[0]
-            jets = self.disc.jet_rows @ self.h_values
-            tail = float(jets @ S[0, :, 0])
-            hx = float(self.disc.interpolate(self.h_values, np.asarray([x]))[0])
-            tail_mass = math.exp(-self.pressure) * tail / hx
+            S = _tail_moments(t, q, _node_powers([x]), self.alphabet.cutoff)[0]
+            # Taylor jets of h: those of (1 + psi y)^(-2t) times those of f
+            taylor = np.cumprod([1.0] + [PSI * (-2.0 * t - n) / (n + 1)
+                                         for n in range(JET_ORDER)])
+            jets = np.convolve(taylor, self.disc.jet_rows @ self.f_values)[:JET_ORDER + 1]
+            tail_mass = scale * float(jets @ S[0, :, 0])
         return probs, tail_mass
 
 
@@ -576,12 +624,13 @@ def gibbs(params: PressureParams, alphabet: Alphabet | None = None,
     """Eigendata packaged for digit sampling at (t, q)."""
     alphabet = alphabet or Alphabet.full()
     res = pressure(params, alphabet, disc)
+    f = res.eigenfunction_values * (1.0 + PSI * res.disc.nodes) ** (2.0 * params.t)
     return GibbsApprox(
         params=params,
         alphabet=alphabet,
         disc=res.disc,
         pressure=res.value,
-        h_values=res.eigenfunction_values,
+        f_values=f / f.max(),
     )
 
 
@@ -612,7 +661,7 @@ def sample_digits(g: GibbsApprox, length: int, seed: int,
     d_int = d.astype(np.int64)
 
     grid = np.linspace(0.0, 1.0, 4001)
-    h_grid = g.disc.interpolate(g.h_values, grid)
+    h_grid = g.eigenfunction(grid)
 
     x = 0.5
     out = np.empty(length, dtype=np.int64)

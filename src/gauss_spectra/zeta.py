@@ -77,7 +77,8 @@ def hurwitz_zeta(s, a=1.0, derivative: int = 0):
 
     ``derivative`` is the highest s-derivative returned: 0 gives zeta alone,
     1 the pair (zeta, d zeta / ds) and 2 the triple that adds d^2 zeta / ds^2
-    (``True`` counts as 1).  NaN in ``s`` or ``a`` raises ``ValueError``.
+    (``True`` counts as 1).  NaN or infinity in ``s`` or ``a`` raises
+    ``ValueError``.
 
     The Euler-Maclaurin base point is pushed out far enough that the
     correction series converges geometrically for every requested s, so
@@ -92,10 +93,11 @@ def hurwitz_zeta(s, a=1.0, derivative: int = 0):
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
     s_max, a_min = float(s.max()), float(a.min())
-    if not s.min() > 1.0:                         # False for NaN as well
-        raise ValueError("hurwitz_zeta requires s > 1")
-    if not a_min > 0.0:
-        raise ValueError("hurwitz_zeta requires a > 0")
+    # both tests are False for NaN as well
+    if not (s.min() > 1.0 and s_max < math.inf):
+        raise ValueError("hurwitz_zeta requires finite s > 1")
+    if not (a_min > 0.0 and a.max() < math.inf):
+        raise ValueError("hurwitz_zeta requires finite a > 0")
     order = int(derivative)
     if order not in (0, 1, 2):
         raise ValueError("derivative must be 0, 1 or 2")

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from gauss_spectra import transfer
 from gauss_spectra.acceptance import VerifyConfig, run_criterion
 from gauss_spectra.cli import main
 
@@ -61,13 +62,38 @@ def test_pressure_domain_exit(capsys):
     assert "0.4" in err
 
 
-def test_pressure_without_perron_mode_exits_2(capsys):
-    # at t = 40 the collocation matrix has no resolved positive mode
-    code, out, err = run(capsys, "pressure", "--t", "40", "--q", "0", "--jobs", "1")
+def test_pressure_without_perron_mode_exits_2(capsys, monkeypatch):
+    def no_perron_pair(A, params, disc):
+        raise transfer.ConvergenceError(f"no positive real eigenvalue at {params}")
+
+    monkeypatch.setattr(transfer, "_perron_pair", no_perron_pair)
+    code, out, err = run(capsys, "pressure", "--t", "1", "--q", "0", "--jobs", "1")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: no resolved positive eigenmode")
+    assert err.startswith("error: no positive real eigenvalue")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_pressure_at_t_40(capsys):
+    code, out, _ = run(capsys, "pressure", "--t", "40", "--q", "0", "--jobs", "1")
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    value = float(rows[0][header.index("pressure")])
+    assert abs(value + 80.0 * math.log((1.0 + math.sqrt(5.0)) / 2.0)) < 1e-12
+
+
+@pytest.mark.parametrize("argv", [["--t", "inf", "--q", "0"], ["--t", "nan", "--q", "0"],
+                                  ["--t", "1", "--q", "nan"], ["--t", "1", "--q=-inf"],
+                                  ["--q", "0", "--min", "nan", "--max", "2", "--count", "3"],
+                                  ["--q", "0", "--min", "1", "--max", "inf", "--count", "3"]])
+def test_pressure_rejects_non_finite_input(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["pressure", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "expected a finite number" in errors[0]
 
 
 def test_pressure_missing_args(capsys):

@@ -26,12 +26,12 @@ def provider():
 
 
 def test_package_import_defers_integrate_and_optimize():
-    # the package and its CLI use neither, outside the c01/c02 quadrature oracles
+    # the package and its CLI use none of them, outside the c01/c02 quadrature oracles
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     code = ("import sys, gauss_spectra, gauss_spectra.cli; "
             "gauss_spectra.zeta.khintchine_exponent(); "
             "gauss_spectra.bounded_digit_dimension({1, 2}); "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.fft') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")))
     assert proc.returncode == 0, proc.stderr
@@ -225,10 +225,18 @@ def test_lyapunov_routes_agree(provider):
 
 
 def test_lyapunov_point_near_floor_solves():
-    # u = t - q lands near 4.37, where odd collocation orders carry a
-    # spurious positive mode above the Perron value
+    # u = t - q lands near 4.37
     pt = sp.lyapunov_point(GAMMA0 + 0.0213, sp.default_provider())
     assert max(pt.residuals) <= 1e-10
+
+
+def test_lyapunov_point_at_the_floor_independent_of_order():
+    # beta = gamma0 + 1e-3 puts u near 9
+    beta = GAMMA0 + 1e-3
+    p16 = sp.lyapunov_point(beta, sp.default_provider())
+    p40 = sp.lyapunov_point(beta, tr.PressureProvider(
+        tr.Alphabet.full(64), tr.Discretization.chebyshev(40)))
+    assert abs(p16.q_value - p40.q_value) <= 1e-10
 
 
 def test_lyapunov_bottom_edge(provider):

@@ -109,22 +109,27 @@ def test_discretization_convergence():
     assert abs(p16 - p24) < 1e-8
 
 
-def test_boosted_solves_share_one_discretization():
-    params = tr.PressureParams(5.0, 0.0)
-    a = tr.pressure(params, ALPH, tr.Discretization.chebyshev(16))
-    b = tr.pressure(params, ALPH, tr.Discretization.chebyshev(16))
-    assert a.disc.order > 16
-    assert a.disc is b.disc
-    assert a.value == b.value
+def test_every_t_solves_on_the_requested_discretization():
+    disc = tr.Discretization.chebyshev(16)
+    for t in (5.0, 12.0):
+        res = tr.pressure(tr.PressureParams(t, 0.0), ALPH, disc)
+        assert res.disc is disc
+        assert res.eigenfunction_values.shape == (16,)
 
 
 @pytest.mark.parametrize("t", [4.3, 4.37, 4.45, 4.55])
 def test_pressure_independent_of_order_past_spurious_modes(t):
-    # odd orders here also have a positive mode above the Perron value; it is
-    # unresolved and must not be selected.  The 2e-9 spread is the collocation
-    # error of the odd orders 19 and 21 next to that mode.
     vals = [P(t, 0.0, disc=tr.Discretization.chebyshev(k)) for k in range(16, 41)]
-    assert max(vals) - min(vals) < 2e-9
+    assert max(vals) - min(vals) < 5e-13
+
+
+@pytest.mark.parametrize("t", [4.37, 6.0, 8.0, 12.0])
+def test_default_order_matches_order_40_at_large_t(t):
+    # where h spans up to phi^(2t) across [0, 1]; one order must serve every t
+    a = tr.pressure(tr.PressureParams(t, 0.0), ALPH, DISC)
+    b = tr.pressure(tr.PressureParams(t, 0.0), ALPH, tr.Discretization.chebyshev(40))
+    assert abs(a.value - b.value) <= 5e-13
+    assert abs(a.dP_dt - b.dP_dt) <= 5e-13
 
 
 def _matrix_with_modes(first, second):
@@ -132,20 +137,22 @@ def _matrix_with_modes(first, second):
     (eigenvalue 1) and the sign-changing Chebyshev T_2..T_15 (below 0.1)."""
     cheb = np.cos(np.outer(np.arccos(1.0 - 2.0 * DISC.nodes), np.arange(2, 16)))
     V = np.column_stack([first, second, cheb])
-    return V @ np.diag([2.0, 1.0] + [0.1 / j for j in range(2, 16)]) @ np.linalg.inv(V)
+    return V @ np.diag([2.0, 1.0] + [0.1 / j for j in range(2, 16)]) @ np.linalg.inv(V), V
 
 
-def test_unresolved_positive_modes_are_not_selected():
-    k = np.arange(16)
-    rough = 1.0 + 0.5 * (-1.0) ** k     # positive, Chebyshev tail does not decay
+def test_perron_pair_is_the_dominant_positive_mode():
+    params = tr.PressureParams(1.0, 0.0)
     smooth = np.exp(DISC.nodes)
-    h, _ = tr._perron_pair(_matrix_with_modes(rough, smooth),
-                           tr.PressureParams(1.0, 0.0), DISC)
+    A, V = _matrix_with_modes(smooth, 1.0 + DISC.nodes ** 2)   # a positive second mode
+    h, nu = tr._perron_pair(A, params, DISC)
     assert np.max(np.abs(h - smooth / smooth.max())) < 1e-12
-    rough2 = 1.0 + 0.3 * np.cos(np.pi * k * 14 / 15)
+    left = np.linalg.inv(V)[0]
+    assert np.max(np.abs(nu - left / left.sum())) < 1e-12
+    # a dominant sign-changing mode, or no positive eigenvalue, is no Perron pair
     with pytest.raises(tr.ConvergenceError):
-        tr._perron_pair(_matrix_with_modes(rough, rough2),
-                        tr.PressureParams(1.0, 0.0), DISC)
+        tr._perron_pair(_matrix_with_modes(1.0 - 2.0 * DISC.nodes, smooth)[0], params, DISC)
+    with pytest.raises(tr.ConvergenceError):
+        tr._perron_pair(-A, params, DISC)
 
 
 @pytest.mark.parametrize("x", [0.0, 0.5, 1.0])
@@ -272,11 +279,12 @@ def test_exact_hessian_matches_differences_of_gradient(alphabet, t, q):
 # Gibbs data and sampling
 
 def test_gibbs_normalization_at_random_points():
-    g = tr.gibbs(tr.PressureParams(0.9, 0.3), ALPH, DISC)
-    rng = np.random.default_rng(5)
-    for x in rng.random(10):
-        probs, tail = g.digit_probabilities(float(x))
-        assert abs(probs.sum() + tail - 1.0) < 1e-10
+    for params in [(0.9, 0.3), (3.0, 0.0), (6.0, 0.0), (10.0, 0.0)]:
+        g = tr.gibbs(tr.PressureParams(*params), ALPH, DISC)
+        rng = np.random.default_rng(5)
+        for x in rng.random(10):
+            probs, tail = g.digit_probabilities(float(x))
+            assert abs(probs.sum() + tail - 1.0) < 1e-11, (params, x)
 
 
 def test_gibbs_digit_one_frequency_matches_gauss_measure():

@@ -79,7 +79,10 @@ def test_hurwitz_second_derivative_against_mpmath_on_tail_grid():
 
 
 @pytest.mark.parametrize("s, a", [(math.nan, 1.0), (2.0, math.nan),
-                                  ([2.0, math.nan], 65.0), (3.0, [65.0, math.nan])])
+                                  ([2.0, math.nan], 65.0), (3.0, [65.0, math.nan]),
+                                  (math.inf, 1.0), (-math.inf, 1.0), (2.0, math.inf),
+                                  (2.0, -math.inf), ([2.0, math.inf], 65.0),
+                                  (3.0, [65.0, math.inf])])
 def test_hurwitz_rejects_nan(s, a):
     for derivative in (0, 2):
         with pytest.raises(ValueError, match="hurwitz_zeta requires"):
