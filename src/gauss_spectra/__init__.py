@@ -39,18 +39,14 @@ from .transfer import (
     PressureResult,
     apply_operator,
     cylinder_sum_estimate,
-    dP_dq,
-    dP_dt,
     gibbs,
     pressure,
-    pressure_1d,
     sample_digits,
 )
 from .spectra import (
     CantorDimensionEstimate,
     GrowthRatioEstimate,
     ShapeReport,
-    SolverConfig,
     SpectrumCurve,
     SpectrumPoint,
     WindowError,

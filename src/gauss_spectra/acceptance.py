@@ -132,9 +132,8 @@ def c04_pressure_boundary(cfg: VerifyConfig) -> CriterionResult:
 
 def c05_derivative_anchors(cfg: VerifyConfig) -> CriterionResult:
     start = time.perf_counter()
-    params = transfer.PressureParams(1.0, 0.0)
-    dq = transfer.dP_dq(params, cfg.alphabet(), cfg.disc())
-    dt = transfer.dP_dt(params, cfg.alphabet(), cfg.disc())
+    res = transfer.pressure(transfer.PressureParams(1.0, 0.0), cfg.alphabet(), cfg.disc())
+    dq, dt = res.dP_dq, res.dP_dt
     e_dq = abs(dq - zeta.khintchine_exponent())
     e_dt = abs(dt + zeta.lyapunov_constant())
     return _result(
@@ -391,7 +390,3 @@ def run_criterion(cid: str, cfg: VerifyConfig | None = None) -> CriterionResult:
                     measured=f"{type(exc).__name__}: {exc}", expected="no exception",
                     tolerance="-", runtime=0.0, budget=0.0)
     raise KeyError(f"unknown criterion {cid}")
-
-
-def run_all(cfg: VerifyConfig | None = None) -> list[CriterionResult]:
-    return [run_criterion(cid, cfg) for cid, _, _ in CRITERIA]

@@ -22,11 +22,11 @@ import numpy as np
 
 from . import __version__
 from .acceptance import CRITERIA, VerifyConfig, run_criterion
-from .spectra import (SolverConfig, WindowError, _central_derivatives,
-                      bounded_digit_dimension, khintchine_curve, lyapunov_curve,
-                      spectrum_shape_report, InsufficientGridError)
-from .transfer import (DOMAIN_MARGIN, Alphabet, ConvergenceError, Discretization,
-                       DomainError, PressureProvider)
+from .spectra import (WindowError, _central_derivatives, bounded_digit_dimension,
+                      khintchine_curve, lyapunov_curve, spectrum_shape_report,
+                      InsufficientGridError)
+from .transfer import (Alphabet, ConvergenceError, Discretization, DomainError,
+                       PressureProvider)
 from .zeta import (golden_constant, khintchine_constant, khintchine_exponent,
                    lyapunov_constant)
 
@@ -128,6 +128,8 @@ def _validate_common(args) -> str | None:
         return f"--collocation-order must be >= 4, got {args.order}"
     if not 0.0 < args.tolerance <= 1e-4:
         return f"--tolerance must be in (0, 1e-4], got {args.tolerance}"
+    if args.gnuplot and not args.output:
+        return "--gnuplot requires --output"
     return None
 
 
@@ -175,11 +177,9 @@ def _write(metadata: dict, header: list[str], rows: list[list], args,
         sys.stdout.write(text)
 
 
-def _write_gnuplot(args, xlabel: str, ylabel: str, xcol: int, ycol: int) -> int | None:
+def _write_gnuplot(args, xlabel: str, ylabel: str, xcol: int, ycol: int) -> None:
     if not args.gnuplot:
-        return None
-    if not args.output:
-        return _usage_error("--gnuplot requires --output")
+        return
     script = args.output + ".gp"
     with open(script, "w") as fh:
         fh.write(
@@ -188,7 +188,6 @@ def _write_gnuplot(args, xlabel: str, ylabel: str, xcol: int, ycol: int) -> int 
             f"set ylabel \"{ylabel}\"\n"
             f"plot \"{args.output}\" using {xcol}:{ycol} with linespoints notitle\n"
         )
-    return None
 
 
 def _metadata(args, extra: dict) -> dict:
@@ -222,12 +221,6 @@ def cmd_pressure(args) -> int:
         return _usage_error(
             "pressure needs --t and --q, or one of them plus --min/--max/--count")
 
-    for (t, q) in points:
-        if 2 * t - q - 1 < DOMAIN_MARGIN:
-            return _usage_error(
-                f"(t, q) = ({t}, {q}) outside the pressure domain: "
-                f"2t - q = {2 * t - q} <= {1 + DOMAIN_MARGIN}")
-
     prov = PressureProvider(Alphabet.full(args.cutoff), Discretization.chebyshev(args.order))
     rows = []
     for (t, q) in points:
@@ -238,9 +231,9 @@ def cmd_pressure(args) -> int:
     meta = _metadata(args, {"jobs": jobs, "points": len(points)})
     header = ["t", "q", "pressure", "dP_dt", "dP_dq", "tail_error"]
     _write(meta, header, rows, args)
-    err = _write_gnuplot(args, "q" if args.t is not None and grid is not None else "t",
-                         "pressure", 2 if args.t is not None and grid is not None else 1, 3)
-    return err if err is not None else 0
+    _write_gnuplot(args, "q" if args.t is not None and grid is not None else "t",
+                   "pressure", 2 if args.t is not None and grid is not None else 1, 3)
+    return 0
 
 
 def cmd_spectrum(args) -> int:
@@ -251,15 +244,14 @@ def cmd_spectrum(args) -> int:
     if grid is None:
         return _usage_error("spectrum needs --min, --max and --count")
 
-    cfg = SolverConfig()
     provider = PressureProvider(Alphabet.full(args.cutoff),
                                 Discretization.chebyshev(args.order))
     try:
         if args.kind == "khintchine":
-            curve = khintchine_curve(grid, provider, cfg)
+            curve = khintchine_curve(grid, provider)
             center = khintchine_exponent()
         else:
-            curve = lyapunov_curve(grid, provider, cfg)
+            curve = lyapunov_curve(grid, provider)
             center = lyapunov_constant()
     except WindowError as exc:
         return _usage_error(str(exc))
@@ -267,7 +259,7 @@ def cmd_spectrum(args) -> int:
     # slopes at interior solved points from their solved neighbours
     slopes = np.full(len(curve.points), math.nan)
     if len(curve.points) >= 3:
-        slopes[1:-1] = _central_derivatives(curve.exponents, curve.dimensions)[0]
+        slopes[1:-1] = _central_derivatives(curve.exponents, curve.dimensions)
     solved = {p.exponent: (p, s) for p, s in zip(curve.points, slopes)}
     records: list[CurveRecord] = []
     for g in grid:
@@ -305,9 +297,7 @@ def cmd_spectrum(args) -> int:
     header = ["exponent", "dimension", "q_value", "residual_1", "residual_2",
               "slope_fd"]
     _write(meta, header, [r.row() for r in records], args, trailer=trailer)
-    err = _write_gnuplot(args, "exponent", "dimension", 1, 2)
-    if err is not None:
-        return err
+    _write_gnuplot(args, "exponent", "dimension", 1, 2)
     return 0 if len(curve.points) >= 0.9 * len(grid) else 3
 
 

@@ -24,6 +24,9 @@ exact P''(u), its step taken from 1/beta + 1/P'(u) = 0 likewise, then
 q = P(u)/beta and t = u + q.  The 2x2 Newton iteration on the
 two-parameter form, with u = t - q, is kept alongside as an independent
 consistency route with the plain step; the two share no root-finding code.
+The windows XI_WINDOW, BETA_WINDOW and the tolerance RESIDUAL_TOL are module
+constants.  The shape report of a solved curve reads the analytic curvature
+each point carries; finite differences only check the analytic slope.
 
 Also here: the flat fast spectrum 1/(b+1), the growth-ratio estimator for
 b, the Cantor-set dimension quotient for digit ranges s_n <= a_n < N s_n,
@@ -55,23 +58,27 @@ class InsufficientGridError(ValueError):
     """Too few or too one-sided curve points for a shape analysis."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Windows and tolerances of the spectrum solvers.
+XI_WINDOW = (0.05, 50.0)                        # Khintchine exponents accepted
+BETA_WINDOW = (golden_constant() + 1e-3, 150.0)  # Lyapunov exponents accepted
+RESIDUAL_TOL = 1e-8  # largest max |F| a Newton solve may end at once its step stalls
 
-    ``xi_window`` and ``beta_window`` bound the exponents a point or curve
-    accepts.  ``residual_tol`` is the largest max |F| a Newton solve may
-    end at when its step stalls before reaching NEWTON_TOL.
+
+class SolverConfig:
+    """``SolverConfig().residual_tol`` is RESIDUAL_TOL.
+
+    The solvers read the module constants; this field-less class stays
+    because the benchmark's checks (``spectra_bench/checks.py``) read the
+    tolerance through it.
     """
 
-    xi_window: tuple[float, float] = (0.05, 50.0)
-    beta_window: tuple[float, float] | None = None  # default (gamma0 + 1e-3, 150)
-    residual_tol: float = 1e-8
+    residual_tol = RESIDUAL_TOL
 
-    def resolved_beta_window(self) -> tuple[float, float]:
-        if self.beta_window is not None:
-            return self.beta_window
-        return (golden_constant() + 1e-3, 150.0)
+
+def _check_window(name: str, values: Iterable[float], window: tuple[float, float]) -> None:
+    lo, hi = window
+    for v in map(float, values):
+        if not lo <= v <= hi:
+            raise WindowError(f"{name} = {v} outside the solver window [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -104,8 +111,9 @@ class SpectrumCurve:
         return np.array([p.dimension for p in self.points])
 
 
-def default_provider(cutoff: int = 64, order: int = 16) -> PressureProvider:
-    return PressureProvider(Alphabet.full(cutoff), Discretization.chebyshev(order))
+def default_provider() -> PressureProvider:
+    """A provider on the full alphabet (cutoff 64) at collocation order 16."""
+    return PressureProvider()
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +184,6 @@ def _start(hint: SpectrumPoint | None) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def khintchine_point(xi: float, provider: PressureProvider | None = None,
-                     config: SolverConfig | None = None,
                      hint: SpectrumPoint | None = None) -> SpectrumPoint:
     """Dimension of the level set of mean log-digit equal to ``xi``.
 
@@ -189,10 +196,7 @@ def khintchine_point(xi: float, provider: PressureProvider | None = None,
     P(t, q) = q xi, P_q(t, q) = xi: t' = q / P_t, q' = (1 - P_tq t') / P_qq
     and t'' = (q' P_t - q (P_tt t' + P_tq q')) / P_t^2.
     """
-    cfg = config or SolverConfig()
-    lo, hi = cfg.xi_window
-    if not lo <= xi <= hi:
-        raise WindowError(f"xi = {xi} outside the solver window [{lo}, {hi}]")
+    _check_window("xi", [xi], XI_WINDOW)
     prov = provider or default_provider()
 
     def system(t: float, q: float):
@@ -205,7 +209,7 @@ def khintchine_point(xi: float, provider: PressureProvider | None = None,
                 np.array([[r.dP_dt, r.dP_dq - xi],
                           [scale * r.d2P_dtdq, scale * r.d2P_dq2]]))
 
-    t, q = _newton(system, *_start(hint), cfg.residual_tol)
+    t, q = _newton(system, *_start(hint), RESIDUAL_TOL)
     r = prov.result(t, q)
     slope = q / r.dP_dt
     dq = (1.0 - r.d2P_dtdq * slope) / r.d2P_dq2
@@ -237,7 +241,6 @@ def _lyapunov_point(beta: float, t: float, q: float,
 
 
 def lyapunov_point(beta: float, provider: PressureProvider | None = None,
-                   config: SolverConfig | None = None,
                    hint: SpectrumPoint | None = None) -> SpectrumPoint:
     """Dimension of the level set of expansion rate ``beta`` (Legendre route).
 
@@ -250,13 +253,10 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
     A step that would still leave the domain is halved until u stays above
     LYAPUNOV_U_MIN.  The iteration starts from the hint's u (else 1) and
     stops at |P' + beta| <= NEWTON_TOL * beta, or when the step stops
-    shrinking once |P' + beta| is within ``residual_tol`` (the rounding
-    floor of P').
+    shrinking once |P' + beta| is within RESIDUAL_TOL (the rounding floor
+    of P').
     """
-    cfg = config or SolverConfig()
-    lo, hi = cfg.resolved_beta_window()
-    if not lo <= beta <= hi:
-        raise WindowError(f"beta = {beta} outside the solver window [{lo}, {hi}]")
+    _check_window("beta", [beta], BETA_WINDOW)
     prov = provider or default_provider()
 
     u = hint.dimension - hint.q_value if hint is not None else 1.0
@@ -266,7 +266,7 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
         gap = res.dP_dt + beta
         step = gap * res.dP_dt / (beta * res.d2P_dt2)
         if abs(gap) <= NEWTON_TOL * beta or (
-                abs(step) >= last_step and abs(gap) <= cfg.residual_tol):
+                abs(step) >= last_step and abs(gap) <= RESIDUAL_TOL):
             q = res.value / beta
             return _lyapunov_point(beta, u + q, q, res)
         last_step = abs(step)
@@ -278,17 +278,13 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
 
 
 def lyapunov_point_2d(beta: float, provider: PressureProvider | None = None,
-                      config: SolverConfig | None = None,
                       hint: SpectrumPoint | None = None) -> SpectrumPoint:
     """Lyapunov point by Newton on the two-parameter system (cross-route).
 
     With u = t - q the system is P(u, 0) = q beta, -dP/dt(u, 0) = beta; it
     shares no root-finding code with ``lyapunov_point``.
     """
-    cfg = config or SolverConfig()
-    lo, hi = cfg.resolved_beta_window()
-    if not lo <= beta <= hi:
-        raise WindowError(f"beta = {beta} outside the solver window [{lo}, {hi}]")
+    _check_window("beta", [beta], BETA_WINDOW)
     prov = provider or default_provider()
 
     def system(t: float, q: float):
@@ -296,12 +292,13 @@ def lyapunov_point_2d(beta: float, provider: PressureProvider | None = None,
         return ((r.value - q * beta, -r.dP_dt - beta),
                 np.array([[r.dP_dt, -r.dP_dt - beta], [-r.d2P_dt2, r.d2P_dt2]]))
 
-    t, q = _newton(system, *_start(hint), cfg.residual_tol)
+    t, q = _newton(system, *_start(hint), RESIDUAL_TOL)
     return _lyapunov_point(beta, t, q, prov.result(t - q, 0.0))
 
 
 def _solve_curve(kind: str, grid: Sequence[float], solver, center: float,
-                 provider: PressureProvider, cfg: SolverConfig) -> SpectrumCurve:
+                 provider: PressureProvider | None) -> SpectrumCurve:
+    provider = provider or default_provider()
     grid = np.asarray(sorted(float(g) for g in grid))
     start = int(np.argmin(np.abs(grid - center)))
     solved: dict[int, SpectrumPoint] = {}
@@ -312,7 +309,7 @@ def _solve_curve(kind: str, grid: Sequence[float], solver, center: float,
         hint = solved.get(start)
         for idx in indices:
             try:
-                pt = solver(grid[idx], provider, cfg, hint)
+                pt = solver(grid[idx], provider, hint)
                 solved[idx] = pt
                 hint = pt
             except (WindowError, transfer.DomainError,
@@ -328,7 +325,7 @@ def _solve_curve(kind: str, grid: Sequence[float], solver, center: float,
         "failures": failures,
         "solves": provider.solves - solves_before,
         "center": center,
-        "residual_tol": cfg.residual_tol,
+        "residual_tol": RESIDUAL_TOL,
         "collocation_order": provider.disc.order,
         "alphabet_kind": provider.alphabet.kind,
         "alphabet_cutoff": provider.alphabet.cutoff,
@@ -337,31 +334,17 @@ def _solve_curve(kind: str, grid: Sequence[float], solver, center: float,
 
 
 def khintchine_curve(xi_grid: Sequence[float],
-                     provider: PressureProvider | None = None,
-                     config: SolverConfig | None = None) -> SpectrumCurve:
+                     provider: PressureProvider | None = None) -> SpectrumCurve:
     """Khintchine spectrum on a grid, warm-started outward from the peak."""
-    cfg = config or SolverConfig()
-    lo, hi = cfg.xi_window
-    grid = np.asarray([float(x) for x in xi_grid])
-    if np.any(grid < lo) or np.any(grid > hi):
-        raise WindowError(f"grid extends outside the xi window [{lo}, {hi}]")
-    prov = provider or default_provider()
-    return _solve_curve("khintchine", grid, khintchine_point,
-                        khintchine_exponent(), prov, cfg)
+    _check_window("xi", xi_grid, XI_WINDOW)
+    return _solve_curve("khintchine", xi_grid, khintchine_point, khintchine_exponent(), provider)
 
 
 def lyapunov_curve(beta_grid: Sequence[float],
-                   provider: PressureProvider | None = None,
-                   config: SolverConfig | None = None) -> SpectrumCurve:
+                   provider: PressureProvider | None = None) -> SpectrumCurve:
     """Lyapunov spectrum on a grid (Legendre route per point)."""
-    cfg = config or SolverConfig()
-    lo, hi = cfg.resolved_beta_window()
-    grid = np.asarray([float(x) for x in beta_grid])
-    if np.any(grid < lo) or np.any(grid > hi):
-        raise WindowError(f"grid extends outside the beta window [{lo}, {hi}]")
-    prov = provider or default_provider()
-    return _solve_curve("lyapunov", grid, lyapunov_point,
-                        lyapunov_constant(), prov, cfg)
+    _check_window("beta", beta_grid, BETA_WINDOW)
+    return _solve_curve("lyapunov", beta_grid, lyapunov_point, lyapunov_constant(), provider)
 
 
 # ---------------------------------------------------------------------------
@@ -433,15 +416,14 @@ class CantorDimensionEstimate:
         return max(self.last_values) - min(self.last_values)
 
 
-def cantor_dimension(log_s: Callable[[int], float], horizon: int,
-                     tail_window: int | None = None) -> CantorDimensionEstimate:
+def cantor_dimension(log_s: Callable[[int], float], horizon: int) -> CantorDimensionEstimate:
     """Dimension quotient for the digit-range Cantor sets.
 
     ``log_s(n)`` must return log s_n (log domain, because interesting rules
     like s_n = 2^(2^n) overflow any fixed-size float long before the
     quotient stabilizes).  The estimate is
 
-        min over the trailing window of
+        min over the trailing max(10, horizon // 4) quotients of
             sum_{k<=n} log s_k / (2 sum_{k<=n} log s_k + log s_{n+1}),
 
     a finite-horizon proxy for the liminf: the early transient is excluded
@@ -449,7 +431,6 @@ def cantor_dimension(log_s: Callable[[int], float], horizon: int,
     """
     if horizon < 32:
         raise ValueError("horizon must be >= 32")
-    window = tail_window if tail_window is not None else max(10, horizon // 4)
     log3 = math.log(3.0)
     acc = 0.0
     quotients = np.empty(horizon)
@@ -461,7 +442,7 @@ def cantor_dimension(log_s: Callable[[int], float], horizon: int,
         acc += ls
         ls_next = float(log_s(n + 1))
         quotients[n - 1] = acc / (2.0 * acc + ls_next)
-    tail = quotients[-window:]
+    tail = quotients[-max(10, horizon // 4):]
     return CantorDimensionEstimate(
         value=float(np.min(tail)),
         global_min=float(np.min(quotients)),
@@ -490,7 +471,7 @@ def bounded_digit_dimension(digits: Iterable[int],
 
     t, last_step = 0.0, math.inf
     for _ in range(NEWTON_MAX_ITER):
-        res = transfer.pressure_1d(t, alphabet, disc)
+        res = transfer.pressure(transfer.PressureParams(t, 0.0), alphabet, disc)
         step = -res.value / res.dP_dt
         if abs(step) >= last_step:
             return t
@@ -520,26 +501,23 @@ class ShapeReport:
     slope_identity_max_err: float
 
 
-def _central_derivatives(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and second derivatives at interior points of a nonuniform grid."""
+def _central_derivatives(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """First derivatives at interior points of a nonuniform grid."""
     h1 = x[1:-1] - x[:-2]
     h2 = x[2:] - x[1:-1]
-    d1 = (y[2:] * h1 ** 2 - y[:-2] * h2 ** 2 + y[1:-1] * (h2 ** 2 - h1 ** 2)) / (
+    return (y[2:] * h1 ** 2 - y[:-2] * h2 ** 2 + y[1:-1] * (h2 ** 2 - h1 ** 2)) / (
         h1 * h2 * (h1 + h2))
-    d2 = 2.0 * (y[:-2] * h2 + y[2:] * h1 - y[1:-1] * (h1 + h2)) / (
-        h1 * h2 * (h1 + h2))
-    return d1, d2
 
 
-def spectrum_shape_report(curve: SpectrumCurve,
-                          peak_reference: float | None = None) -> ShapeReport:
-    """Finite-difference shape diagnostics along a solved spectrum curve.
+def spectrum_shape_report(curve: SpectrumCurve, peak_reference: float) -> ShapeReport:
+    """Shape diagnostics along a solved spectrum curve.
 
-    Reports the peak, the single sign change of the slope, the sign of the
-    curvature at the peak, the first point past the peak where the
-    curvature turns positive (the witness that the curve is not concave),
-    the q-sign pattern around the peak, and the worst mismatch between
-    finite-difference slopes and the analytic slope stored on each point.
+    Reports the peak, the single sign change of the secant slope, the
+    analytic curvature ``t_curvature`` at the peak, the first point past the
+    peak where it turns positive (the witness that the curve is not
+    concave), the q-sign pattern around ``peak_reference``, and the worst
+    mismatch between finite-difference slopes and the analytic slope stored
+    on each point.
     """
     pts = curve.points
     if len(pts) < 20:
@@ -559,22 +537,20 @@ def spectrum_shape_report(curve: SpectrumCurve,
         j = int(changes[0])
         interval = (float(x[j]), float(x[j + 2]))
 
-    d1, d2 = _central_derivatives(x, y)
-    curvature_at_peak = float(d2[i_peak - 1])
+    curvature = np.array([p.t_curvature for p in pts])
     witness = None
-    for j in range(i_peak, len(d2)):
-        if d2[j] > 0.0:
-            witness = (float(x[j + 1]), float(d2[j]))
+    for j in range(i_peak + 1, len(pts)):
+        if curvature[j] > 0.0:
+            witness = (float(x[j]), float(curvature[j]))
             break
 
-    center = peak_reference if peak_reference is not None else float(x[i_peak])
-    left_ok = bool(np.all(q[x < center - 0.01] < 0.0))
-    right_ok = bool(np.all(q[x > center + 0.01] > 0.0))
-    near = np.abs(x - center) < 1e-3
+    left_ok = bool(np.all(q[x < peak_reference - 0.01] < 0.0))
+    right_ok = bool(np.all(q[x > peak_reference + 0.01] > 0.0))
+    near = np.abs(x - peak_reference) < 1e-3
     near_ok = bool(np.all(np.abs(q[near]) < 1e-3)) if near.any() else True
 
     slopes_analytic = np.array([p.t_slope for p in pts])
-    ident_err = float(np.max(np.abs(d1 - slopes_analytic[1:-1])))
+    ident_err = float(np.max(np.abs(_central_derivatives(x, y) - slopes_analytic[1:-1])))
 
     return ShapeReport(
         kind=curve.kind,
@@ -583,7 +559,7 @@ def spectrum_shape_report(curve: SpectrumCurve,
         peak_dimension=float(y[i_peak]),
         slope_sign_changes=int(len(changes)),
         slope_change_interval=interval,
-        curvature_at_peak=curvature_at_peak,
+        curvature_at_peak=float(curvature[i_peak]),
         convexity_witness=witness,
         q_sign_consistent=left_ok and right_ok and near_ok,
         slope_identity_max_err=ident_err,

@@ -44,6 +44,10 @@ is precisely the node-weighted Gibbs average of log a_1 resp. -log|T'|;
 the second derivatives add one bordered LAPACK dgesv solve for the
 eigenvector derivatives.  Eigendata handed out (eigenfunction values,
 left weights, the Gibbs eigenfunction) are those of L: h = w f.
+
+``pressure`` and the caching ``PressureProvider`` are the two ways to ask
+for a pressure; the gradient, Hessian, eigendata and tail bound are fields
+of the one ``PressureResult`` either returns.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ JET_ORDER = 6         # Taylor orders of the eigenfunction kept in the tail
 BINOM_TERMS = 20      # binomial expansion length; terms shrink like ((x+psi)/(M+1))^j
 PSI = (math.sqrt(5.0) - 1.0) / 2.0   # 1/phi: the weight is (x + phi)^(-2t) ~ (1 + PSI x)^(-2t)
 PERRON_SHIFT = 1e-14  # relative shift of lambda for the inverse-iteration LU
+BURN_IN = 64          # Gibbs-chain steps sample_digits discards before recording
 
 
 class DomainError(ValueError):
@@ -74,10 +79,6 @@ class ConvergenceError(RuntimeError):
     collocation matrix is not positive or its eigenvector is not positive at
     every node (no Perron pair), or a spectrum solver's Newton iteration did
     not converge."""
-
-
-class ConsistencyError(RuntimeError):
-    """Analytic derivative and finite difference disagree beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -99,24 +100,24 @@ class Alphabet:
     kind: str                       # "full" | "restricted"
     cutoff: int | None = None
     digits: tuple[int, ...] | None = None
-    tail_handling: bool = True
 
     @classmethod
-    def full(cls, cutoff: int = 64, tail_handling: bool = True) -> "Alphabet":
+    def full(cls, cutoff: int = 64) -> "Alphabet":
         if cutoff < 8:
             raise ValueError("full-alphabet cutoff must be >= 8")
-        return cls(kind="full", cutoff=cutoff, tail_handling=tail_handling)
+        return cls(kind="full", cutoff=cutoff)
 
     @classmethod
     def restricted(cls, digits) -> "Alphabet":
         ds = tuple(sorted(set(int(d) for d in digits)))
         if not ds or ds[0] < 1:
             raise ValueError("restricted alphabet needs a nonempty set of digits >= 1")
-        return cls(kind="restricted", digits=ds, tail_handling=False)
+        return cls(kind="restricted", digits=ds)
 
     @property
     def has_tail(self) -> bool:
-        return self.kind == "full" and self.tail_handling
+        """Digits above the cutoff are summed in closed form (full alphabet)."""
+        return self.kind == "full"
 
     def digit_values(self) -> np.ndarray:
         if self.kind == "full":
@@ -220,10 +221,6 @@ class Discretization:
             c = np.where(anyhit[..., None], hit.astype(float), c)
         return c
 
-    def interpolate(self, values: np.ndarray, y):
-        out = self.coefficients(y) @ np.asarray(values, dtype=float)
-        return out
-
     def digit_tables(self, alphabet: Alphabet) -> DigitTables:
         """The ``DigitTables`` of this grid and ``alphabet``, built once per alphabet."""
         key = (alphabet.kind, alphabet.cutoff, alphabet.digits)
@@ -249,10 +246,10 @@ class PressureResult:
     """Pressure value with its exact gradient and Hessian, eigendata and tail
     diagnostics.
 
-    ``disc`` is the discretization the eigendata lives on: the requested
-    one, at every t.  ``eigenfunction_values`` are the node values of the
-    eigenfunction h of the unweighted operator (largest 1) and
-    ``left_eigen_weights`` the matching left eigenvector (sum 1).
+    ``eigenfunction_values`` are the node values, on the requested
+    discretization, of the eigenfunction h of the unweighted operator
+    (largest 1) and ``left_eigen_weights`` the matching left eigenvector
+    (sum 1).
     """
 
     params: PressureParams
@@ -265,7 +262,6 @@ class PressureResult:
     eigenfunction_values: np.ndarray
     left_eigen_weights: np.ndarray
     tail_error_bound: float
-    disc: "Discretization"
 
 
 def check_domain(params: PressureParams, alphabet: Alphabet) -> None:
@@ -478,20 +474,14 @@ def _solve(params: PressureParams, alphabet: Alphabet,
         eigenfunction_values=eigenfunction / eigenfunction.max(),
         left_eigen_weights=left / left.sum(),
         tail_error_bound=tail_bound,
-        disc=disc,
     )
 
 
 def pressure(params: PressureParams, alphabet: Alphabet | None = None,
              disc: Discretization | None = None) -> PressureResult:
-    """P(t, q) as the log of the Perron collocation eigenvalue, with P_t and P_q."""
+    """P(t, q) as the log of the Perron collocation eigenvalue, with its exact
+    gradient and Hessian."""
     return _solve(params, alphabet or Alphabet.full(), disc or Discretization.chebyshev())
-
-
-def pressure_1d(t: float, alphabet: Alphabet | None = None,
-                disc: Discretization | None = None) -> PressureResult:
-    """The one-parameter pressure P(t) = P(t, 0)."""
-    return pressure(PressureParams(t, 0.0), alphabet, disc)
 
 
 def apply_operator(params: PressureParams, alphabet: Alphabet | None,
@@ -505,39 +495,6 @@ def apply_operator(params: PressureParams, alphabet: Alphabet | None,
         raise ValueError("g must be finite node values matching the discretization")
     mats, _, weight = _assemble(params, alphabet, disc)
     return (mats[0] @ (weight * g)) / weight
-
-
-def _derivative(which: str, params: PressureParams, alphabet: Alphabet | None,
-                disc: Discretization | None, check: bool, fd_step: float,
-                check_tol: float) -> float:
-    """P_t or P_q at params, optionally checked by a central difference of P."""
-    alphabet = alphabet or Alphabet.full()
-    disc = disc or Discretization.chebyshev()
-    res = _solve(params, alphabet, disc)
-    val = res.dP_dt if which == "t" else res.dP_dq
-    if check:
-        dt, dq = (fd_step, 0.0) if which == "t" else (0.0, fd_step)
-        t, q = params.t, params.q
-        fd = (_solve(PressureParams(t + dt, q + dq), alphabet, disc).value
-              - _solve(PressureParams(t - dt, q - dq), alphabet, disc).value) / (2 * fd_step)
-        if abs(fd - val) > check_tol:
-            raise ConsistencyError(
-                f"dP/d{which} mismatch at {params}: gibbs {val}, finite difference {fd}")
-    return val
-
-
-def dP_dq(params: PressureParams, alphabet: Alphabet | None = None,
-          disc: Discretization | None = None, check: bool = False,
-          fd_step: float = 1e-5, check_tol: float = 1e-4) -> float:
-    """Gibbs average of log a_1, i.e. the exact q-derivative of the pressure."""
-    return _derivative("q", params, alphabet, disc, check, fd_step, check_tol)
-
-
-def dP_dt(params: PressureParams, alphabet: Alphabet | None = None,
-          disc: Discretization | None = None, check: bool = False,
-          fd_step: float = 1e-5, check_tol: float = 1e-4) -> float:
-    """Gibbs average of -log|T'|, i.e. the exact t-derivative of the pressure."""
-    return _derivative("t", params, alphabet, disc, check, fd_step, check_tol)
 
 
 class PressureProvider:
@@ -600,7 +557,8 @@ class GibbsApprox:
 
     def eigenfunction(self, y):
         y = np.asarray(y, dtype=float)
-        return (1.0 + PSI * y) ** (-2.0 * self.params.t) * self.disc.interpolate(self.f_values, y)
+        f = self.disc.coefficients(y) @ self.f_values
+        return (1.0 + PSI * y) ** (-2.0 * self.params.t) * f
 
     def digit_probabilities(self, x: float) -> tuple[np.ndarray, float]:
         """Explicit digit probabilities and the analytic mass of the tail."""
@@ -623,25 +581,25 @@ def gibbs(params: PressureParams, alphabet: Alphabet | None = None,
           disc: Discretization | None = None) -> GibbsApprox:
     """Eigendata packaged for digit sampling at (t, q)."""
     alphabet = alphabet or Alphabet.full()
+    disc = disc or Discretization.chebyshev()
     res = pressure(params, alphabet, disc)
-    f = res.eigenfunction_values * (1.0 + PSI * res.disc.nodes) ** (2.0 * params.t)
+    f = res.eigenfunction_values * (1.0 + PSI * disc.nodes) ** (2.0 * params.t)
     return GibbsApprox(
         params=params,
         alphabet=alphabet,
-        disc=res.disc,
+        disc=disc,
         pressure=res.value,
         f_values=f / f.max(),
     )
 
 
-def sample_digits(g: GibbsApprox, length: int, seed: int,
-                  burn_in: int = 64) -> PartialQuotients:
+def sample_digits(g: GibbsApprox, length: int, seed: int) -> PartialQuotients:
     """Digit sequence of the Gibbs chain x_{k+1} = 1/(i_k + x_k).
 
-    Deterministic for a fixed seed.  Digits up to the cutoff follow the
-    conditional law p(i | x); the sliver of mass beyond the cutoff (the
-    complement of the explicit probabilities, a percent or so) is drawn
-    from the i^(q-2t) power-law approximation.
+    Deterministic for a fixed seed; the first BURN_IN steps are discarded.
+    Digits up to the cutoff follow the conditional law p(i | x); the sliver
+    of mass beyond the cutoff (the complement of the explicit probabilities,
+    a percent or so) is drawn from the i^(q-2t) power-law approximation.
 
     The eigenfunction is read off a dense lookup table inside the loop;
     the induced relative error in the digit law is ~1e-7, far below the
@@ -665,7 +623,7 @@ def sample_digits(g: GibbsApprox, length: int, seed: int,
 
     x = 0.5
     out = np.empty(length, dtype=np.int64)
-    pos = -burn_in
+    pos = -BURN_IN
     t2, q = 2.0 * params.t, params.q
     while pos < length:
         z = d + x

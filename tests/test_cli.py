@@ -174,9 +174,11 @@ def test_gnuplot_script(tmp_path):
 
 
 def test_gnuplot_requires_output(capsys):
-    code, _, err = run(capsys, "pressure", "--t", "1", "--q", "0", "--gnuplot",
-                       "--jobs", "1")
+    code, out, err = run(capsys, "pressure", "--t", "1", "--q", "0", "--gnuplot",
+                         "--jobs", "1")
     assert code == 2
+    assert out == ""
+    assert "--gnuplot requires --output" in err
 
 
 def test_common_validation(capsys):
@@ -205,7 +207,7 @@ def test_spectrum_failure_rows_and_exit3(capsys, monkeypatch):
     import gauss_spectra.cli as cli_mod
     from gauss_spectra.spectra import SpectrumCurve, SpectrumPoint
 
-    def fake_curve(grid, provider, cfg):
+    def fake_curve(grid, provider):
         # only one of three points "solves"
         pt = SpectrumPoint(exponent=float(grid[1]), dimension=0.9, q_value=-0.1,
                            residuals=(0.0, 0.0), t_slope=0.0)

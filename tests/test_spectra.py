@@ -168,7 +168,7 @@ def test_cold_start_stays_inside_the_domain(monkeypatch, point_fn, exponent):
     monkeypatch.setattr(tr, "check_domain", recording_check)
     prov = sp.default_provider()
     pt = point_fn(exponent, prov)
-    assert max(pt.residuals) <= sp.SolverConfig().residual_tol
+    assert max(pt.residuals) <= sp.RESIDUAL_TOL
     assert len(prov._cache) <= 7
     assert probes == []
 
@@ -311,7 +311,7 @@ def test_curve_releases_provider_without_gc(curve_fn, grid):
 def test_shape_report_needs_enough_points(provider):
     curve = sp.khintchine_curve([0.5, XI0, 10.0], provider)
     with pytest.raises(sp.InsufficientGridError):
-        sp.spectrum_shape_report(curve)
+        sp.spectrum_shape_report(curve, peak_reference=XI0)
 
 
 def test_sampling_at_spectrum_solution(provider):

@@ -18,6 +18,11 @@ def P(t, q, alphabet=ALPH, disc=DISC):
     return tr.pressure(tr.PressureParams(t, q), alphabet, disc).value
 
 
+def grad(t, q, alphabet=ALPH, disc=DISC):
+    res = tr.pressure(tr.PressureParams(t, q), alphabet, disc)
+    return res.dP_dt, res.dP_dq
+
+
 # ---------------------------------------------------------------------------
 # operator application
 
@@ -69,10 +74,10 @@ def test_pressure_boundary_identity(q):
 
 
 def test_pressure_1d_values():
-    assert abs(tr.pressure_1d(1.0, ALPH, DISC).value) < 1e-6
-    p20 = tr.pressure_1d(20.0, ALPH, DISC).value
+    assert abs(P(1.0, 0.0)) < 1e-6
+    p20 = P(20.0, 0.0)
     assert abs(p20 + 20.0 * golden_constant()) < 0.01 * 20.0
-    p06 = tr.pressure_1d(0.6, ALPH, DISC).value
+    p06 = P(0.6, 0.0)
     assert -0.6 * math.log(4.0) + math.log(riemann_zeta(1.2)) - 1e-9 <= p06
     assert p06 <= math.log(riemann_zeta(1.2)) + 1e-9
 
@@ -96,11 +101,11 @@ def test_pressure_monotone_in_t_and_q():
 
 
 def test_translation_identity():
-    # pressure of the expansion-rate family equals the shifted 1-d pressure
+    # the provider's cached point and a fresh solve of the 1-d pressure agree
+    prov = tr.PressureProvider(ALPH, DISC)
     for (t, q) in [(1.3, 0.5), (0.9, -0.4), (2.0, 1.1)]:
         u = t - q
-        assert tr.pressure_1d(u, ALPH, DISC).value == pytest.approx(
-            P(u, 0.0), abs=1e-10)
+        assert prov.pressure(u, 0.0) == pytest.approx(P(u, 0.0), abs=1e-10)
 
 
 def test_discretization_convergence():
@@ -113,8 +118,8 @@ def test_every_t_solves_on_the_requested_discretization():
     disc = tr.Discretization.chebyshev(16)
     for t in (5.0, 12.0):
         res = tr.pressure(tr.PressureParams(t, 0.0), ALPH, disc)
-        assert res.disc is disc
         assert res.eigenfunction_values.shape == (16,)
+        assert tr.gibbs(tr.PressureParams(t, 0.0), ALPH, disc).disc is disc
 
 
 @pytest.mark.parametrize("t", [4.3, 4.37, 4.45, 4.55])
@@ -191,13 +196,12 @@ def test_domain_margin_rejection():
     with pytest.raises(tr.DomainError):
         tr.pressure(tr.PressureParams(0.5, 0.0), ALPH, DISC)
     with pytest.raises(tr.DomainError):
-        tr.pressure_1d(0.503, ALPH, DISC)
+        tr.pressure(tr.PressureParams(0.503, 0.0), ALPH, DISC)
 
 
 def test_restricted_pressure_root_matches_reference():
     a12 = tr.Alphabet.restricted({1, 2})
-    root = brentq(lambda t: tr.pressure_1d(t, a12, DISC).value, 1e-6, 1.0,
-                  xtol=1e-13)
+    root = brentq(lambda t: P(t, 0.0, a12), 1e-6, 1.0, xtol=1e-13)
     assert abs(root - 0.5312805) < 1e-5
 
 
@@ -205,17 +209,16 @@ def test_restricted_pressure_root_matches_reference():
 # derivatives
 
 def test_derivative_anchors():
-    params = tr.PressureParams(1.0, 0.0)
-    assert tr.dP_dq(params, ALPH, DISC) == pytest.approx(khintchine_exponent(), abs=1e-3)
-    assert tr.dP_dt(params, ALPH, DISC) == pytest.approx(-lyapunov_constant(), abs=1e-3)
+    dt, dq = grad(1.0, 0.0)
+    assert dq == pytest.approx(khintchine_exponent(), abs=1e-3)
+    assert dt == pytest.approx(-lyapunov_constant(), abs=1e-3)
 
 
 def test_dP_dq_matches_zeta_derivative_oracle():
     # at t = 0 the pressure is log zeta(-q); differentiate that directly
     h = 1e-5
     oracle = (math.log(riemann_zeta(3.0 - h)) - math.log(riemann_zeta(3.0 + h))) / (2 * h)
-    assert tr.dP_dq(tr.PressureParams(0.0, -3.0), ALPH, DISC) == pytest.approx(
-        oracle, abs=1e-6)
+    assert grad(0.0, -3.0)[1] == pytest.approx(oracle, abs=1e-6)
 
 
 def test_result_fields_finite_at_t_zero():
@@ -233,20 +236,22 @@ def test_result_fields_finite_at_t_zero():
 
 def test_dP_dq_increasing_in_q():
     qs = np.linspace(-2.0, 0.5, 8)
-    vals = [tr.dP_dq(tr.PressureParams(0.9, float(q)), ALPH, DISC) for q in qs]
+    vals = [grad(0.9, float(q))[1] for q in qs]
     assert np.all(np.diff(vals) > 0.0)
 
 
 def test_dP_dt_negative_on_grid():
     for t in np.linspace(0.7, 1.1, 5):
         for q in np.linspace(-1.5, 0.2, 5):
-            assert tr.dP_dt(tr.PressureParams(float(t), float(q)), ALPH, DISC) < 0.0
+            assert grad(float(t), float(q))[0] < 0.0
 
 
 def test_derivatives_consistent_with_finite_differences():
+    h = 1e-5
     for (t, q) in [(0.75, 0.0), (1.0, 0.0), (0.9, -0.8)]:
-        tr.dP_dq(tr.PressureParams(t, q), ALPH, DISC, check=True, check_tol=1e-4)
-        tr.dP_dt(tr.PressureParams(t, q), ALPH, DISC, check=True, check_tol=1e-4)
+        dt, dq = grad(t, q)
+        assert abs((P(t + h, q) - P(t - h, q)) / (2 * h) - dt) <= 1e-8
+        assert abs((P(t, q + h) - P(t, q - h)) / (2 * h) - dq) <= 1e-8
 
 
 HESSIAN_POINTS = (
@@ -299,7 +304,7 @@ def test_sampled_mean_log_digit_matches_gibbs_integral():
     g = tr.gibbs(params, ALPH, DISC)
     seq = tr.sample_digits(g, 60_000, seed=3)
     logs = np.log(np.asarray(seq.digits, dtype=float))
-    target = tr.dP_dq(params, ALPH, DISC)
+    target = grad(params.t, params.q)[1]
     sigma = logs.std() / math.sqrt(len(logs))
     assert abs(logs.mean() - target) < 3.0 * sigma + 5e-3
 
@@ -341,16 +346,13 @@ def test_cylinder_sum_estimate_near_full_pressure_at_fast_decay():
 
 def test_provider_caches_and_agrees_with_module_functions():
     prov = tr.PressureProvider(ALPH, DISC)
-    params = tr.PressureParams(0.9, -0.5)
+    dt, dq = grad(0.9, -0.5)
     assert prov.pressure(0.9, -0.5) == pytest.approx(P(0.9, -0.5), abs=1e-13)
-    assert prov.dP_dq(0.9, -0.5) == pytest.approx(
-        tr.dP_dq(params, ALPH, DISC), abs=1e-12)
-    assert prov.dP_dt(0.9, -0.5) == pytest.approx(
-        tr.dP_dt(params, ALPH, DISC), abs=1e-12)
+    assert prov.dP_dq(0.9, -0.5) == pytest.approx(dq, abs=1e-12)
+    assert prov.dP_dt(0.9, -0.5) == pytest.approx(dt, abs=1e-12)
     res = prov.result(0.9, -0.5)
     assert res is prov.result(0.9, -0.5)
-    assert res.dP_dq == pytest.approx(tr.dP_dq(params, ALPH, DISC), abs=1e-12)
-    assert res.dP_dt == pytest.approx(tr.dP_dt(params, ALPH, DISC), abs=1e-12)
+    assert (res.dP_dt, res.dP_dq) == pytest.approx((dt, dq), abs=1e-12)
 
 
 def test_shared_discretization_matches_fresh_ones():
@@ -361,7 +363,6 @@ def test_shared_discretization_matches_fresh_ones():
         for alphabet in alphabets:
             got = tr.pressure(params, alphabet, shared)
             ref = tr.pressure(params, alphabet, tr.Discretization.chebyshev(16))
-            assert got.disc is shared
             for name in ("value", "dP_dt", "dP_dq", "d2P_dt2", "d2P_dtdq", "d2P_dq2",
                          "tail_error_bound"):
                 assert getattr(got, name) == getattr(ref, name), (alphabet, name)
