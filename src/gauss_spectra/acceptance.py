@@ -46,15 +46,14 @@ class CriterionResult:
     tolerance: str
     runtime: float
     budget: float
-    detail: str = ""
 
 
-def _result(cid, title, start, budget, ok, measured, expected, tolerance, detail=""):
+def _result(cid, title, start, budget, ok, measured, expected, tolerance):
     runtime = time.perf_counter() - start
     return CriterionResult(
         cid=cid, title=title, passed=bool(ok) and runtime <= budget,
         measured=measured, expected=expected, tolerance=tolerance,
-        runtime=runtime, budget=budget, detail=detail,
+        runtime=runtime, budget=budget,
     )
 
 

@@ -2,8 +2,9 @@
 
 Output is CSV (``# key=value`` metadata comments, then a header row, then
 data) or JSON (one object with ``metadata`` and ``rows``).  Floats are
-written with shortest round-trip representation, so identical configs and
-seeds produce byte-identical files.
+written with shortest round-trip representation, so identical arguments
+produce byte-identical files.  Each subcommand accepts only the options that
+change its output.
 
 Exit codes: 0 success, 1 verification failure, 2 domain or usage error,
 3 a spectrum sweep solved fewer than 90% of its points.
@@ -14,9 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,30 +30,6 @@ from .zeta import (golden_constant, khintchine_constant, khintchine_exponent,
                    lyapunov_constant)
 
 
-@dataclass
-class CurveRecord:
-    exponent: float
-    dimension: float
-    q_value: float
-    residual_1: float
-    residual_2: float
-    slope_fd: float
-
-    def row(self) -> list[float]:
-        return [self.exponent, self.dimension, self.q_value,
-                self.residual_1, self.residual_2, self.slope_fd]
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("GAUSS_SPECTRA_JOBS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _finite_float(text: str) -> float:
     """argparse type: a float that is neither infinite nor NaN."""
     try:
@@ -67,50 +42,40 @@ def _finite_float(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cutoff", type=int, default=64,
-                        help="digit cutoff M of the full alphabet (default 64)")
-    common.add_argument("--collocation-order", type=int, default=16, dest="order",
-                        help="number of Chebyshev nodes K (default 16)")
-    common.add_argument("--tolerance", type=float, default=1e-10,
-                        help="upper bound on the eigen-solve's relative error; "
-                             "the direct solve always meets it (default 1e-10)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        dest="out_format", help="output format")
-    common.add_argument("--output", default=None, help="output file (default stdout)")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="accepted and echoed in the metadata; sweeps run in "
-                             "one process (default: $GAUSS_SPECTRA_JOBS or all cores)")
-    common.add_argument("--gnuplot", action="store_true",
-                        help="also write a gnuplot script next to --output")
-
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--min", type=_finite_float, default=None)
-    grid.add_argument("--max", type=_finite_float, default=None)
-    grid.add_argument("--count", type=int, default=None)
-    grid.add_argument("--spacing", choices=("linear", "log"), default="linear")
-
     p = argparse.ArgumentParser(
         prog="gauss-spectra",
         description="Pressure and dimension spectra of the Gauss "
                     "continued-fraction system")
     sub = p.add_subparsers(dest="command", required=True)
-
-    pp = sub.add_parser("pressure", parents=[common, grid],
+    pp = sub.add_parser("pressure",
                         help="pressure and its derivatives at points or sweeps")
+    ps = sub.add_parser("spectrum", help="solve a dimension spectrum on a grid")
+    ps.add_argument("kind", choices=("khintchine", "lyapunov"))
+    pc = sub.add_parser("constants", help="table of the constants of the Gauss map")
+    pv = sub.add_parser("verify", help="run the acceptance criteria")
+
+    for sp in (pp, ps, pv):
+        sp.add_argument("--cutoff", type=int, default=64,
+                        help="digit cutoff M of the full alphabet (default 64)")
+    for sp in (pp, ps, pc, pv):
+        sp.add_argument("--collocation-order", type=int, default=16, dest="order",
+                        help="number of Chebyshev nodes K (default 16)")
+    for sp in (pp, ps, pc):
+        sp.add_argument("--format", choices=("csv", "json"), default="csv",
+                        dest="out_format", help="output format")
+        sp.add_argument("--output", default=None, help="output file (default stdout)")
+    for sp in (pp, ps):
+        sp.add_argument("--gnuplot", action="store_true",
+                        help="also write a gnuplot script next to --output")
+        sp.add_argument("--min", type=_finite_float, default=None)
+        sp.add_argument("--max", type=_finite_float, default=None)
+        sp.add_argument("--count", type=int, default=None)
+        sp.add_argument("--spacing", choices=("linear", "log"), default="linear")
+
     pp.add_argument("--t", type=_finite_float, default=None)
     pp.add_argument("--q", type=_finite_float, default=None)
-
-    ps = sub.add_parser("spectrum", parents=[common, grid],
-                        help="solve a dimension spectrum on a grid")
-    ps.add_argument("kind", choices=("khintchine", "lyapunov"))
-
-    sub.add_parser("constants", parents=[common],
-                   help="table of the constants of the Gauss map")
-
-    pv = sub.add_parser("verify", parents=[common],
-                        help="run the acceptance criteria")
+    pv.add_argument("--seed", type=int, default=0,
+                    help="seed of the randomized criteria c14 and c15 (default 0)")
     pv.add_argument("--list", action="store_true", dest="list_only",
                     help="enumerate the criteria without running them")
     return p
@@ -122,13 +87,11 @@ def _usage_error(msg: str) -> int:
 
 
 def _validate_common(args) -> str | None:
-    if args.cutoff < 8:
+    if "cutoff" in args and args.cutoff < 8:
         return f"--cutoff must be >= 8, got {args.cutoff}"
     if args.order < 4:
         return f"--collocation-order must be >= 4, got {args.order}"
-    if not 0.0 < args.tolerance <= 1e-4:
-        return f"--tolerance must be in (0, 1e-4], got {args.tolerance}"
-    if args.gnuplot and not args.output:
+    if "gnuplot" in args and args.gnuplot and not args.output:
         return "--gnuplot requires --output"
     return None
 
@@ -191,15 +154,10 @@ def _write_gnuplot(args, xlabel: str, ylabel: str, xcol: int, ycol: int) -> None
 
 
 def _metadata(args, extra: dict) -> dict:
-    meta = {
-        "tool": "gauss-spectra",
-        "version": __version__,
-        "command": args.command,
-        "cutoff": args.cutoff,
-        "collocation_order": args.order,
-        "tolerance": args.tolerance,
-        "seed": args.seed,
-    }
+    meta = {"tool": "gauss-spectra", "version": __version__, "command": args.command}
+    if "cutoff" in args:
+        meta["cutoff"] = args.cutoff
+    meta["collocation_order"] = args.order
     meta.update(extra)
     return meta
 
@@ -207,6 +165,10 @@ def _metadata(args, extra: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_pressure(args) -> int:
+    if (args.t is not None and args.q is not None
+            and (args.min, args.max, args.count) != (None, None, None)):
+        return _usage_error("--t with --q is one point; sweep only one of them "
+                            "with --min/--max/--count")
     try:
         grid = _make_grid(args)
     except ValueError as exc:
@@ -227,8 +189,7 @@ def cmd_pressure(args) -> int:
         res = prov.result(t, q)
         rows.append([t, q, res.value, res.dP_dt, res.dP_dq, res.tail_error_bound])
 
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    meta = _metadata(args, {"jobs": jobs, "points": len(points)})
+    meta = _metadata(args, {"points": len(points)})
     header = ["t", "q", "pressure", "dP_dt", "dP_dq", "tail_error"]
     _write(meta, header, rows, args)
     _write_gnuplot(args, "q" if args.t is not None and grid is not None else "t",
@@ -261,16 +222,14 @@ def cmd_spectrum(args) -> int:
     if len(curve.points) >= 3:
         slopes[1:-1] = _central_derivatives(curve.exponents, curve.dimensions)
     solved = {p.exponent: (p, s) for p, s in zip(curve.points, slopes)}
-    records: list[CurveRecord] = []
+    rows = []
     for g in grid:
         g = float(g)
         if g not in solved:
-            records.append(CurveRecord(g, math.nan, math.nan, math.inf, math.inf,
-                                       math.nan))
+            rows.append([g, math.nan, math.nan, math.inf, math.inf, math.nan])
             continue
         pt, slope = solved[g]
-        records.append(CurveRecord(g, pt.dimension, pt.q_value,
-                                   pt.residuals[0], pt.residuals[1], float(slope)))
+        rows.append([g, pt.dimension, pt.q_value, *pt.residuals, float(slope)])
 
     trailer = {}
     try:
@@ -296,7 +255,7 @@ def cmd_spectrum(args) -> int:
     })
     header = ["exponent", "dimension", "q_value", "residual_1", "residual_2",
               "slope_fd"]
-    _write(meta, header, [r.row() for r in records], args, trailer=trailer)
+    _write(meta, header, rows, args, trailer=trailer)
     _write_gnuplot(args, "exponent", "dimension", 1, 2)
     return 0 if len(curve.points) >= 0.9 * len(grid) else 3
 

@@ -614,8 +614,7 @@ def sample_digits(g: GibbsApprox, length: int, seed: int) -> PartialQuotients:
     m_top = float(d[-1])
     s = 2.0 * params.t - params.q
     scale = math.exp(-g.pressure)
-    restricted = not g.alphabet.has_tail
-    full_kind = g.alphabet.kind == "full"
+    has_tail = g.alphabet.has_tail
     d_int = d.astype(np.int64)
 
     grid = np.linspace(0.0, 1.0, 4001)
@@ -633,8 +632,8 @@ def sample_digits(g: GibbsApprox, length: int, seed: int) -> PartialQuotients:
         u = rng.random()
         if u < cum[-1]:
             k = int(np.searchsorted(cum, u))
-            digit = k + 1 if full_kind else int(d_int[k])
-        elif restricted:
+            digit = int(d_int[k])
+        elif not has_tail:
             digit = int(d_int[-1])  # renormalization slack lands on the last digit
         else:
             v = (u - cum[-1]) / max(1.0 - cum[-1], 1e-300)

@@ -1,16 +1,14 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import argparse
 import json
 import math
-import os
-import subprocess
-import sys
 
 import pytest
 
 from gauss_spectra import transfer
 from gauss_spectra.acceptance import VerifyConfig, run_criterion
-from gauss_spectra.cli import main
+from gauss_spectra.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -41,7 +39,7 @@ def parse_csv(text):
 
 
 def test_pressure_single_point(capsys):
-    code, out, _ = run(capsys, "pressure", "--t", "1", "--q", "0", "--jobs", "1")
+    code, out, _ = run(capsys, "pressure", "--t", "1", "--q", "0")
     assert code == 0
     meta, header, rows = parse_csv(out)
     assert meta["cutoff"] == "64" and meta["collocation_order"] == "16"
@@ -50,7 +48,7 @@ def test_pressure_single_point(capsys):
 
 
 def test_pressure_zeta_point(capsys):
-    code, out, _ = run(capsys, "pressure", "--t", "0", "--q", "-2", "--jobs", "1")
+    code, out, _ = run(capsys, "pressure", "--t", "0", "--q", "-2")
     assert code == 0
     _, _, rows = parse_csv(out)
     assert rows[0][2] == pytest.approx(math.log(math.pi ** 2 / 6.0), abs=1e-6)
@@ -67,7 +65,7 @@ def test_pressure_without_perron_mode_exits_2(capsys, monkeypatch):
         raise transfer.ConvergenceError(f"no positive real eigenvalue at {params}")
 
     monkeypatch.setattr(transfer, "_perron_pair", no_perron_pair)
-    code, out, err = run(capsys, "pressure", "--t", "1", "--q", "0", "--jobs", "1")
+    code, out, err = run(capsys, "pressure", "--t", "1", "--q", "0")
     assert code == 2
     assert out == ""
     assert err.startswith("error: no positive real eigenvalue")
@@ -75,7 +73,7 @@ def test_pressure_without_perron_mode_exits_2(capsys, monkeypatch):
 
 
 def test_pressure_at_t_40(capsys):
-    code, out, _ = run(capsys, "pressure", "--t", "40", "--q", "0", "--jobs", "1")
+    code, out, _ = run(capsys, "pressure", "--t", "40", "--q", "0")
     assert code == 0
     _, header, rows = parse_csv(out)
     value = float(rows[0][header.index("pressure")])
@@ -97,27 +95,25 @@ def test_pressure_rejects_non_finite_input(capsys, argv):
 
 
 def test_pressure_missing_args(capsys):
-    code, _, err = run(capsys, "pressure", "--jobs", "1")
+    code, _, err = run(capsys, "pressure")
     assert code == 2
 
 
-def test_pressure_sweep_parallel_matches_serial(capsys, tmp_path):
+def test_pressure_sweep_parallel_matches_serial(capsys):
+    # two identical sweeps give byte-identical output
     args = ["pressure", "--t", "0.9", "--min", "-1", "--max", "0", "--count", "5"]
-    code, out1, _ = run(capsys, *args, "--jobs", "1")
+    code, out1, _ = run(capsys, *args)
     assert code == 0
-    code, out2, _ = run(capsys, *args, "--jobs", "2")
+    code, out2, _ = run(capsys, *args)
     assert code == 0
-    body1 = [l for l in out1.splitlines() if not l.startswith("# jobs")]
-    body2 = [l for l in out2.splitlines() if not l.startswith("# jobs")]
-    assert body1 == body2
+    assert out1 == out2
 
 
 def test_spectrum_json_roundtrip_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     for path in (out1, out2):
         code = main(["spectrum", "khintchine", "--min", "0.7", "--max", "1.4",
-                     "--count", "4", "--format", "json", "--output", str(path),
-                     "--jobs", "1"])
+                     "--count", "4", "--format", "json", "--output", str(path)])
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
     doc = json.loads(out1.read_text())
@@ -166,7 +162,7 @@ def test_gnuplot_script(tmp_path):
     out = tmp_path / "curve.csv"
     code = main(["spectrum", "khintchine", "--min", "0.7", "--max", "1.4",
                  "--count", "4", "--spacing", "log", "--output", str(out),
-                 "--gnuplot", "--jobs", "1"])
+                 "--gnuplot"])
     assert code == 0
     script = tmp_path / "curve.csv.gp"
     assert script.exists()
@@ -174,17 +170,62 @@ def test_gnuplot_script(tmp_path):
 
 
 def test_gnuplot_requires_output(capsys):
-    code, out, err = run(capsys, "pressure", "--t", "1", "--q", "0", "--gnuplot",
-                         "--jobs", "1")
+    code, out, err = run(capsys, "pressure", "--t", "1", "--q", "0", "--gnuplot")
     assert code == 2
     assert out == ""
     assert "--gnuplot requires --output" in err
 
 
 def test_common_validation(capsys):
-    assert run(capsys, "constants", "--cutoff", "4")[0] == 2
+    assert run(capsys, "pressure", "--t", "1", "--q", "0", "--cutoff", "4")[0] == 2
     assert run(capsys, "constants", "--collocation-order", "2")[0] == 2
-    assert run(capsys, "constants", "--tolerance", "1")[0] == 2
+
+
+OPTIONS = {
+    "pressure": {"--cutoff", "--collocation-order", "--format", "--output", "--gnuplot",
+                 "--t", "--q", "--min", "--max", "--count", "--spacing"},
+    "spectrum": {"--cutoff", "--collocation-order", "--format", "--output", "--gnuplot",
+                 "--min", "--max", "--count", "--spacing"},
+    "constants": {"--collocation-order", "--format", "--output"},
+    "verify": {"--cutoff", "--collocation-order", "--seed", "--list"},
+}
+
+
+def test_subcommand_options():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {name: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+                for name, sp in sub.choices.items()}
+    assert accepted == OPTIONS
+
+
+@pytest.mark.parametrize("argv", [
+    ["pressure", "--t", "1", "--q", "0", "--tolerance", "1"],
+    ["pressure", "--t", "1", "--q", "0", "--seed", "3"],
+    ["spectrum", "khintchine", "--min", "0.7", "--max", "1.4", "--count", "4",
+     "--jobs", "2"],
+    ["constants", "--cutoff", "64"],
+    ["constants", "--gnuplot"],
+    ["verify", "--list", "--format", "json", "--output", "v.json"],
+])
+def test_removed_option_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert "unrecognized arguments: --" in err
+
+
+@pytest.mark.parametrize("sweep", [["--min", "0", "--max", "1", "--count", "3"],
+                                   ["--count", "3"]])
+def test_pressure_point_rejects_sweep(capsys, sweep):
+    code, out, err = run(capsys, "pressure", "--t", "1", "--q", "0", *sweep)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --t with --q is one point")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_verify_list(capsys):
@@ -219,7 +260,7 @@ def test_spectrum_failure_rows_and_exit3(capsys, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "khintchine_curve", fake_curve)
     code, out, _ = run(capsys, "spectrum", "khintchine", "--min", "0.5",
-                       "--max", "2.0", "--count", "3", "--jobs", "1")
+                       "--max", "2.0", "--count", "3")
     assert code == 3
     _, _, rows = parse_csv(out)
     assert math.isnan(rows[0][1]) and rows[0][3] == math.inf
@@ -245,13 +286,3 @@ def test_verify_exit_codes(capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "CRITERIA", (("c01", "a", None),))
     code, out, _ = run(capsys, "verify")
     assert code == 0
-
-
-def test_env_jobs_fallback(tmp_path):
-    env = dict(os.environ, GAUSS_SPECTRA_JOBS="1", PYTHONPATH="src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "gauss_spectra", "pressure", "--t", "1.0",
-         "--q", "0.0"],
-        capture_output=True, text=True, env=env, cwd=os.path.dirname(os.path.dirname(__file__)))
-    assert proc.returncode == 0
-    assert "# jobs=1" in proc.stdout

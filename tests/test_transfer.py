@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from gauss_spectra import transfer as tr
-from gauss_spectra.zeta import (golden_constant, khintchine_exponent,
+from gauss_spectra.zeta import (DIM_E2_REFERENCE, golden_constant, khintchine_exponent,
                                 lyapunov_constant, riemann_zeta)
 
 ALPH = tr.Alphabet.full(64)
@@ -202,7 +202,7 @@ def test_domain_margin_rejection():
 def test_restricted_pressure_root_matches_reference():
     a12 = tr.Alphabet.restricted({1, 2})
     root = brentq(lambda t: P(t, 0.0, a12), 1e-6, 1.0, xtol=1e-13)
-    assert abs(root - 0.5312805) < 1e-5
+    assert abs(root - DIM_E2_REFERENCE) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +316,10 @@ def test_sampling_determinism():
     c = tr.sample_digits(g, 2000, seed=10)
     assert a.digits == b.digits
     assert a.digits != c.digits
+    # pinned draws: the chain reaches beyond the cutoff (max digit > 64)
+    assert a.digits[:20] == (3, 1, 5, 1, 2, 1, 1, 15, 2, 6, 2, 2, 6, 2, 2, 2, 2, 1, 4, 1)
+    assert (sum(a.digits), max(a.digits)) == (34703, 12372)
+    assert (sum(c.digits), max(c.digits)) == (36662, 15081)
 
 
 def test_restricted_sampling_stays_in_alphabet():
