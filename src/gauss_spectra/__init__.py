@@ -34,7 +34,6 @@ from .transfer import (
     Discretization,
     DomainError,
     GibbsApprox,
-    PressureParams,
     PressureProvider,
     PressureResult,
     apply_operator,

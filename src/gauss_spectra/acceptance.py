@@ -48,8 +48,9 @@ class CriterionResult:
     budget: float
 
 
-def _result(cid, title, start, budget, ok, measured, expected, tolerance):
+def _result(cid, start, budget, ok, measured, expected, tolerance):
     runtime = time.perf_counter() - start
+    title = next(title for c, title, _ in CRITERIA if c == cid)
     return CriterionResult(
         cid=cid, title=title, passed=bool(ok) and runtime <= budget,
         measured=measured, expected=expected, tolerance=tolerance,
@@ -86,8 +87,7 @@ def c01_khintchine_constant(cfg: VerifyConfig) -> CriterionResult:
     oracle = head + tail
     ok = abs(kc - 2.6854) < 1e-4 and abs(xe - oracle) < 1e-6
     return _result(
-        "c01", "Khintchine constant vs display value and cylinder-sum oracle",
-        start, 1.0, ok,
+        "c01", start, 1.0, ok,
         f"constant={kc:.7f} exponent={xe:.9f} oracle={oracle:.9f}",
         "constant 2.6854; series == oracle", "1e-4 (display); 1e-6 (oracle)")
 
@@ -102,18 +102,16 @@ def c02_lyapunov_constant(cfg: VerifyConfig) -> CriterionResult:
         0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
     ok = abs(lam - 2.37314) < 1e-5 and abs(lam - quad_val) < 1e-10
     return _result(
-        "c02", "Lyapunov constant vs display value and quadrature oracle",
-        start, 1.0, ok,
+        "c02", start, 1.0, ok,
         f"closed-form={lam:.9f} quadrature={quad_val:.9f}",
         "2.37314; quadrature equal", "1e-5 (display); 1e-10 (oracle)")
 
 
 def c03_pressure_normalization(cfg: VerifyConfig) -> CriterionResult:
     start = time.perf_counter()
-    p = transfer.pressure(transfer.PressureParams(1.0, 0.0),
-                          cfg.alphabet(), cfg.disc()).value
+    p = transfer.pressure(1.0, 0.0, cfg.alphabet(), cfg.disc()).value
     return _result(
-        "c03", "Pressure normalization P(1, 0) = 0", start, 1.0,
+        "c03", start, 1.0,
         abs(p) < 1e-6, f"P(1,0)={p:.3e}", "0", "1e-6")
 
 
@@ -121,22 +119,21 @@ def c04_pressure_boundary(cfg: VerifyConfig) -> CriterionResult:
     start = time.perf_counter()
     worst = 0.0
     for q in (-1.5, -2.0, -3.0, -4.0):
-        p = transfer.pressure(transfer.PressureParams(0.0, q),
-                              cfg.alphabet(), cfg.disc()).value
+        p = transfer.pressure(0.0, q, cfg.alphabet(), cfg.disc()).value
         worst = max(worst, abs(p - math.log(zeta.riemann_zeta(-q))))
     return _result(
-        "c04", "Boundary identity P(0, q) = log zeta(-q)", start, 2.0,
+        "c04", start, 2.0,
         worst < 1e-6, f"max |P - log zeta| = {worst:.3e}", "0", "1e-6")
 
 
 def c05_derivative_anchors(cfg: VerifyConfig) -> CriterionResult:
     start = time.perf_counter()
-    res = transfer.pressure(transfer.PressureParams(1.0, 0.0), cfg.alphabet(), cfg.disc())
+    res = transfer.pressure(1.0, 0.0, cfg.alphabet(), cfg.disc())
     dq, dt = res.dP_dq, res.dP_dt
     e_dq = abs(dq - zeta.khintchine_exponent())
     e_dt = abs(dt + zeta.lyapunov_constant())
     return _result(
-        "c05", "Gibbs derivative anchors at (1, 0)", start, 2.0,
+        "c05", start, 2.0,
         e_dq < 1e-3 and e_dt < 1e-3,
         f"dP/dq={dq:.7f} (err {e_dq:.1e}), dP/dt={dt:.7f} (err {e_dt:.1e})",
         "mean log-digit; -mean log|T'|", "1e-3 each")
@@ -163,8 +160,7 @@ def c06_sandwich_convexity(cfg: VerifyConfig) -> CriterionResult:
             min_eig = min(min_eig, float(np.linalg.eigvalsh(hessian).min()))
     ok = worst_sandwich <= 0.0 and min_eig > 0.0
     return _result(
-        "c06", "Pressure sandwich and Hessian positivity on a 7x7 grid",
-        start, 30.0, ok,
+        "c06", start, 30.0, ok,
         f"worst sandwich excess {worst_sandwich:.2e}; min Hessian eig {min_eig:.2e}",
         "inside zeta sandwich; positive definite Hessian", "tail bound + 1e-8; > 0")
 
@@ -178,13 +174,11 @@ def c07_cylinder_oracle(cfg: VerifyConfig) -> CriterionResult:
     disc = cfg.disc()
     worst = 0.0
     for (t, q) in _ORACLE_POINTS:
-        p = transfer.pressure(transfer.PressureParams(t, q), truncated, disc).value
-        est = transfer.cylinder_sum_estimate(
-            transfer.PressureParams(t, q), depth=12, digit_cutoff=cfg.cutoff)
+        p = transfer.pressure(t, q, truncated, disc).value
+        est = transfer.cylinder_sum_estimate(t, q, depth=12, digit_cutoff=cfg.cutoff)
         worst = max(worst, abs(est.value - p))
     return _result(
-        "c07", "Operator pressure vs depth-12 cylinder-sum estimate (digits <= cutoff)",
-        start, 60.0, worst < 0.02,
+        "c07", start, 60.0, worst < 0.02,
         f"max |estimate - pressure| = {worst:.2e} over {len(_ORACLE_POINTS)} points",
         "0", "0.02")
 
@@ -197,7 +191,7 @@ def c08_spectrum_peaks(cfg: VerifyConfig) -> CriterionResult:
     errs = (abs(kh.dimension - 1.0), abs(kh.q_value),
             abs(ly.dimension - 1.0), abs(ly.q_value))
     return _result(
-        "c08", "Spectrum peaks solve to (t, q) = (1, 0)", start, 10.0,
+        "c08", start, 10.0,
         max(errs) < 1e-4,
         f"khintchine ({kh.dimension:.8f}, {kh.q_value:.2e}); "
         f"lyapunov ({ly.dimension:.8f}, {ly.q_value:.2e})",
@@ -211,8 +205,7 @@ def c09_spectrum_shape(cfg: VerifyConfig) -> CriterionResult:
     curve = spectra.khintchine_curve(grid, prov)
     n_failed = len(curve.metadata["failures"])
     if len(curve.points) < 20:
-        return _result("c09", "Khintchine spectrum shape on a 60-point log grid",
-                       start, 300.0, False, f"only {len(curve.points)} points solved",
+        return _result("c09", start, 300.0, False, f"only {len(curve.points)} points solved",
                        "60 solved", "-")
     rep = spectra.spectrum_shape_report(curve, peak_reference=zeta.khintchine_exponent())
     t40 = curve.points[-1].dimension
@@ -224,7 +217,7 @@ def c09_spectrum_shape(cfg: VerifyConfig) -> CriterionResult:
           and 0.5 < t40 < 0.56)
     witness = "none" if rep.convexity_witness is None else f"{rep.convexity_witness[0]:.3f}"
     return _result(
-        "c09", "Khintchine spectrum shape on a 60-point log grid", start, 300.0, ok,
+        "c09", start, 300.0, ok,
         f"failures={n_failed}, slope changes={rep.slope_sign_changes}, "
         f"t''(peak)={rep.curvature_at_peak:.3f}, witness at {witness}, t(40)={t40:.4f}",
         "0 failures; 1 change; concave peak; witness exists; t(40) in (0.5, 0.56)",
@@ -244,7 +237,7 @@ def c10_route_equivalence(cfg: VerifyConfig) -> CriterionResult:
         hint1, hint2 = p1, p2
         worst = max(worst, abs(p1.dimension - p2.dimension), abs(p1.q_value - p2.q_value))
     return _result(
-        "c10", "Lyapunov 1-D Legendre route vs direct 2-D solve", start, 60.0,
+        "c10", start, 60.0,
         worst < 1e-8, f"max coordinate gap {worst:.2e} over 10 beta values",
         "0", "1e-8")
 
@@ -254,7 +247,7 @@ def c11_bounded_digits(cfg: VerifyConfig) -> CriterionResult:
     d = spectra.bounded_digit_dimension({1, 2}, cfg.disc())
     err = abs(d - zeta.DIM_E2_REFERENCE)
     return _result(
-        "c11", "Dimension of the digit-{1,2} set", start, 5.0, err <= 1e-13,
+        "c11", start, 5.0, err <= 1e-13,
         f"{d:.16f} (err {err:.1e})", f"{zeta.DIM_E2_REFERENCE}", "1e-13")
 
 
@@ -266,8 +259,7 @@ def c12_fast_spectrum(cfg: VerifyConfig) -> CriterionResult:
     e1 = abs(doubling.value - 1.0 / 3.0)
     e2 = abs(linear.value - 0.5)
     return _result(
-        "c12", "Fast spectrum 1/(b+1) and Cantor dimension quotients",
-        start, 2.0, exact and e1 < 1e-3 and e2 < 1e-3,
+        "c12", start, 2.0, exact and e1 < 1e-3 and e2 < 1e-3,
         f"1/(b+1) exact={exact}; s_n=2^2^n -> {doubling.value:.6f}; "
         f"s_n=n+2 -> {linear.value:.6f}",
         "exact; 1/3; 1/2", "exact; 1e-3; 1e-3")
@@ -280,7 +272,7 @@ def c13_constructed_point(cfg: VerifyConfig) -> CriterionResult:
     e_k = abs(stats.khintchine_estimate - 1.0)
     e_l = abs(stats.lyapunov_estimate - target)
     return _result(
-        "c13", "Constructed point with prescribed exponent xi = 1", start, 1.0,
+        "c13", start, 1.0,
         e_k < 0.05 and e_l < 0.05,
         f"khintchine {stats.khintchine_estimate:.4f} (err {e_k:.3f}); "
         f"lyapunov {stats.lyapunov_estimate:.4f} (err {e_l:.3f})",
@@ -289,12 +281,12 @@ def c13_constructed_point(cfg: VerifyConfig) -> CriterionResult:
 
 def c14_gibbs_sampling(cfg: VerifyConfig) -> CriterionResult:
     start = time.perf_counter()
-    g = transfer.gibbs(transfer.PressureParams(1.0, 0.0), cfg.alphabet(), cfg.disc())
+    g = transfer.gibbs(1.0, 0.0, cfg.alphabet(), cfg.disc())
     seq = transfer.sample_digits(g, 100_000, seed=cfg.seed)
     mean_log = float(np.mean(np.log(np.asarray(seq.digits, dtype=float))))
     err = abs(mean_log - zeta.khintchine_exponent())
     return _result(
-        "c14", "Gibbs chain at (1, 0): ergodic mean log-digit", start, 5.0,
+        "c14", start, 5.0,
         err < 0.05, f"mean log digit {mean_log:.4f} (err {err:.3f})",
         f"{zeta.khintchine_exponent():.4f}", "0.05")
 
@@ -319,17 +311,17 @@ def c15_exact_arithmetic(cfg: VerifyConfig) -> CriterionResult:
         p_prev, q_prev = 0, 1  # (p_0, q_0)
         for n, c in enumerate(cs, start=1):
             if p_prev * c.q - c.p * q_prev != (-1) ** n:
-                return _result("c15", "Exact-arithmetic property suite", start, 5.0,
+                return _result("c15", start, 5.0,
                                False, f"determinant identity failed for {ds}", "-", "-")
             p_prev, q_prev = c.p, c.q
         if cf.continuant(ds) != cf.continuant(tuple(reversed(ds))):
-            return _result("c15", "Exact-arithmetic property suite", start, 5.0,
+            return _result("c15", start, 5.0,
                            False, f"mirror symmetry failed for {ds}", "-", "-")
         q_n = cs[-1].q
         prod_lo = math.prod(ds)
         prod_hi = math.prod(d + 1 for d in ds)
         if not (prod_lo <= q_n <= prod_hi):
-            return _result("c15", "Exact-arithmetic property suite", start, 5.0,
+            return _result("c15", start, 5.0,
                            False, f"continuant sandwich failed for {ds}", "-", "-")
         checks += 1
     # Jacobian window: q_n^2 / |(T^n)'(x)| in [1/(2K), K] on exact orbits
@@ -348,31 +340,33 @@ def c15_exact_arithmetic(cfg: VerifyConfig) -> CriterionResult:
         q_n = cf.continuant(digits)
         ratio = float(Fraction(q_n * q_n) / deriv)
         if not (1.0 / (2.0 * K) <= ratio <= K):
-            return _result("c15", "Exact-arithmetic property suite", start, 5.0,
+            return _result("c15", start, 5.0,
                            False, f"Jacobian window failed: ratio {ratio} for {digits}",
                            "-", "-")
         checks += 1
     return _result(
-        "c15", "Exact-arithmetic property suite", start, 5.0, True,
+        "c15", start, 5.0, True,
         f"{checks} random digit blocks passed all identities",
         "determinant, mirror, sandwich, Jacobian window", "exact / K = e^4")
 
 
 CRITERIA: tuple[tuple[str, str, Callable[[VerifyConfig], CriterionResult]], ...] = (
-    ("c01", "Khintchine constant", c01_khintchine_constant),
-    ("c02", "Lyapunov constant", c02_lyapunov_constant),
-    ("c03", "Pressure normalization P(1,0)=0", c03_pressure_normalization),
-    ("c04", "Boundary identity P(0,q)=log zeta(-q)", c04_pressure_boundary),
-    ("c05", "Derivative anchors at (1,0)", c05_derivative_anchors),
-    ("c06", "Pressure sandwich and convexity", c06_sandwich_convexity),
-    ("c07", "Cylinder-sum oracle equivalence", c07_cylinder_oracle),
-    ("c08", "Spectrum peaks at (1,0)", c08_spectrum_peaks),
-    ("c09", "Khintchine spectrum shape", c09_spectrum_shape),
-    ("c10", "Lyapunov route equivalence", c10_route_equivalence),
-    ("c11", "Bounded-digit dimension {1,2}", c11_bounded_digits),
-    ("c12", "Fast spectrum and Cantor dimensions", c12_fast_spectrum),
-    ("c13", "Constructed point exponents", c13_constructed_point),
-    ("c14", "Gibbs sampling ergodicity", c14_gibbs_sampling),
+    ("c01", "Khintchine constant vs display value and cylinder-sum oracle",
+     c01_khintchine_constant),
+    ("c02", "Lyapunov constant vs display value and quadrature oracle", c02_lyapunov_constant),
+    ("c03", "Pressure normalization P(1, 0) = 0", c03_pressure_normalization),
+    ("c04", "Boundary identity P(0, q) = log zeta(-q)", c04_pressure_boundary),
+    ("c05", "Gibbs derivative anchors at (1, 0)", c05_derivative_anchors),
+    ("c06", "Pressure sandwich and Hessian positivity on a 7x7 grid", c06_sandwich_convexity),
+    ("c07", "Operator pressure vs depth-12 cylinder-sum estimate (digits <= cutoff)",
+     c07_cylinder_oracle),
+    ("c08", "Spectrum peaks solve to (t, q) = (1, 0)", c08_spectrum_peaks),
+    ("c09", "Khintchine spectrum shape on a 60-point log grid", c09_spectrum_shape),
+    ("c10", "Lyapunov 1-D Legendre route vs direct 2-D solve", c10_route_equivalence),
+    ("c11", "Dimension of the digit-{1,2} set", c11_bounded_digits),
+    ("c12", "Fast spectrum 1/(b+1) and Cantor dimension quotients", c12_fast_spectrum),
+    ("c13", "Constructed point with prescribed exponent xi = 1", c13_constructed_point),
+    ("c14", "Gibbs chain at (1, 0): ergodic mean log-digit", c14_gibbs_sampling),
     ("c15", "Exact-arithmetic property suite", c15_exact_arithmetic),
 )
 

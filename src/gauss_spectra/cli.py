@@ -21,9 +21,8 @@ import numpy as np
 
 from . import __version__
 from .acceptance import CRITERIA, VerifyConfig, run_criterion
-from .spectra import (WindowError, _central_derivatives, bounded_digit_dimension,
-                      khintchine_curve, lyapunov_curve, spectrum_shape_report,
-                      InsufficientGridError)
+from .spectra import (WindowError, bounded_digit_dimension, khintchine_curve,
+                      lyapunov_curve, spectrum_shape_report, InsufficientGridError)
 from .transfer import (Alphabet, ConvergenceError, Discretization, DomainError,
                        PressureProvider)
 from .zeta import (golden_constant, khintchine_constant, khintchine_exponent,
@@ -70,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--min", type=_finite_float, default=None)
         sp.add_argument("--max", type=_finite_float, default=None)
         sp.add_argument("--count", type=int, default=None)
-        sp.add_argument("--spacing", choices=("linear", "log"), default="linear")
+        sp.add_argument("--spacing", choices=("linear", "log"), default=None,
+                        help="grid spacing (default linear)")
 
     pp.add_argument("--t", type=_finite_float, default=None)
     pp.add_argument("--q", type=_finite_float, default=None)
@@ -99,6 +99,8 @@ def _validate_common(args) -> str | None:
 def _make_grid(args) -> np.ndarray | None:
     given = [args.min is not None, args.max is not None, args.count is not None]
     if not any(given):
+        if args.spacing is not None:
+            raise ValueError("--spacing needs a grid: --min, --max and --count")
         return None
     if not all(given):
         raise ValueError("--min, --max and --count must be given together")
@@ -111,6 +113,14 @@ def _make_grid(args) -> np.ndarray | None:
             raise ValueError("log spacing needs --min > 0")
         return np.geomspace(args.min, args.max, args.count)
     return np.linspace(args.min, args.max, args.count)
+
+
+def _central_derivatives(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """First derivatives at interior points of a nonuniform grid."""
+    h1 = x[1:-1] - x[:-2]
+    h2 = x[2:] - x[1:-1]
+    return (y[2:] * h1 ** 2 - y[:-2] * h2 ** 2 + y[1:-1] * (h2 ** 2 - h1 ** 2)) / (
+        h1 * h2 * (h1 + h2))
 
 
 def _fmt(v) -> str:
@@ -249,7 +259,7 @@ def cmd_spectrum(args) -> int:
     meta = _metadata(args, {
         "kind": args.kind,
         "grid_min": float(grid[0]), "grid_max": float(grid[-1]),
-        "grid_count": len(grid), "grid_spacing": args.spacing,
+        "grid_count": len(grid), "grid_spacing": args.spacing or "linear",
         "solved": len(curve.points), "failed": len(curve.metadata["failures"]),
         "solves": curve.metadata["solves"],
     })

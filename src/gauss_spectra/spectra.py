@@ -26,7 +26,8 @@ two-parameter form, with u = t - q, is kept alongside as an independent
 consistency route with the plain step; the two share no root-finding code.
 The windows XI_WINDOW, BETA_WINDOW and the tolerance RESIDUAL_TOL are module
 constants.  The shape report of a solved curve reads the analytic curvature
-each point carries; finite differences only check the analytic slope.
+each point carries; finite differences only check the analytic slope, in the
+tests and in the CLI's ``slope_fd`` column.
 
 Also here: the flat fast spectrum 1/(b+1), the growth-ratio estimator for
 b, the Cantor-set dimension quotient for digit ranges s_n <= a_n < N s_n,
@@ -90,13 +91,14 @@ class SpectrumPoint:
     q_value: float
     residuals: tuple[float, float]
     t_slope: float | None = None      # analytic d(dimension)/d(exponent)
-    kind: str = "khintchine"
     t_curvature: float | None = None  # analytic d^2(dimension)/d(exponent)^2
 
 
 @dataclass
 class SpectrumCurve:
-    """Solved points; ``metadata["solves"]`` counts new provider eigen-solves."""
+    """Solved points; ``metadata["failures"]`` lists the exponent and error of
+    each unsolved grid point and ``metadata["solves"]`` counts new provider
+    eigen-solves."""
 
     kind: str
     points: list[SpectrumPoint]
@@ -217,7 +219,7 @@ def khintchine_point(xi: float, provider: PressureProvider | None = None,
     return SpectrumPoint(
         exponent=xi, dimension=t, q_value=q,
         residuals=(abs(r.value - q * xi), abs(r.dP_dq - xi)),
-        t_slope=slope, kind="khintchine", t_curvature=curvature,
+        t_slope=slope, t_curvature=curvature,
     )
 
 
@@ -236,7 +238,7 @@ def _lyapunov_point(beta: float, t: float, q: float,
     return SpectrumPoint(
         exponent=beta, dimension=t, q_value=q,
         residuals=(abs(res.value - q * beta), abs(res.dP_dt + beta)),
-        t_slope=-q / beta, kind="lyapunov", t_curvature=-dq / beta + q / beta ** 2,
+        t_slope=-q / beta, t_curvature=-dq / beta + q / beta ** 2,
     )
 
 
@@ -319,17 +321,7 @@ def _solve_curve(kind: str, grid: Sequence[float], solver, center: float,
     march(range(start, len(grid)))          # peak outward to the right
     march(range(start - 1, -1, -1))         # then outward to the left
     points = [solved[i] for i in sorted(solved)]
-    meta = {
-        "kind": kind,
-        "grid_size": len(grid),
-        "failures": failures,
-        "solves": provider.solves - solves_before,
-        "center": center,
-        "residual_tol": RESIDUAL_TOL,
-        "collocation_order": provider.disc.order,
-        "alphabet_kind": provider.alphabet.kind,
-        "alphabet_cutoff": provider.alphabet.cutoff,
-    }
+    meta = {"failures": failures, "solves": provider.solves - solves_before}
     return SpectrumCurve(kind=kind, points=points, metadata=meta)
 
 
@@ -363,7 +355,6 @@ class GrowthRatioEstimate:
     b: float
     increments_increasing: bool
     increments_unbounded: bool
-    fit_residual: float
 
     @property
     def hypothesis_ok(self) -> bool:
@@ -394,21 +385,17 @@ def growth_ratio(phi_samples: Sequence[float]) -> GrowthRatioEstimate:
     n = np.arange(len(ratios) - m + 1, len(ratios) + 1, dtype=float)
     design = np.stack([np.ones(m), 1.0 / n, 1.0 / n ** 2], axis=1)
     coef, *_ = np.linalg.lstsq(design, ratios[-m:], rcond=None)
-    resid = float(np.max(np.abs(design @ coef - ratios[-m:])))
     return GrowthRatioEstimate(
         b=float(coef[0]),
         increments_increasing=increasing,
         increments_unbounded=unbounded,
-        fit_residual=resid,
     )
 
 
 @dataclass(frozen=True)
 class CantorDimensionEstimate:
     value: float                  # liminf proxy: min over the trailing window
-    global_min: float
     last_values: tuple[float, ...]
-    horizon: int
 
     @property
     def stabilization(self) -> float:
@@ -445,9 +432,7 @@ def cantor_dimension(log_s: Callable[[int], float], horizon: int) -> CantorDimen
     tail = quotients[-max(10, horizon // 4):]
     return CantorDimensionEstimate(
         value=float(np.min(tail)),
-        global_min=float(np.min(quotients)),
         last_values=tuple(float(v) for v in quotients[-10:]),
-        horizon=horizon,
     )
 
 
@@ -471,7 +456,7 @@ def bounded_digit_dimension(digits: Iterable[int],
 
     t, last_step = 0.0, math.inf
     for _ in range(NEWTON_MAX_ITER):
-        res = transfer.pressure(transfer.PressureParams(t, 0.0), alphabet, disc)
+        res = transfer.pressure(t, 0.0, alphabet, disc)
         step = -res.value / res.dP_dt
         if abs(step) >= last_step:
             return t
@@ -489,24 +474,12 @@ def bounded_digit_dimension(digits: Iterable[int],
 
 @dataclass(frozen=True)
 class ShapeReport:
-    kind: str
-    n_points: int
     peak_exponent: float
     peak_dimension: float
     slope_sign_changes: int
-    slope_change_interval: tuple[float, float] | None
     curvature_at_peak: float
     convexity_witness: tuple[float, float] | None  # (exponent, curvature > 0)
     q_sign_consistent: bool
-    slope_identity_max_err: float
-
-
-def _central_derivatives(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """First derivatives at interior points of a nonuniform grid."""
-    h1 = x[1:-1] - x[:-2]
-    h2 = x[2:] - x[1:-1]
-    return (y[2:] * h1 ** 2 - y[:-2] * h2 ** 2 + y[1:-1] * (h2 ** 2 - h1 ** 2)) / (
-        h1 * h2 * (h1 + h2))
 
 
 def spectrum_shape_report(curve: SpectrumCurve, peak_reference: float) -> ShapeReport:
@@ -515,9 +488,7 @@ def spectrum_shape_report(curve: SpectrumCurve, peak_reference: float) -> ShapeR
     Reports the peak, the single sign change of the secant slope, the
     analytic curvature ``t_curvature`` at the peak, the first point past the
     peak where it turns positive (the witness that the curve is not
-    concave), the q-sign pattern around ``peak_reference``, and the worst
-    mismatch between finite-difference slopes and the analytic slope stored
-    on each point.
+    concave) and the q-sign pattern around ``peak_reference``.
     """
     pts = curve.points
     if len(pts) < 20:
@@ -532,10 +503,6 @@ def spectrum_shape_report(curve: SpectrumCurve, peak_reference: float) -> ShapeR
     secants = np.diff(y) / np.diff(x)
     signs = np.sign(secants)
     changes = np.nonzero(signs[1:] * signs[:-1] < 0)[0]
-    interval = None
-    if len(changes) > 0:
-        j = int(changes[0])
-        interval = (float(x[j]), float(x[j + 2]))
 
     curvature = np.array([p.t_curvature for p in pts])
     witness = None
@@ -549,18 +516,11 @@ def spectrum_shape_report(curve: SpectrumCurve, peak_reference: float) -> ShapeR
     near = np.abs(x - peak_reference) < 1e-3
     near_ok = bool(np.all(np.abs(q[near]) < 1e-3)) if near.any() else True
 
-    slopes_analytic = np.array([p.t_slope for p in pts])
-    ident_err = float(np.max(np.abs(_central_derivatives(x, y) - slopes_analytic[1:-1])))
-
     return ShapeReport(
-        kind=curve.kind,
-        n_points=len(pts),
         peak_exponent=float(x[i_peak]),
         peak_dimension=float(y[i_peak]),
         slope_sign_changes=int(len(changes)),
-        slope_change_interval=interval,
         curvature_at_peak=float(curvature[i_peak]),
         convexity_witness=witness,
         q_sign_consistent=left_ok and right_ok and near_ok,
-        slope_identity_max_err=ident_err,
     )

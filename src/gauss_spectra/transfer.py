@@ -82,18 +82,6 @@ class ConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PressureParams:
-    """A parameter point (t, q) of the potential t log|T'| + q log a_1."""
-
-    t: float
-    q: float
-
-    def gap(self) -> float:
-        """Distance 2t - q - 1 to the divergence line."""
-        return 2.0 * self.t - self.q - 1.0
-
-
-@dataclass(frozen=True)
 class Alphabet:
     """Digit set of the iterated system: all of N up to a cutoff, or a finite set."""
 
@@ -252,7 +240,6 @@ class PressureResult:
     (sum 1).
     """
 
-    params: PressureParams
     value: float
     dP_dt: float
     dP_dq: float
@@ -264,11 +251,11 @@ class PressureResult:
     tail_error_bound: float
 
 
-def check_domain(params: PressureParams, alphabet: Alphabet) -> None:
-    if alphabet.kind == "full" and params.gap() < DOMAIN_MARGIN:
+def check_domain(t: float, q: float, alphabet: Alphabet) -> None:
+    if alphabet.kind == "full" and 2.0 * t - q - 1.0 < DOMAIN_MARGIN:
         raise DomainError(
-            f"(t, q) = ({params.t}, {params.q}) has 2t - q = "
-            f"{2 * params.t - params.q:.6f} <= {1 + DOMAIN_MARGIN}; "
+            f"(t, q) = ({t}, {q}) has 2t - q = "
+            f"{2 * t - q:.6f} <= {1 + DOMAIN_MARGIN}; "
             "the full-alphabet pressure diverges as 2t - q -> 1"
         )
 
@@ -351,11 +338,10 @@ def _tail_moments(t: float, q: float, node_powers: np.ndarray, cutoff: int):
     return moments, binom_trunc
 
 
-def _assemble(params: PressureParams, alphabet: Alphabet, disc: Discretization):
+def _assemble(t: float, q: float, alphabet: Alphabet, disc: Discretization):
     """The golden-weighted A and its derivatives d/dt, d/dq, d2/dt2, d2/dtdq,
     d2/dq2 stacked as (6, K, K), the tail moments (or None) and the node
     weights e^(t a_j) = w(0) / w(x_j)."""
-    t, q = params.t, params.q
     tables = disc.digit_tables(alphabet)
     weight = np.exp(t * tables.golden_log)
     W = np.exp(q * tables.log_weights[:, 2] + t * tables.log_weights[:, 1])    # (K, M)
@@ -369,7 +355,7 @@ def _assemble(params: PressureParams, alphabet: Alphabet, disc: Discretization):
     return mats.transpose(1, 0, 2), moments, weight
 
 
-def _perron_pair(A: np.ndarray, params: PressureParams, disc: Discretization):
+def _perron_pair(A: np.ndarray, t: float, q: float, disc: Discretization):
     """(h, nu): the right (largest entry 1) and left (entries summing to 1)
     eigenvectors of the Perron eigenvalue of A.
 
@@ -382,25 +368,27 @@ def _perron_pair(A: np.ndarray, params: PressureParams, disc: Discretization):
     """
     wr, wi, _, _, info = lapack.dgeev(A.T, compute_vl=0, compute_vr=0)
     if info != 0:
-        raise ConvergenceError(f"dgeev failed (info {info}) at {params} (order {disc.order})")
+        raise ConvergenceError(
+            f"dgeev failed (info {info}) at (t, q) = ({t}, {q}) (order {disc.order})")
     real = wr[wi == 0.0]                                     # real modes have wi == 0
     lam = float(real.max()) if real.size else math.nan
     if not lam > 0.0:
         raise ConvergenceError(
-            f"no positive real eigenvalue at {params} (order {disc.order})")
+            f"no positive real eigenvalue at (t, q) = ({t}, {q}) (order {disc.order})")
     shifted = -A
     shifted.flat[::len(A) + 1] += lam * (1.0 + PERRON_SHIFT)
     lu, piv, info = lapack.dgetrf(shifted.T, overwrite_a=1)
     if info != 0:
-        raise ConvergenceError(f"singular shifted matrix at {params} (order {disc.order})")
+        raise ConvergenceError(
+            f"singular shifted matrix at (t, q) = ({t}, {q}) (order {disc.order})")
     ones = np.ones(len(A))
     h, _ = lapack.dgetrs(lu, piv, ones, trans=1)
     nu, _ = lapack.dgetrs(lu, piv, ones)
     h = h / h[np.abs(h).argmax()]
     if not (h > 0.0).all():
         raise ConvergenceError(
-            f"the eigenvector of the largest real eigenvalue is not positive at {params} "
-            f"(order {disc.order})")
+            "the eigenvector of the largest real eigenvalue is not positive at "
+            f"(t, q) = ({t}, {q}) (order {disc.order})")
     return h, nu / nu.sum()
 
 
@@ -415,11 +403,13 @@ def required_order(t: float, base_order: int) -> int:
     return base_order
 
 
-def _solve(params: PressureParams, alphabet: Alphabet,
-           disc: Discretization) -> PressureResult:
-    """The eigen-solve behind every pressure value and derivative.
+def pressure(t: float, q: float, alphabet: Alphabet | None = None,
+             disc: Discretization | None = None) -> PressureResult:
+    """P(t, q) as the log of the Perron collocation eigenvalue, with its exact
+    gradient and Hessian: the eigen-solve behind every pressure value.
 
-    Checks the domain, assembles the golden-weighted A with its first and
+    The alphabet defaults to the full one (cutoff 64) and the grid to order
+    16.  Checks the domain, assembles the golden-weighted A with its first and
     second derivatives once and takes the Perron pair (f, nu) from
     ``_perron_pair``.  The derivatives are the exact ones of the discretized
     eigenvalue: with nu f = 1,
@@ -432,9 +422,11 @@ def _solve(params: PressureParams, alphabet: Alphabet,
     The eigendata returned are those of the unweighted operator: h = w f
     and nu / w, each up to normalization.
     """
-    check_domain(params, alphabet)
-    mats, moments, weight = _assemble(params, alphabet, disc)
-    f, nu = _perron_pair(mats[0], params, disc)
+    alphabet = alphabet or Alphabet.full()
+    disc = disc or Discretization.chebyshev()
+    check_domain(t, q, alphabet)
+    mats, moments, weight = _assemble(t, q, alphabet, disc)
+    f, nu = _perron_pair(mats[0], t, q, disc)
     # nu (A, A_t, A_q, A_tt, A_tq, A_qq) f with nu f = 1; the two-sided
     # quotient is second-order accurate in the eigenvectors
     nu_f = nu / float(nu @ f)
@@ -450,8 +442,8 @@ def _solve(params: PressureParams, alphabet: Alphabet,
     rhs[:n] = (mats[1:3] @ f).T - f[:, None] * (lam_t, lam_q)
     _, _, df, info = lapack.dgesv(border, rhs)
     if info != 0:
-        raise ConvergenceError(
-            f"singular bordered eigenvector system at {params} (order {disc.order})")
+        raise ConvergenceError(f"singular bordered eigenvector system at (t, q) = "
+                               f"({t}, {q}) (order {disc.order})")
     df = df[:n]                                    # columns f_t, f_q
     cross = nu_mats[1:3] @ df                      # cross[i, j] = nu A_i f_j
     P_t, P_q = lam_t / lam, lam_q / lam
@@ -464,7 +456,6 @@ def _solve(params: PressureParams, alphabet: Alphabet,
     eigenfunction = f / weight
     left = nu * weight
     return PressureResult(
-        params=params,
         value=math.log(lam),
         dP_dt=float(P_t),
         dP_dq=float(P_q),
@@ -477,23 +468,16 @@ def _solve(params: PressureParams, alphabet: Alphabet,
     )
 
 
-def pressure(params: PressureParams, alphabet: Alphabet | None = None,
-             disc: Discretization | None = None) -> PressureResult:
-    """P(t, q) as the log of the Perron collocation eigenvalue, with its exact
-    gradient and Hessian."""
-    return _solve(params, alphabet or Alphabet.full(), disc or Discretization.chebyshev())
-
-
-def apply_operator(params: PressureParams, alphabet: Alphabet | None,
+def apply_operator(t: float, q: float, alphabet: Alphabet | None,
                    disc: Discretization | None, g: Sequence[float]) -> np.ndarray:
     """One application of the operator to node values g, returned at the nodes."""
     alphabet = alphabet or Alphabet.full()
     disc = disc or Discretization.chebyshev()
-    check_domain(params, alphabet)
+    check_domain(t, q, alphabet)
     g = np.asarray(g, dtype=float)
     if g.shape != disc.nodes.shape or not np.all(np.isfinite(g)):
         raise ValueError("g must be finite node values matching the discretization")
-    mats, _, weight = _assemble(params, alphabet, disc)
+    mats, _, weight = _assemble(t, q, alphabet, disc)
     return (mats[0] @ (weight * g)) / weight
 
 
@@ -514,7 +498,7 @@ class PressureProvider:
     def _lookup(self, t: float, q: float) -> PressureResult:
         res = self._cache.get((t, q))
         if res is None:
-            res = self._cache[(t, q)] = _solve(PressureParams(t, q), self.alphabet, self.disc)
+            res = self._cache[(t, q)] = pressure(t, q, self.alphabet, self.disc)
         return res
 
     @property
@@ -549,7 +533,8 @@ class GibbsApprox:
     node values ``f_values``.
     """
 
-    params: PressureParams
+    t: float
+    q: float
     alphabet: Alphabet
     disc: Discretization
     pressure: float
@@ -558,34 +543,33 @@ class GibbsApprox:
     def eigenfunction(self, y):
         y = np.asarray(y, dtype=float)
         f = self.disc.coefficients(y) @ self.f_values
-        return (1.0 + PSI * y) ** (-2.0 * self.params.t) * f
+        return (1.0 + PSI * y) ** (-2.0 * self.t) * f
 
     def digit_probabilities(self, x: float) -> tuple[np.ndarray, float]:
         """Explicit digit probabilities and the analytic mass of the tail."""
-        t, q = self.params.t, self.params.q
+        t, q = self.t, self.q
         d = self.alphabet.digit_values()
         scale = math.exp(-self.pressure) / float(self.eigenfunction(x))
         probs = scale * d ** q * (d + x) ** (-2.0 * t) * self.eigenfunction(1.0 / (d + x))
         tail_mass = 0.0
         if self.alphabet.has_tail:
-            S = _tail_moments(t, q, _node_powers([x]), self.alphabet.cutoff)[0]
-            # Taylor jets of h: those of (1 + psi y)^(-2t) times those of f
-            taylor = np.cumprod([1.0] + [PSI * (-2.0 * t - n) / (n + 1)
-                                         for n in range(JET_ORDER)])
-            jets = np.convolve(taylor, self.disc.jet_rows @ self.f_values)[:JET_ORDER + 1]
+            # as in the assembly: the jets F of f against the moments at x + psi
+            S = _tail_moments(t, q, _node_powers([x + PSI]), self.alphabet.cutoff)[0]
+            jets = self.disc.digit_tables(self.alphabet).tail_rows @ self.f_values
             tail_mass = scale * float(jets @ S[0, :, 0])
         return probs, tail_mass
 
 
-def gibbs(params: PressureParams, alphabet: Alphabet | None = None,
+def gibbs(t: float, q: float, alphabet: Alphabet | None = None,
           disc: Discretization | None = None) -> GibbsApprox:
     """Eigendata packaged for digit sampling at (t, q)."""
     alphabet = alphabet or Alphabet.full()
     disc = disc or Discretization.chebyshev()
-    res = pressure(params, alphabet, disc)
-    f = res.eigenfunction_values * (1.0 + PSI * disc.nodes) ** (2.0 * params.t)
+    res = pressure(t, q, alphabet, disc)
+    f = res.eigenfunction_values * (1.0 + PSI * disc.nodes) ** (2.0 * t)
     return GibbsApprox(
-        params=params,
+        t=t,
+        q=q,
         alphabet=alphabet,
         disc=disc,
         pressure=res.value,
@@ -608,11 +592,10 @@ def sample_digits(g: GibbsApprox, length: int, seed: int) -> PartialQuotients:
     if length < 1:
         raise ValueError("length must be >= 1")
     rng = np.random.default_rng(seed)
-    params = g.params
     d = g.alphabet.digit_values()
     log_d = np.log(d)
     m_top = float(d[-1])
-    s = 2.0 * params.t - params.q
+    s = 2.0 * g.t - g.q
     scale = math.exp(-g.pressure)
     has_tail = g.alphabet.has_tail
     d_int = d.astype(np.int64)
@@ -623,7 +606,7 @@ def sample_digits(g: GibbsApprox, length: int, seed: int) -> PartialQuotients:
     x = 0.5
     out = np.empty(length, dtype=np.int64)
     pos = -BURN_IN
-    t2, q = 2.0 * params.t, params.q
+    t2, q = 2.0 * g.t, g.q
     while pos < length:
         z = d + x
         probs = (scale / np.interp(x, grid, h_grid)) * np.exp(q * log_d - t2 * np.log(z))
@@ -652,10 +635,9 @@ class CylinderSumEstimate:
 
     value: float          # log S_n - log S_{n-1}
     raw_mean: float       # (1/n) log S_n
-    log_sums: tuple[float, ...]
 
 
-def cylinder_sum_estimate(params: PressureParams, depth: int = 12,
+def cylinder_sum_estimate(t: float, q: float, depth: int = 12,
                           digit_cutoff: int = 64, grid_points: int = 4001,
                           x_eval: float = 0.0) -> CylinderSumEstimate:
     """Pressure estimate straight from the n-fold cylinder sums.
@@ -669,7 +651,6 @@ def cylinder_sum_estimate(params: PressureParams, depth: int = 12,
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    t, q = params.t, params.q
     xs = np.linspace(0.0, 1.0, grid_points)
     digits = np.arange(1, digit_cutoff + 1, dtype=float)
     y = 1.0 / (digits[:, None] + xs[None, :])               # (M, G)
@@ -689,5 +670,4 @@ def cylinder_sum_estimate(params: PressureParams, depth: int = 12,
     return CylinderSumEstimate(
         value=log_sums[-1] - log_sums[-2],
         raw_mean=log_sums[-1] / depth,
-        log_sums=tuple(log_sums),
     )

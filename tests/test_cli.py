@@ -61,8 +61,8 @@ def test_pressure_domain_exit(capsys):
 
 
 def test_pressure_without_perron_mode_exits_2(capsys, monkeypatch):
-    def no_perron_pair(A, params, disc):
-        raise transfer.ConvergenceError(f"no positive real eigenvalue at {params}")
+    def no_perron_pair(A, t, q, disc):
+        raise transfer.ConvergenceError(f"no positive real eigenvalue at (t, q) = ({t}, {q})")
 
     monkeypatch.setattr(transfer, "_perron_pair", no_perron_pair)
     code, out, err = run(capsys, "pressure", "--t", "1", "--q", "0")
@@ -118,6 +118,7 @@ def test_spectrum_json_roundtrip_and_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     doc = json.loads(out1.read_text())
     assert doc["metadata"]["kind"] == "khintchine"
+    assert doc["metadata"]["grid_spacing"] == "linear"      # --spacing omitted
     assert doc["metadata"]["solved"] == 4
     assert len(doc["rows"]) == 4
     dims = [r["dimension"] for r in doc["rows"]]
@@ -228,12 +229,24 @@ def test_pressure_point_rejects_sweep(capsys, sweep):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("point", [["--t", "1", "--q", "0"], []])
+def test_pressure_rejects_spacing_without_grid(capsys, point):
+    code, out, err = run(capsys, "pressure", *point, "--spacing", "log")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --spacing needs a grid")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_verify_list(capsys):
     code, out, _ = run(capsys, "verify", "--list")
     assert code == 0
     lines = [l for l in out.strip().splitlines()]
     assert len(lines) == 15
     assert lines[0].startswith("c01")
+    # each criterion has one title: the one a run prints
+    for cid in ("c01", "c03", "c11"):
+        assert f"{cid}  {run_criterion(cid, VerifyConfig()).title}" in lines
 
 
 def test_coarse_discretization_fails_informatively():

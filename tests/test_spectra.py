@@ -160,10 +160,10 @@ def test_cold_start_stays_inside_the_domain(monkeypatch, point_fn, exponent):
     probes = []
     check = tr.check_domain
 
-    def recording_check(params, alphabet):
-        if params.gap() < tr.DOMAIN_MARGIN:
-            probes.append(params)
-        check(params, alphabet)
+    def recording_check(t, q, alphabet):
+        if 2.0 * t - q - 1.0 < tr.DOMAIN_MARGIN:
+            probes.append((t, q))
+        check(t, q, alphabet)
 
     monkeypatch.setattr(tr, "check_domain", recording_check)
     prov = sp.default_provider()
@@ -317,7 +317,7 @@ def test_shape_report_needs_enough_points(provider):
 def test_sampling_at_spectrum_solution(provider):
     # digits sampled at (t(1), q(1)) have mean log-digit 1
     pt = sp.khintchine_point(1.0, provider)
-    g = tr.gibbs(tr.PressureParams(pt.dimension, pt.q_value))
+    g = tr.gibbs(pt.dimension, pt.q_value)
     seq = tr.sample_digits(g, 60_000, seed=4)
     mean_log = float(np.mean(np.log(np.asarray(seq.digits, dtype=float))))
     assert abs(mean_log - 1.0) < 0.05

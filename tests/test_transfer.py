@@ -15,11 +15,11 @@ DISC = tr.Discretization.chebyshev(16)
 
 
 def P(t, q, alphabet=ALPH, disc=DISC):
-    return tr.pressure(tr.PressureParams(t, q), alphabet, disc).value
+    return tr.pressure(t, q, alphabet, disc).value
 
 
 def grad(t, q, alphabet=ALPH, disc=DISC):
-    res = tr.pressure(tr.PressureParams(t, q), alphabet, disc)
+    res = tr.pressure(t, q, alphabet, disc)
     return res.dP_dt, res.dP_dq
 
 
@@ -27,26 +27,26 @@ def grad(t, q, alphabet=ALPH, disc=DISC):
 # operator application
 
 def test_apply_operator_basel():
-    out = tr.apply_operator(tr.PressureParams(1.0, 0.0), ALPH, DISC, np.ones(16))
+    out = tr.apply_operator(1.0, 0.0, ALPH, DISC, np.ones(16))
     assert out[0] == pytest.approx(math.pi ** 2 / 6.0, rel=1e-14)
 
 
 def test_apply_operator_zeta_constant_in_x():
-    out = tr.apply_operator(tr.PressureParams(0.0, -2.0), ALPH, DISC, np.ones(16))
+    out = tr.apply_operator(0.0, -2.0, ALPH, DISC, np.ones(16))
     assert np.max(np.abs(out - riemann_zeta(2.0))) < 1e-12
 
 
 def test_apply_operator_restricted():
-    out = tr.apply_operator(tr.PressureParams(1.0, 0.0),
+    out = tr.apply_operator(1.0, 0.0,
                             tr.Alphabet.restricted({1, 2}), DISC, np.ones(16))
     assert out[0] == pytest.approx(1.25, rel=1e-14)
 
 
 def test_apply_operator_domain_and_input_errors():
     with pytest.raises(tr.DomainError):
-        tr.apply_operator(tr.PressureParams(0.4, 0.0), ALPH, DISC, np.ones(16))
+        tr.apply_operator(0.4, 0.0, ALPH, DISC, np.ones(16))
     with pytest.raises(ValueError):
-        tr.apply_operator(tr.PressureParams(1.0, 0.0), ALPH, DISC, np.ones(7))
+        tr.apply_operator(1.0, 0.0, ALPH, DISC, np.ones(7))
 
 
 def test_alphabet_validation():
@@ -62,7 +62,7 @@ def test_alphabet_validation():
 # pressure values
 
 def test_pressure_normalization():
-    res = tr.pressure(tr.PressureParams(1.0, 0.0), ALPH, DISC)
+    res = tr.pressure(1.0, 0.0, ALPH, DISC)
     assert abs(res.value) < 1e-6
     assert np.all(res.eigenfunction_values > 0.0)
     assert res.left_eigen_weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -84,7 +84,7 @@ def test_pressure_1d_values():
 
 def test_pressure_sandwich_with_tail_bound():
     for (t, q) in [(0.8, -0.5), (0.7, -1.0), (1.0, 0.3), (0.55, -2.0)]:
-        res = tr.pressure(tr.PressureParams(t, q), ALPH, DISC)
+        res = tr.pressure(t, q, ALPH, DISC)
         eps = res.tail_error_bound + 1e-8
         lo = -t * math.log(4.0) + math.log(riemann_zeta(2 * t - q))
         hi = math.log(riemann_zeta(2 * t - q))
@@ -117,9 +117,9 @@ def test_discretization_convergence():
 def test_every_t_solves_on_the_requested_discretization():
     disc = tr.Discretization.chebyshev(16)
     for t in (5.0, 12.0):
-        res = tr.pressure(tr.PressureParams(t, 0.0), ALPH, disc)
+        res = tr.pressure(t, 0.0, ALPH, disc)
         assert res.eigenfunction_values.shape == (16,)
-        assert tr.gibbs(tr.PressureParams(t, 0.0), ALPH, disc).disc is disc
+        assert tr.gibbs(t, 0.0, ALPH, disc).disc is disc
 
 
 @pytest.mark.parametrize("t", [4.3, 4.37, 4.45, 4.55])
@@ -131,8 +131,8 @@ def test_pressure_independent_of_order_past_spurious_modes(t):
 @pytest.mark.parametrize("t", [4.37, 6.0, 8.0, 12.0])
 def test_default_order_matches_order_40_at_large_t(t):
     # where h spans up to phi^(2t) across [0, 1]; one order must serve every t
-    a = tr.pressure(tr.PressureParams(t, 0.0), ALPH, DISC)
-    b = tr.pressure(tr.PressureParams(t, 0.0), ALPH, tr.Discretization.chebyshev(40))
+    a = tr.pressure(t, 0.0, ALPH, DISC)
+    b = tr.pressure(t, 0.0, ALPH, tr.Discretization.chebyshev(40))
     assert abs(a.value - b.value) <= 5e-13
     assert abs(a.dP_dt - b.dP_dt) <= 5e-13
 
@@ -146,18 +146,17 @@ def _matrix_with_modes(first, second):
 
 
 def test_perron_pair_is_the_dominant_positive_mode():
-    params = tr.PressureParams(1.0, 0.0)
     smooth = np.exp(DISC.nodes)
     A, V = _matrix_with_modes(smooth, 1.0 + DISC.nodes ** 2)   # a positive second mode
-    h, nu = tr._perron_pair(A, params, DISC)
+    h, nu = tr._perron_pair(A, 1.0, 0.0, DISC)
     assert np.max(np.abs(h - smooth / smooth.max())) < 1e-12
     left = np.linalg.inv(V)[0]
     assert np.max(np.abs(nu - left / left.sum())) < 1e-12
     # a dominant sign-changing mode, or no positive eigenvalue, is no Perron pair
     with pytest.raises(tr.ConvergenceError):
-        tr._perron_pair(_matrix_with_modes(1.0 - 2.0 * DISC.nodes, smooth)[0], params, DISC)
+        tr._perron_pair(_matrix_with_modes(1.0 - 2.0 * DISC.nodes, smooth)[0], 1.0, 0.0, DISC)
     with pytest.raises(tr.ConvergenceError):
-        tr._perron_pair(-A, params, DISC)
+        tr._perron_pair(-A, 1.0, 0.0, DISC)
 
 
 @pytest.mark.parametrize("x", [0.0, 0.5, 1.0])
@@ -194,9 +193,9 @@ def test_tail_moments_against_direct_sums(t, q, x):
 
 def test_domain_margin_rejection():
     with pytest.raises(tr.DomainError):
-        tr.pressure(tr.PressureParams(0.5, 0.0), ALPH, DISC)
+        tr.pressure(0.5, 0.0, ALPH, DISC)
     with pytest.raises(tr.DomainError):
-        tr.pressure(tr.PressureParams(0.503, 0.0), ALPH, DISC)
+        tr.pressure(0.503, 0.0, ALPH, DISC)
 
 
 def test_restricted_pressure_root_matches_reference():
@@ -223,7 +222,7 @@ def test_dP_dq_matches_zeta_derivative_oracle():
 
 def test_result_fields_finite_at_t_zero():
     # t = 0 puts rho = 2t + r at 0 for the r = 0 tail moment
-    res = tr.pressure(tr.PressureParams(0.0, -3.0), ALPH, DISC)
+    res = tr.pressure(0.0, -3.0, ALPH, DISC)
     fields = (res.value, res.dP_dt, res.dP_dq, res.d2P_dt2, res.d2P_dtdq, res.d2P_dq2,
               res.tail_error_bound)
     assert np.all(np.isfinite(fields))
@@ -268,10 +267,10 @@ def test_exact_hessian_matches_differences_of_gradient(alphabet, t, q):
     h = 1e-5
 
     def grad(tt, qq):
-        r = tr.pressure(tr.PressureParams(tt, qq), alphabet, DISC)
+        r = tr.pressure(tt, qq, alphabet, DISC)
         return np.array([r.dP_dt, r.dP_dq])
 
-    res = tr.pressure(tr.PressureParams(t, q), alphabet, DISC)
+    res = tr.pressure(t, q, alphabet, DISC)
     d_dt = (3 * grad(t, q) - 4 * grad(t - h, q) + grad(t - 2 * h, q)) / (2 * h)
     d_dq = (grad(t, q + h) - grad(t, q - h)) / (2 * h)
     assert abs(res.d2P_dt2 - d_dt[0]) <= 1e-7
@@ -285,32 +284,42 @@ def test_exact_hessian_matches_differences_of_gradient(alphabet, t, q):
 
 def test_gibbs_normalization_at_random_points():
     for params in [(0.9, 0.3), (3.0, 0.0), (6.0, 0.0), (10.0, 0.0)]:
-        g = tr.gibbs(tr.PressureParams(*params), ALPH, DISC)
+        g = tr.gibbs(*params, ALPH, DISC)
         rng = np.random.default_rng(5)
         for x in rng.random(10):
             probs, tail = g.digit_probabilities(float(x))
             assert abs(probs.sum() + tail - 1.0) < 1e-11, (params, x)
 
 
+@pytest.mark.parametrize("t, q", [(0.9, 0.3), (3.0, 0.0), (6.0, 0.0), (10.0, 0.0),
+                                  (12.0, 20.0)])
+def test_gibbs_normalization_at_the_nodes(t, q):
+    # at the nodes the explicit digits and the tail are those of the eigen-solve
+    g = tr.gibbs(t, q, ALPH, DISC)
+    for x in DISC.nodes:
+        probs, tail = g.digit_probabilities(float(x))
+        assert abs(probs.sum() + tail - 1.0) <= 1e-12, x
+
+
 def test_gibbs_digit_one_frequency_matches_gauss_measure():
-    g = tr.gibbs(tr.PressureParams(1.0, 0.0), ALPH, DISC)
+    g = tr.gibbs(1.0, 0.0, ALPH, DISC)
     seq = tr.sample_digits(g, 100_000, seed=2)
     freq = np.mean(np.asarray(seq.digits) == 1)
     assert abs(freq - math.log(4.0 / 3.0) / math.log(2.0)) < 2e-2
 
 
 def test_sampled_mean_log_digit_matches_gibbs_integral():
-    params = tr.PressureParams(0.9, 0.5)
-    g = tr.gibbs(params, ALPH, DISC)
+    t, q = 0.9, 0.5
+    g = tr.gibbs(t, q, ALPH, DISC)
     seq = tr.sample_digits(g, 60_000, seed=3)
     logs = np.log(np.asarray(seq.digits, dtype=float))
-    target = grad(params.t, params.q)[1]
+    target = grad(t, q)[1]
     sigma = logs.std() / math.sqrt(len(logs))
     assert abs(logs.mean() - target) < 3.0 * sigma + 5e-3
 
 
 def test_sampling_determinism():
-    g = tr.gibbs(tr.PressureParams(1.0, 0.0), ALPH, DISC)
+    g = tr.gibbs(1.0, 0.0, ALPH, DISC)
     a = tr.sample_digits(g, 2000, seed=9)
     b = tr.sample_digits(g, 2000, seed=9)
     c = tr.sample_digits(g, 2000, seed=10)
@@ -323,7 +332,7 @@ def test_sampling_determinism():
 
 
 def test_restricted_sampling_stays_in_alphabet():
-    g = tr.gibbs(tr.PressureParams(0.7, 0.0), tr.Alphabet.restricted({1, 2, 3}), DISC)
+    g = tr.gibbs(0.7, 0.0, tr.Alphabet.restricted({1, 2, 3}), DISC)
     seq = tr.sample_digits(g, 5000, seed=1)
     assert set(seq.digits) <= {1, 2, 3}
 
@@ -334,8 +343,8 @@ def test_restricted_sampling_stays_in_alphabet():
 def test_cylinder_sum_estimate_matches_truncated_pressure():
     a64 = tr.Alphabet.restricted(range(1, 65))
     for (t, q) in [(1.0, 0.0), (0.8, 0.1)]:
-        p = tr.pressure(tr.PressureParams(t, q), a64, DISC).value
-        est = tr.cylinder_sum_estimate(tr.PressureParams(t, q), depth=12)
+        p = tr.pressure(t, q, a64, DISC).value
+        est = tr.cylinder_sum_estimate(t, q, depth=12)
         assert abs(est.value - p) < 0.02
         # the plain (1/n) mean carries the documented O(1/n) offset
         assert abs(est.raw_mean - p) < 0.2
@@ -344,7 +353,7 @@ def test_cylinder_sum_estimate_matches_truncated_pressure():
 def test_cylinder_sum_estimate_near_full_pressure_at_fast_decay():
     # digit truncation costs little once 2t - q >= 2
     p = P(1.0, -1.0)
-    est = tr.cylinder_sum_estimate(tr.PressureParams(1.0, -1.0), depth=12)
+    est = tr.cylinder_sum_estimate(1.0, -1.0, depth=12)
     assert abs(est.value - p) < 0.02
 
 
@@ -363,10 +372,10 @@ def test_shared_discretization_matches_fresh_ones():
     # the digit tables are cached per alphabet on the discretization
     shared = tr.Discretization.chebyshev(16)
     alphabets = [tr.Alphabet.full(64), tr.Alphabet.full(32), tr.Alphabet.restricted({1, 2})]
-    for params in (tr.PressureParams(0.8, 0.1), tr.PressureParams(0.6, -0.4)):
+    for t, q in ((0.8, 0.1), (0.6, -0.4)):
         for alphabet in alphabets:
-            got = tr.pressure(params, alphabet, shared)
-            ref = tr.pressure(params, alphabet, tr.Discretization.chebyshev(16))
+            got = tr.pressure(t, q, alphabet, shared)
+            ref = tr.pressure(t, q, alphabet, tr.Discretization.chebyshev(16))
             for name in ("value", "dP_dt", "dP_dq", "d2P_dt2", "d2P_dtdq", "d2P_dq2",
                          "tail_error_bound"):
                 assert getattr(got, name) == getattr(ref, name), (alphabet, name)
@@ -378,7 +387,7 @@ def test_shared_discretization_matches_fresh_ones():
 def test_singular_bordered_solve_raises(monkeypatch):
     monkeypatch.setattr(tr.lapack, "dgesv", lambda a, b: (a, None, b, 3))
     with pytest.raises(tr.ConvergenceError, match="bordered"):
-        tr.pressure(tr.PressureParams(1.0, 0.0), ALPH, DISC)
+        tr.pressure(1.0, 0.0, ALPH, DISC)
 
 
 def test_one_tail_moment_build_per_point(monkeypatch):
