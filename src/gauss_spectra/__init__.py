@@ -43,7 +43,6 @@ from .transfer import (
     sample_digits,
 )
 from .spectra import (
-    CantorDimensionEstimate,
     GrowthRatioEstimate,
     ShapeReport,
     SpectrumCurve,

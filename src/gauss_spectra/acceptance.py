@@ -256,12 +256,12 @@ def c12_fast_spectrum(cfg: VerifyConfig) -> CriterionResult:
     exact = all(spectra.fast_spectrum_dim(b) == 1.0 / (b + 1.0) for b in (1, 2, 3))
     doubling = spectra.cantor_dimension(lambda n: (2.0 ** n) * math.log(2.0), 40)
     linear = spectra.cantor_dimension(lambda n: math.log(n + 2.0), 10_000)
-    e1 = abs(doubling.value - 1.0 / 3.0)
-    e2 = abs(linear.value - 0.5)
+    e1 = abs(doubling - 1.0 / 3.0)
+    e2 = abs(linear - 0.5)
     return _result(
         "c12", start, 2.0, exact and e1 < 1e-3 and e2 < 1e-3,
-        f"1/(b+1) exact={exact}; s_n=2^2^n -> {doubling.value:.6f}; "
-        f"s_n=n+2 -> {linear.value:.6f}",
+        f"1/(b+1) exact={exact}; s_n=2^2^n -> {doubling:.6f}; "
+        f"s_n=n+2 -> {linear:.6f}",
         "exact; 1/3; 1/2", "exact; 1e-3; 1e-3")
 
 

@@ -100,7 +100,6 @@ class SpectrumCurve:
     each unsolved grid point and ``metadata["solves"]`` counts new provider
     eigen-solves."""
 
-    kind: str
     points: list[SpectrumPoint]
     metadata: dict = field(default_factory=dict)
 
@@ -298,7 +297,7 @@ def lyapunov_point_2d(beta: float, provider: PressureProvider | None = None,
     return _lyapunov_point(beta, t, q, prov.result(t - q, 0.0))
 
 
-def _solve_curve(kind: str, grid: Sequence[float], solver, center: float,
+def _solve_curve(grid: Sequence[float], solver, center: float,
                  provider: PressureProvider | None) -> SpectrumCurve:
     provider = provider or default_provider()
     grid = np.asarray(sorted(float(g) for g in grid))
@@ -322,21 +321,21 @@ def _solve_curve(kind: str, grid: Sequence[float], solver, center: float,
     march(range(start - 1, -1, -1))         # then outward to the left
     points = [solved[i] for i in sorted(solved)]
     meta = {"failures": failures, "solves": provider.solves - solves_before}
-    return SpectrumCurve(kind=kind, points=points, metadata=meta)
+    return SpectrumCurve(points=points, metadata=meta)
 
 
 def khintchine_curve(xi_grid: Sequence[float],
                      provider: PressureProvider | None = None) -> SpectrumCurve:
     """Khintchine spectrum on a grid, warm-started outward from the peak."""
     _check_window("xi", xi_grid, XI_WINDOW)
-    return _solve_curve("khintchine", xi_grid, khintchine_point, khintchine_exponent(), provider)
+    return _solve_curve(xi_grid, khintchine_point, khintchine_exponent(), provider)
 
 
 def lyapunov_curve(beta_grid: Sequence[float],
                    provider: PressureProvider | None = None) -> SpectrumCurve:
     """Lyapunov spectrum on a grid (Legendre route per point)."""
     _check_window("beta", beta_grid, BETA_WINDOW)
-    return _solve_curve("lyapunov", beta_grid, lyapunov_point, lyapunov_constant(), provider)
+    return _solve_curve(beta_grid, lyapunov_point, lyapunov_constant(), provider)
 
 
 # ---------------------------------------------------------------------------
@@ -392,18 +391,7 @@ def growth_ratio(phi_samples: Sequence[float]) -> GrowthRatioEstimate:
     )
 
 
-@dataclass(frozen=True)
-class CantorDimensionEstimate:
-    value: float                  # liminf proxy: min over the trailing window
-    last_values: tuple[float, ...]
-
-    @property
-    def stabilization(self) -> float:
-        """Spread of the trailing quotients; small means the liminf settled."""
-        return max(self.last_values) - min(self.last_values)
-
-
-def cantor_dimension(log_s: Callable[[int], float], horizon: int) -> CantorDimensionEstimate:
+def cantor_dimension(log_s: Callable[[int], float], horizon: int) -> float:
     """Dimension quotient for the digit-range Cantor sets.
 
     ``log_s(n)`` must return log s_n (log domain, because interesting rules
@@ -429,11 +417,7 @@ def cantor_dimension(log_s: Callable[[int], float], horizon: int) -> CantorDimen
         acc += ls
         ls_next = float(log_s(n + 1))
         quotients[n - 1] = acc / (2.0 * acc + ls_next)
-    tail = quotients[-max(10, horizon // 4):]
-    return CantorDimensionEstimate(
-        value=float(np.min(tail)),
-        last_values=tuple(float(v) for v in quotients[-10:]),
-    )
+    return float(np.min(quotients[-max(10, horizon // 4):]))
 
 
 def bounded_digit_dimension(digits: Iterable[int],

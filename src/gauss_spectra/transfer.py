@@ -41,9 +41,9 @@ lambda > 0 and the right eigenvector is positive at every node.
 Pressure derivatives are exact derivatives of the discretized eigenvalue
 (left/right eigenvector contraction of the differentiated matrix), which
 is precisely the node-weighted Gibbs average of log a_1 resp. -log|T'|;
-the second derivatives add one bordered LAPACK dgesv solve for the
-eigenvector derivatives.  Eigendata handed out (eigenfunction values,
-left weights, the Gibbs eigenfunction) are those of L: h = w f.
+the second derivatives take the eigenvector derivatives from the same LU,
+so a solve factorizes once.  Eigendata handed out (eigenfunction values,
+the Gibbs eigenfunction) are those of L: h = w f.
 
 ``pressure`` and the caching ``PressureProvider`` are the two ways to ask
 for a pressure; the gradient, Hessian, eigendata and tail bound are fields
@@ -231,13 +231,12 @@ class Discretization:
 
 @dataclass(frozen=True)
 class PressureResult:
-    """Pressure value with its exact gradient and Hessian, eigendata and tail
-    diagnostics.
+    """Pressure value with its exact gradient and Hessian, eigenfunction and
+    tail diagnostics.
 
     ``eigenfunction_values`` are the node values, on the requested
     discretization, of the eigenfunction h of the unweighted operator
-    (largest 1) and ``left_eigen_weights`` the matching left eigenvector
-    (sum 1).
+    (largest 1).
     """
 
     value: float
@@ -247,7 +246,6 @@ class PressureResult:
     d2P_dtdq: float
     d2P_dq2: float
     eigenfunction_values: np.ndarray
-    left_eigen_weights: np.ndarray
     tail_error_bound: float
 
 
@@ -356,15 +354,17 @@ def _assemble(t: float, q: float, alphabet: Alphabet, disc: Discretization):
 
 
 def _perron_pair(A: np.ndarray, t: float, q: float, disc: Discretization):
-    """(h, nu): the right (largest entry 1) and left (entries summing to 1)
-    eigenvectors of the Perron eigenvalue of A.
+    """(h, nu, lu, piv): the right (largest entry 1) and left (entries summing
+    to 1) eigenvectors of the Perron eigenvalue of A, and the LU they come
+    from.
 
     The Perron eigenvalue is the largest real one, from an eigenvalues-only
     dgeev.  It is strictly dominant, so one LU of M = lambda (1 + 1e-14) I - A
     gives both eigenvectors by one step of inverse iteration from the ones
     vector (M h = 1 and M^T nu = 1).  The LU is of M^T, which is the
     Fortran-ordered view of M, so its plain solve gives nu and its
-    transposed solve h.
+    transposed solve (``dgetrs`` with trans=1) h; ``pressure`` solves with
+    the same LU for the eigenvector derivatives.
     """
     wr, wi, _, _, info = lapack.dgeev(A.T, compute_vl=0, compute_vr=0)
     if info != 0:
@@ -389,7 +389,7 @@ def _perron_pair(A: np.ndarray, t: float, q: float, disc: Discretization):
         raise ConvergenceError(
             "the eigenvector of the largest real eigenvalue is not positive at "
             f"(t, q) = ({t}, {q}) (order {disc.order})")
-    return h, nu / nu.sum()
+    return h, nu / nu.sum(), lu, piv
 
 
 def required_order(t: float, base_order: int) -> int:
@@ -418,33 +418,25 @@ def pressure(t: float, q: float, alphabet: Alphabet | None = None,
         lambda_ij = nu A_ij f + nu A_i f_j + nu A_j f_i,
 
     where the eigenvector derivative f_i solves (lambda - A) f_i =
-    (A_i - lambda_i) f with nu f_i = 0, one bordered solve for both i.
-    The eigendata returned are those of the unweighted operator: h = w f
-    and nu / w, each up to normalization.
+    (A_i - lambda_i) f with nu f_i = 0.  The right-hand sides are
+    annihilated by nu, so the Perron pair's LU of lambda (1 + 1e-14) I - A
+    solves both columns at once; the near-singular Perron direction it
+    leaves is then projected out.  The eigenfunction returned is that of the
+    unweighted operator, h = w f up to normalization.
     """
     alphabet = alphabet or Alphabet.full()
     disc = disc or Discretization.chebyshev()
     check_domain(t, q, alphabet)
     mats, moments, weight = _assemble(t, q, alphabet, disc)
-    f, nu = _perron_pair(mats[0], t, q, disc)
+    f, nu, lu, piv = _perron_pair(mats[0], t, q, disc)
     # nu (A, A_t, A_q, A_tt, A_tq, A_qq) f with nu f = 1; the two-sided
     # quotient is second-order accurate in the eigenvectors
     nu_f = nu / float(nu @ f)
     nu_mats = nu_f @ mats
     lam, lam_t, lam_q, lam_tt, lam_tq, lam_qq = nu_mats @ f
-    n = len(f)
-    border = np.zeros((n + 1, n + 1))
-    border[:n, :n] = -mats[0]
-    border.flat[:n * (n + 1):n + 2] += lam
-    border[:n, n] = f
-    border[n, :n] = nu_f
-    rhs = np.zeros((n + 1, 2))
-    rhs[:n] = (mats[1:3] @ f).T - f[:, None] * (lam_t, lam_q)
-    _, _, df, info = lapack.dgesv(border, rhs)
-    if info != 0:
-        raise ConvergenceError(f"singular bordered eigenvector system at (t, q) = "
-                               f"({t}, {q}) (order {disc.order})")
-    df = df[:n]                                    # columns f_t, f_q
+    rhs = (mats[1:3] @ f).T - f[:, None] * (lam_t, lam_q)
+    df, _ = lapack.dgetrs(lu, piv, rhs, trans=1)
+    df -= np.outer(f, nu_f @ df)                   # columns f_t, f_q with nu f_i = 0
     cross = nu_mats[1:3] @ df                      # cross[i, j] = nu A_i f_j
     P_t, P_q = lam_t / lam, lam_q / lam
     tail_bound = 0.0
@@ -454,7 +446,6 @@ def pressure(t: float, q: float, alphabet: Alphabet | None = None,
         tail_bound = float((abs(jets[-1]) * (weight * np.abs(S[0, JET_ORDER])).max()
                             + abs(jets[0]) * binom_trunc * weight.max()) / lam)
     eigenfunction = f / weight
-    left = nu * weight
     return PressureResult(
         value=math.log(lam),
         dP_dt=float(P_t),
@@ -463,7 +454,6 @@ def pressure(t: float, q: float, alphabet: Alphabet | None = None,
         d2P_dtdq=float((lam_tq + cross[0, 1] + cross[1, 0]) / lam - P_t * P_q),
         d2P_dq2=float((lam_qq + 2.0 * cross[1, 1]) / lam - P_q * P_q),
         eigenfunction_values=eigenfunction / eigenfunction.max(),
-        left_eigen_weights=left / left.sum(),
         tail_error_bound=tail_bound,
     )
 

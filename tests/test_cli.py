@@ -265,7 +265,7 @@ def test_spectrum_failure_rows_and_exit3(capsys, monkeypatch):
         # only one of three points "solves"
         pt = SpectrumPoint(exponent=float(grid[1]), dimension=0.9, q_value=-0.1,
                            residuals=(0.0, 0.0), t_slope=0.0)
-        return SpectrumCurve(kind="khintchine", points=[pt],
+        return SpectrumCurve(points=[pt],
                              metadata={"failures": [
                                  {"exponent": float(grid[0]), "error": "x"},
                                  {"exponent": float(grid[2]), "error": "x"}],

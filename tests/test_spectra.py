@@ -367,20 +367,20 @@ def test_growth_ratio_input_validation():
 
 def test_cantor_dimension_stabilizing_examples():
     doubling = sp.cantor_dimension(lambda n: (2.0 ** n) * math.log(2.0), 40)
-    assert abs(doubling.value - 1.0 / 3.0) < 1e-3
+    assert abs(doubling - 1.0 / 3.0) < 1e-3
     linear = sp.cantor_dimension(lambda n: math.log(n + 2.0), 10_000)
-    assert abs(linear.value - 0.5) < 1e-3
+    assert abs(linear - 0.5) < 1e-3
 
 
 def test_cantor_dimension_horizon_doubling():
     a = sp.cantor_dimension(lambda n: (2.0 ** n) * math.log(2.0), 40)
     b = sp.cantor_dimension(lambda n: (2.0 ** n) * math.log(2.0), 80)
-    assert abs(a.value - b.value) < 1e-6
+    assert abs(a - b) < 1e-6
     # the n+2 rule converges like log(n)/n, so the 1e-6 stabilization
     # window sits at a larger horizon
     a = sp.cantor_dimension(lambda n: math.log(n + 2.0), 500_000)
     b = sp.cantor_dimension(lambda n: math.log(n + 2.0), 1_000_000)
-    assert abs(a.value - b.value) < 1e-6
+    assert abs(a - b) < 1e-6
 
 
 def test_cantor_dimension_matches_fast_formula_on_exponential_rule():
@@ -388,7 +388,7 @@ def test_cantor_dimension_matches_fast_formula_on_exponential_rule():
     est = sp.cantor_dimension(lambda n: math.log(3.0) + n * math.log(2.0), 2000)
     phi = np.cumsum([math.log(3.0) + k * math.log(2.0) for k in range(1, 65)])
     b = sp.growth_ratio(list(phi)).b
-    assert abs(est.value - 0.5) < 1e-3
+    assert abs(est - 0.5) < 1e-3
     assert abs(sp.fast_spectrum_dim(max(b, 1.0)) - 0.5) < 1e-3
 
 
