@@ -92,6 +92,7 @@ class SpectrumPoint:
     residuals: tuple[float, float]
     t_slope: float | None = None      # analytic d(dimension)/d(exponent)
     t_curvature: float | None = None  # analytic d^2(dimension)/d(exponent)^2
+    lyapunov_u: float | None = None   # u = t - q of the Lyapunov routes' final solve
 
 
 @dataclass
@@ -128,12 +129,16 @@ LYAPUNOV_U_MIN = 0.506   # 1-D Newton iterates stay above this u (domain edge 0.
 DIMENSION_XTOL = 1e-13   # Newton step at which bounded_digit_dimension stops
 
 
-def _newton(system: Callable[[float, float], tuple[tuple[float, float], np.ndarray]],
+_Pair = tuple[float, float]
+
+
+def _newton(system: Callable[[float, float], tuple[_Pair, tuple[_Pair, _Pair]]],
             t: float, q: float, tol: float) -> tuple[float, float]:
     """Damped Newton iteration for F(t, q) = 0 from (t, q).
 
-    ``system`` returns F and the Jacobian the step uses (jac @ step = -F),
-    from one pressure result, so an iterate costs one eigen-solve.  A row
+    ``system`` returns F and the rows of the Jacobian the step uses
+    (jac @ step = -F), from one pressure result, so an iterate costs one
+    eigen-solve; the 2x2 step is taken by Cramer's rule.  A row
     of the exact Jacobian scaled by a positive factor gives the step of an
     equation with the same roots; damping and termination read F alone.
     A step is halved until t stays positive, the pressure is defined and
@@ -146,11 +151,11 @@ def _newton(system: Callable[[float, float], tuple[tuple[float, float], np.ndarr
     for _ in range(NEWTON_MAX_ITER):
         if norm <= NEWTON_TOL:
             return t, q
-        try:
-            dt, dq = np.linalg.solve(jac, -np.asarray(F))
-        except np.linalg.LinAlgError:
-            raise transfer.ConvergenceError(
-                f"singular Newton Jacobian at (t, q) = ({t}, {q})") from None
+        (a, b), (c, d) = jac
+        det = a * d - b * c
+        if det == 0.0 or not math.isfinite(det):
+            raise transfer.ConvergenceError(f"singular Newton Jacobian at (t, q) = ({t}, {q})")
+        dt, dq = (b * F[1] - d * F[0]) / det, (c * F[0] - a * F[1]) / det
         scale = 1.0
         while True:
             if scale * max(abs(dt), abs(dq)) < NEWTON_MIN_STEP:
@@ -207,8 +212,7 @@ def khintchine_point(xi: float, provider: PressureProvider | None = None,
                 f"dP/dq = {r.dP_dq} <= 0 at (t, q) = ({t}, {q}); xi = {xi} is unreachable")
         scale = xi / r.dP_dq
         return ((r.value - q * xi, r.dP_dq - xi),
-                np.array([[r.dP_dt, r.dP_dq - xi],
-                          [scale * r.d2P_dtdq, scale * r.d2P_dq2]]))
+                ((r.dP_dt, r.dP_dq - xi), (scale * r.d2P_dtdq, scale * r.d2P_dq2)))
 
     t, q = _newton(system, *_start(hint), RESIDUAL_TOL)
     r = prov.result(t, q)
@@ -226,9 +230,11 @@ def khintchine_point(xi: float, provider: PressureProvider | None = None,
 # Lyapunov spectrum
 # ---------------------------------------------------------------------------
 
-def _lyapunov_point(beta: float, t: float, q: float,
+def _lyapunov_point(beta: float, t: float, q: float, u: float,
                     res: transfer.PressureResult) -> SpectrumPoint:
-    """The point (t, q) with its residuals from the result at u = t - q.
+    """The point (t, q) with its residuals from the result ``res`` at
+    u = t - q; ``u`` is kept exactly, so a warm start from the point queries
+    the provider at the u it solved.
 
     With u' = -1 / P''(u) and q' = -u' - q / beta, the slope is -q / beta and
     the curvature t'' = -q' / beta + q / beta^2.
@@ -237,7 +243,7 @@ def _lyapunov_point(beta: float, t: float, q: float,
     return SpectrumPoint(
         exponent=beta, dimension=t, q_value=q,
         residuals=(abs(res.value - q * beta), abs(res.dP_dt + beta)),
-        t_slope=-q / beta, t_curvature=-dq / beta + q / beta ** 2,
+        t_slope=-q / beta, t_curvature=-dq / beta + q / beta ** 2, lyapunov_u=u,
     )
 
 
@@ -252,7 +258,9 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
     plain step on P' + beta times -P'(u)/beta, shorter right of the root
     (where |P'| < beta), so a step toward the edge does not overshoot it.
     A step that would still leave the domain is halved until u stays above
-    LYAPUNOV_U_MIN.  The iteration starts from the hint's u (else 1) and
+    LYAPUNOV_U_MIN.  The iteration starts from the hint's u (its exact
+    ``lyapunov_u`` when a Lyapunov route set it, else t - q; 1 without a
+    hint), so a warm start's first query hits the provider cache.  It
     stops at |P' + beta| <= NEWTON_TOL * beta, or when the step stops
     shrinking once |P' + beta| is within RESIDUAL_TOL (the rounding floor
     of P').
@@ -260,7 +268,12 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
     _check_window("beta", [beta], BETA_WINDOW)
     prov = provider or default_provider()
 
-    u = hint.dimension - hint.q_value if hint is not None else 1.0
+    if hint is None:
+        u = 1.0
+    elif hint.lyapunov_u is not None:
+        u = hint.lyapunov_u
+    else:
+        u = hint.dimension - hint.q_value
     last_step = math.inf
     for _ in range(NEWTON_MAX_ITER):
         res = prov.result(u, 0.0)
@@ -269,7 +282,7 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
         if abs(gap) <= NEWTON_TOL * beta or (
                 abs(step) >= last_step and abs(gap) <= RESIDUAL_TOL):
             q = res.value / beta
-            return _lyapunov_point(beta, u + q, q, res)
+            return _lyapunov_point(beta, u + q, q, u, res)
         last_step = abs(step)
         while u + step <= LYAPUNOV_U_MIN:
             step *= 0.5
@@ -291,10 +304,10 @@ def lyapunov_point_2d(beta: float, provider: PressureProvider | None = None,
     def system(t: float, q: float):
         r = prov.result(t - q, 0.0)
         return ((r.value - q * beta, -r.dP_dt - beta),
-                np.array([[r.dP_dt, -r.dP_dt - beta], [-r.d2P_dt2, r.d2P_dt2]]))
+                ((r.dP_dt, -r.dP_dt - beta), (-r.d2P_dt2, r.d2P_dt2)))
 
     t, q = _newton(system, *_start(hint), RESIDUAL_TOL)
-    return _lyapunov_point(beta, t, q, prov.result(t - q, 0.0))
+    return _lyapunov_point(beta, t, q, t - q, prov.result(t - q, 0.0))
 
 
 def _solve_curve(grid: Sequence[float], solver, center: float,

@@ -72,6 +72,30 @@ _LEIBNIZ = np.array([[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [1.0, -2.0, 1.0]])
 _LEIBNIZ_POWERS = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 1.0, 0.0]])
 
 
+def _euler_maclaurin_coefficients(base: np.ndarray, order: int):
+    """(log base, em): em[..., d, m] is the coefficient of s^m in the d-th
+    s-derivative of 1/2 + E(s)/base, Leibniz factors of base^(-s) included,
+    for d <= order."""
+    logb = np.log(base)
+    em = ((base ** -2.0)[..., None] ** _B_POWERS @ _EM_TABLE).reshape(
+        base.shape + (3, _EM_DEGREE)) / base[..., None, None]
+    em[..., 0, 0] += 0.5
+    em = (logb[..., None, None] ** _LEIBNIZ_POWERS * _LEIBNIZ)[..., :order + 1, :] @ em
+    return logb, em
+
+
+@functools.lru_cache(maxsize=16)
+def _euler_maclaurin_rows(base: float, order: int):
+    """``_euler_maclaurin_coefficients`` of one base point as a read-only
+    (16, order + 1) matrix, so a row of s-powers times it gives the
+    polynomial part of zeta and its derivatives.  The digit tail asks for
+    one base point, a = M + 1, at every solve."""
+    logb, em = _euler_maclaurin_coefficients(np.asarray(base), order)
+    rows = np.ascontiguousarray(em.T)
+    rows.flags.writeable = False
+    return logb, rows
+
+
 def hurwitz_zeta(s, a=1.0, derivative: int = 0):
     """zeta(s, a) for s > 1, a > 0, broadcasting over array inputs.
 
@@ -88,7 +112,8 @@ def hurwitz_zeta(s, a=1.0, derivative: int = 0):
     coefficients, for each base point, are the powers of base^-2 times a
     constant table; with one base point (a scalar ``a``), the corrections
     and both derivatives of a whole row of s come from one Vandermonde
-    matrix and one matrix product.
+    matrix and one matrix product, and the coefficient rows of the 16 most
+    recently used base points are cached.
     """
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -125,15 +150,12 @@ def hurwitz_zeta(s, a=1.0, derivative: int = 0):
     # polynomials in s, so their s-derivatives, Leibniz factors of base^(-s)
     # included, are rows of monomial coefficients per base point
     base = a + n_shift
-    logb = np.log(base)
-    em = ((base ** -2.0)[..., None] ** _B_POWERS @ _EM_TABLE).reshape(
-        base.shape + (3, _EM_DEGREE)) / base[..., None, None]
-    em[..., 0, 0] += 0.5
-    em = (logb[..., None, None] ** _LEIBNIZ_POWERS * _LEIBNIZ)[..., :order + 1, :] @ em
     vander = s[..., None] ** _EM_POWERS
-    if base.size == 1:
-        poly = vander @ em.reshape(order + 1, _EM_DEGREE).T
+    if base.ndim == 0:
+        logb, rows = _euler_maclaurin_rows(float(base), order)
+        poly = vander @ rows
     else:
+        logb, em = _euler_maclaurin_coefficients(base, order)
         poly = np.einsum("...m,...dm->...d", vander, em)
     pw_s = np.exp(-s * logb)                      # base^(-s)
     inv = 1.0 / (s - 1.0)

@@ -26,12 +26,15 @@ def provider():
 
 
 def test_package_import_defers_integrate_and_optimize():
-    # the package and its CLI use none of them, outside the c01/c02 quadrature oracles
+    # the package and its CLI load no scipy module, outside the c01/c02 quadrature oracles
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    code = ("import sys, gauss_spectra, gauss_spectra.cli; "
+    code = ("import sys, gauss_spectra; "
+            "gauss_spectra.khintchine_curve([0.5, 1.0, 2.0]); "
+            "gauss_spectra.lyapunov_curve([2.0, 2.4, 3.0]); "
+            "import gauss_spectra.cli; "
             "gauss_spectra.zeta.khintchine_exponent(); "
             "gauss_spectra.bounded_digit_dimension({1, 2}); "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.fft') if m in sys.modules))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")))
     assert proc.returncode == 0, proc.stderr
@@ -222,6 +225,33 @@ def test_lyapunov_routes_agree(provider):
         assert abs(p1.dimension - p2.dimension) < 1e-8
         assert abs(p1.q_value - p2.q_value) < 1e-8
         assert p1.t_curvature == pytest.approx(p2.t_curvature, rel=1e-6)
+
+
+def test_lyapunov_warm_start_first_query_is_a_cache_hit(monkeypatch):
+    # a warm start queries the exact u its hint was solved at
+    prov = sp.default_provider()
+    lookup = prov._lookup
+    hits = []
+
+    def recorded(t, q):
+        hits.append((t, q) in prov._cache)
+        return lookup(t, q)
+
+    prov._lookup = recorded
+    point = sp.lyapunov_point
+    first_hits = []
+
+    def warm_point(beta, provider, hint):
+        start = len(hits)
+        pt = point(beta, provider, hint)
+        if hint is not None:
+            first_hits.append(hits[start])
+        return pt
+
+    monkeypatch.setattr(sp, "lyapunov_point", warm_point)
+    curve = sp.lyapunov_curve(np.geomspace(1.0, 100.0, 40), prov)
+    assert len(curve.points) == 40
+    assert len(first_hits) == 39 and all(first_hits)
 
 
 def test_lyapunov_point_near_floor_solves():

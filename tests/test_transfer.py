@@ -1,7 +1,9 @@
 """Transfer operator: spec examples, pressure identities, Gibbs machinery."""
 
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -147,8 +149,8 @@ def _matrix_with_modes(first, second):
 def test_perron_pair_is_the_dominant_positive_mode():
     smooth = np.exp(DISC.nodes)
     A, V = _matrix_with_modes(smooth, 1.0 + DISC.nodes ** 2)   # a positive second mode
-    h, nu, _, _ = tr._perron_pair(A, 1.0, 0.0, DISC)
-    assert np.max(np.abs(h - smooth / smooth.max())) < 1e-12
+    f, nu, _ = tr._perron_pair(A, 1.0, 0.0, DISC)
+    assert np.max(np.abs(f - smooth / smooth.sum())) < 1e-12
     left = np.linalg.inv(V)[0]
     assert np.max(np.abs(nu - left / left.sum())) < 1e-12
     # a dominant sign-changing mode, or no positive eigenvalue, is no Perron pair
@@ -279,9 +281,9 @@ def test_exact_hessian_matches_differences_of_gradient(alphabet, t, q):
 def _bordered_hessian(alphabet, t, q):
     """(P_tt, P_tq, P_qq) with the eigenvector derivatives from the bordered
     system [lambda - A, f; nu, 0] [f_i; 0] = [(A_i - lambda_i) f; 0]: a
-    reference that does not reuse the Perron LU."""
+    reference that does not reuse the Perron pair's inverse."""
     mats, _, _ = tr._assemble(t, q, alphabet, DISC)
-    f, nu, _, _ = tr._perron_pair(mats[0], t, q, DISC)
+    f, nu, _ = tr._perron_pair(mats[0], t, q, DISC)
     nu = nu / (nu @ f)
     lam, lam_t, lam_q, lam_tt, lam_tq, lam_qq = nu @ mats @ f
     n = len(f)
@@ -307,6 +309,51 @@ def test_hessian_matches_bordered_reference(alphabet, t, q):
     for got, ref in zip((res.d2P_dt2, res.d2P_dtdq, res.d2P_dq2),
                         _bordered_hessian(alphabet, t, q)):
         assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
+
+
+def _mpmath_pressure(t, q):
+    """(P, P_t, P_q, P_tt, P_tq, P_qq) from a 40-digit eigen-solve of the
+    same float matrices: lambda from mpmath's eigenvalues, f, nu and the
+    eigenvector derivatives from 40-digit bordered solves."""
+    mats, _, _ = tr._assemble(t, q, ALPH, DISC)
+    with mpmath.workdps(40):
+        A = [mpmath.matrix(m.tolist()) for m in mats]
+        n = A[0].rows
+        lam = max(mpmath.re(e) for e in mpmath.eig(A[0], left=False, right=False)
+                  if abs(mpmath.im(e)) < 1e-30)
+        border = mpmath.matrix(n + 1, n + 1)
+        for i in range(n):
+            for j in range(n):
+                border[i, j] = -A[0][i, j]
+            border[i, i] += lam
+            border[i, n] = border[n, i] = 1
+        last = mpmath.matrix([0] * n + [1])
+        f = mpmath.matrix(mpmath.lu_solve(border, last)[:n])
+        nu = mpmath.matrix(mpmath.lu_solve(border.T, last)[:n])
+        nu /= (nu.T * f)[0]
+        lams = [(nu.T * a * f)[0] for a in A]
+        df = []
+        for a, lam_i in zip(A[1:3], lams[1:3]):
+            x = mpmath.lu_solve(border, mpmath.matrix(list(a * f - lam_i * f) + [0]))
+            f_i = mpmath.matrix(x[:n])
+            df.append(f_i - f * (nu.T * f_i)[0])
+        cross = [[(nu.T * A[1 + i] * df[j])[0] for j in range(2)] for i in range(2)]
+        P_t, P_q = lams[1] / lam, lams[2] / lam
+        return [float(v) for v in (
+            mpmath.log(lam), P_t, P_q,
+            (lams[3] + 2 * cross[0][0]) / lam - P_t * P_t,
+            (lams[4] + cross[0][1] + cross[1][0]) / lam - P_t * P_q,
+            (lams[5] + 2 * cross[1][1]) / lam - P_q * P_q)]
+
+
+@pytest.mark.parametrize("t, q", [(14.0, 26.0), (12.0, 20.0), (8.0, 14.0), (1.0, 0.0),
+                                  (3.0, 2.0), (14.25, 26.793)])
+def test_pressure_matches_mpmath_eigen_solve_of_the_same_matrix(t, q):
+    res = tr.pressure(t, q, ALPH, DISC)
+    got = (res.value, res.dP_dt, res.dP_dq, res.d2P_dt2, res.d2P_dtdq, res.d2P_dq2)
+    for name, g, ref in zip(("P", "P_t", "P_q", "P_tt", "P_tq", "P_qq"), got,
+                            _mpmath_pressure(t, q)):
+        assert abs(g - ref) <= 5e-12 * max(1.0, abs(ref)), name
 
 
 # ---------------------------------------------------------------------------
@@ -399,33 +446,45 @@ def test_provider_caches_and_agrees_with_module_functions():
 
 
 def test_shared_discretization_matches_fresh_ones():
-    # the digit tables are cached per alphabet on the discretization
+    # one grid per order, with the digit tables cached per alphabet on it
     shared = tr.Discretization.chebyshev(16)
+    assert tr.Discretization.chebyshev() is shared is tr.PressureProvider().disc
     alphabets = [tr.Alphabet.full(64), tr.Alphabet.full(32), tr.Alphabet.restricted({1, 2})]
     for t, q in ((0.8, 0.1), (0.6, -0.4)):
         for alphabet in alphabets:
             got = tr.pressure(t, q, alphabet, shared)
-            ref = tr.pressure(t, q, alphabet, tr.Discretization.chebyshev(16))
+            ref = tr.pressure(t, q, alphabet, dataclasses.replace(shared, _tensor_cache={}))
             for name in ("value", "dP_dt", "dP_dq", "d2P_dt2", "d2P_dtdq", "d2P_dq2",
                          "tail_error_bound"):
                 assert getattr(got, name) == getattr(ref, name), (alphabet, name)
             assert np.array_equal(got.eigenfunction_values, ref.eigenfunction_values)
-    assert len(shared._tensor_cache) == len(alphabets)
+    assert set(alphabets) <= set(shared._tensor_cache)
+
+
+def test_digit_table_cache_stays_bounded():
+    disc = tr.Discretization.chebyshev(16)
+    for top in range(2, 52):
+        tr.pressure(0.6, 0.0, tr.Alphabet.restricted({1, top}), disc)
+        assert len(disc._tensor_cache) <= tr.CACHED_ALPHABETS
+    assert len(disc._tensor_cache) == tr.CACHED_ALPHABETS
+    # the alphabets built last are the ones kept
+    assert tr.Alphabet.restricted({1, 51}) in disc._tensor_cache
+    assert tr.Alphabet.restricted({1, 2}) not in disc._tensor_cache
 
 
 def test_one_factorization_per_solve(monkeypatch):
     calls = []
-    dgetrf = tr.lapack.dgetrf
+    inv = np.linalg.inv
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return dgetrf(*args, **kwargs)
+        return inv(*args, **kwargs)
 
     def no_second_solve(*args, **kwargs):
-        raise AssertionError("the eigenvector derivatives must reuse the Perron LU")
+        raise AssertionError("the eigenvector derivatives must reuse the Perron inverse")
 
-    monkeypatch.setattr(tr.lapack, "dgetrf", counted)
-    monkeypatch.setattr(tr.lapack, "dgesv", no_second_solve)
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    monkeypatch.setattr(np.linalg, "solve", no_second_solve)
     tr.pressure(0.8, 0.2, ALPH, DISC)
     assert len(calls) == 1
 
