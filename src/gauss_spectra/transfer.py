@@ -54,8 +54,8 @@ of the one ``PressureResult`` either returns.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -69,9 +69,8 @@ JET_ORDER = 6         # Taylor orders of the eigenfunction kept in the tail
 BINOM_TERMS = 20      # binomial expansion length; terms shrink like ((x+psi)/(M+1))^j
 PSI = (math.sqrt(5.0) - 1.0) / 2.0   # 1/phi: the weight is (x + phi)^(-2t) ~ (1 + PSI x)^(-2t)
 BURN_IN = 64          # Gibbs-chain steps sample_digits discards before recording
-CACHED_GRIDS = 8      # Discretization.chebyshev keeps the grids of the last 8 orders built
+CACHED_GRIDS = 8      # Discretization.chebyshev keeps the grids of the last 8 orders used
 CACHED_ALPHABETS = 8  # a grid keeps the DigitTables of the last 8 alphabets built
-_CACHE_LOCK = threading.Lock()
 
 
 class DomainError(ValueError):
@@ -141,22 +140,6 @@ class DigitTables(NamedTuple):
     tail_mix: np.ndarray
 
 
-def _cached(cache: dict, key, build, size: int):
-    """cache[key], from build() on a miss; once the dict holds more than
-    ``size`` entries, the oldest goes.  The grids and their tables are
-    shared by every caller in the process, so a miss holds a lock; a hit
-    is one dict lookup."""
-    value = cache.get(key)
-    if value is None:
-        with _CACHE_LOCK:
-            value = cache.get(key)
-            if value is None:
-                value = cache[key] = build()
-                if len(cache) > size:
-                    del cache[next(iter(cache))]
-    return value
-
-
 def _golden_shift() -> np.ndarray:
     """G[n, r] = C(n - 1, r - 1) psi^(n - r) (G[0, 0] = 1): the Taylor
     coefficients of f(u / (1 - psi u)) are G times those of f."""
@@ -195,12 +178,11 @@ class Discretization:
     @classmethod
     def chebyshev(cls, order: int = 16) -> "Discretization":
         """The grid of ``order`` nodes, one shared instance per order (of the
-        CACHED_GRIDS orders built last), so every caller shares its digit
+        CACHED_GRIDS orders used last), so every caller shares its digit
         tables."""
         if order < 4:
             raise ValueError("collocation order must be >= 4")
-        order = int(order)
-        return _cached(_GRIDS, order, lambda: cls._build(order), CACHED_GRIDS)
+        return _grid(int(order))
 
     @classmethod
     def _build(cls, order: int) -> "Discretization":
@@ -240,8 +222,12 @@ class Discretization:
     def digit_tables(self, alphabet: Alphabet) -> DigitTables:
         """The ``DigitTables`` of this grid and ``alphabet``, kept for the
         CACHED_ALPHABETS alphabets built last."""
-        return _cached(self._tensor_cache, alphabet, lambda: self._build_tables(alphabet),
-                       CACHED_ALPHABETS)
+        tables = self._tensor_cache.get(alphabet)
+        if tables is None:
+            tables = self._tensor_cache[alphabet] = self._build_tables(alphabet)
+            if len(self._tensor_cache) > CACHED_ALPHABETS:
+                self._tensor_cache.pop(next(iter(self._tensor_cache)), None)
+        return tables
 
     def _build_tables(self, alphabet: Alphabet) -> DigitTables:
         d = alphabet.digit_values()
@@ -258,7 +244,9 @@ class Discretization:
             tail_mix=_tail_mix(a))
 
 
-_GRIDS: dict[int, Discretization] = {}
+@functools.lru_cache(maxsize=CACHED_GRIDS)
+def _grid(order: int) -> Discretization:
+    return Discretization._build(order)
 
 
 @dataclass(frozen=True)
@@ -488,7 +476,8 @@ def pressure(t: float, q: float, alphabet: Alphabet | None = None,
     tail_bound = 0.0
     if moments is not None:
         S, binom_trunc = moments
-        jets = disc.digit_tables(alphabet).tail_rows @ f
+        # the bound is linear in f: take f at largest node value 1, not sum 1
+        jets = disc.digit_tables(alphabet).tail_rows @ (f / f.max())
         tail_bound = float((abs(jets[-1]) * (weight * np.abs(S[0, JET_ORDER])).max()
                             + abs(jets[0]) * binom_trunc * weight.max()) / lam)
     eigenfunction = f / weight
@@ -521,9 +510,9 @@ class PressureProvider:
     """Caches one PressureResult per parameter point of one (alphabet, grid).
 
     Results are keyed by the exact float pair (t, q); warm-started solvers
-    re-query identical points constantly.  Individual instances are not
-    thread-safe for writes, but distinct instances are independent; they
-    share only the grid of their order and its digit tables.
+    re-query identical points constantly.  Instances are not thread-safe
+    for writes; distinct instances share only the grid of their order and
+    its digit tables.
     """
 
     def __init__(self, alphabet: Alphabet | None = None,

@@ -92,6 +92,22 @@ def test_pressure_sandwich_with_tail_bound():
         assert lo - eps <= res.value <= hi + eps
 
 
+@pytest.mark.parametrize("t, q, bound", [
+    (1.0, 0.0, 1.831433747521702e-15),
+    (0.6, -0.4, 1.9407340269167048e-15),
+    (3.0, 2.0, 1.1842412485615184e-16),
+    (8.0, 14.0, 2.1339573560906124e-10),
+    (14.0, 26.0, 3.844582030472097e-09),
+])
+def test_tail_error_bound_takes_the_eigenvector_at_largest_value_one(t, q, bound):
+    # the bound is linear in the eigenvector; these values are the bound for
+    # the golden-weighted eigenvector scaled to largest node value 1.  Its
+    # sixth Taylor coefficient carries the last-bit differences of the
+    # eigenvector amplified ~1e9 times, hence rel=1e-5; a change of
+    # normalization moves the bound by 1x to 16x.
+    assert tr.pressure(t, q, ALPH, DISC).tail_error_bound == pytest.approx(bound, rel=1e-5)
+
+
 def test_pressure_monotone_in_t_and_q():
     ts = np.linspace(0.7, 1.3, 7)
     vals = [P(float(t), -0.5) for t in ts]

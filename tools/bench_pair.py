@@ -10,8 +10,9 @@ change is the checkout this script lives in, working tree included, so run
 it before committing with ``--parent HEAD``, or after with ``--parent
 HEAD~1``.
 
-For each workload the script runs ``--pairs`` pairs, each on its own seed,
-and alternates which side runs first.  It writes, per workload and metric,
+For each workload the script runs PAIRS pairs of runs of the length
+``BENCHMARK.json`` sets, each pair on its own seed, and alternates which
+side runs first.  It writes, per workload and metric,
 the median and quartiles of each side, the change's wins out of the pairs
 (ties count for neither side), every run's value, and each run's attempted
 and failed operations and its correctness flag, together with the commands
@@ -33,22 +34,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 1800
+PAIRS = 10
 
 
 def parse_args(argv):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", default="HEAD", help="parent commit (default HEAD)")
-    p.add_argument("--pairs", type=int, default=10, help="pairs per workload (default 10)")
     p.add_argument("--first-seed", type=int, default=1,
                    help="seed of the first pair; pair i uses first-seed + i (default 1)")
-    p.add_argument("--seconds", type=float, default=spec["run_seconds"],
-                   help=f"run length (default {spec['run_seconds']}, from BENCHMARK.json)")
     p.add_argument("--out", type=Path, required=True, help="JSON file to write")
-    args = p.parse_args(argv)
-    if args.pairs < 1:
-        p.error("--pairs must be >= 1")
-    return args, spec
+    return p.parse_args(argv), spec
 
 
 def git(*argv: str) -> str:
@@ -95,23 +91,24 @@ def compare(parent_runs: list[dict], change_runs: list[dict], metrics: list[dict
 
 
 def run_pairs(args, spec, parent_dir: Path) -> dict:
+    seconds = spec["run_seconds"]
     sides = {"parent": parent_dir, "change": ROOT}
     workloads = {}
     for w in spec["workloads"]:
         runs = {"parent": [], "change": []}
         order = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             seed = args.first_seed + i
             first = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             order.append(first[0])
             for side in first:
-                run = run_once(sides[side], spec["command"], w["name"], seed, args.seconds)
+                run = run_once(sides[side], spec["command"], w["name"], seed, seconds)
                 runs[side].append(run)
                 print(f"{w['name']} seed {seed} {side}: "
                       + ", ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items()),
                       file=sys.stderr, flush=True)
         workloads[w["name"]] = {
-            "seeds": [args.first_seed + i for i in range(args.pairs)],
+            "seeds": [args.first_seed + i for i in range(PAIRS)],
             "first_side": order,
             "metrics": compare(runs["parent"], runs["change"], spec["end_to_end"]),
             "runs": {side: [{k: r[k] for k in ("seed", "correct", "attempted", "failed")}
@@ -136,10 +133,10 @@ def main(argv=None) -> int:
     report = {
         "parent": parent_sha,
         "change": change,
-        "run_seconds": args.seconds,
-        "pairs": args.pairs,
+        "run_seconds": spec["run_seconds"],
+        "pairs": PAIRS,
         "commands": [" ".join(spec["command"]) + f" --workload {w['name']} --seed SEED "
-                     f"--seconds {args.seconds:g} --trace 0" for w in spec["workloads"]],
+                     f"--seconds {spec['run_seconds']:g} --trace 0" for w in spec["workloads"]],
         "host": {"machine": platform.machine(), "python": platform.python_version(),
                  "cpus": len(os.sched_getaffinity(0))},
         "workloads": workloads,
