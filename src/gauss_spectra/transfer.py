@@ -43,8 +43,8 @@ discretized eigenvalue (left/right eigenvector contraction of the
 differentiated matrix), which is precisely the node-weighted Gibbs average
 of log a_1 resp. -log|T'|; the second derivatives take the eigenvector
 derivatives from the same inverse, so a solve factorizes once.  The
-inverse gets one step of iterative refinement.  No scipy module is
-loaded.  Eigendata handed out (eigenfunction values, the
+inverse gets one step of iterative refinement.  All linear algebra is
+numpy's own LAPACK.  Eigendata handed out (eigenfunction values, the
 Gibbs eigenfunction) are those of L: h = w f.
 
 ``pressure`` and the caching ``PressureProvider`` are the two ways to ask
