@@ -7,10 +7,11 @@ system
 
 whose unique solution (t, q) has t = dim of the level set.  It is found by
 damped Newton iteration on F(t, q) = (P - q xi, dP/dq - xi), started from
-the neighbouring solved point when a curve is marched outward from the
-peak (implicit-function continuation), else from the peak (1, 0).  The
-Jacobian is exact, built from the pressure's gradient and Hessian, so each
-iterate costs one eigen-solve.
+the peak (1, 0), or, when a curve is marched outward from the peak, from
+the neighbouring solved point with a first step to the cubic Hermite
+extrapolation of the last two points solved on that side (``_predict``).
+The Jacobian is exact, built from the pressure's gradient and Hessian, so
+each iterate costs one eigen-solve.
 
 Each step is Newton's on the reciprocal slope equation 1/xi - 1/P_q = 0.
 Near the divergence line 2t - q = 1, P ~ -log(2t - q - 1), so P_q grows
@@ -19,9 +20,12 @@ overshoot toward the line.  Only the step changes: F, its residuals, the
 damping test and the tolerances stay those of the plain system.
 
 The Lyapunov spectrum reduces to the one-parameter pressure P(u) = P(u, 0):
-find u with P'(u) = -beta by a damped 1-D Newton iteration on u with the
-exact P''(u), its step taken from 1/beta + 1/P'(u) = 0 likewise, then
-q = P(u)/beta and t = u + q.  The 2x2 Newton iteration on the
+find u with P'(u) = -beta by a 1-D Newton iteration on u with the exact
+P''(u), then q = P(u)/beta and t = u + q.  Above the peak lambda0 the step
+is taken from 1/beta + 1/P'(u) = 0 likewise; below it from
+log(-P'(u) - gamma0) = log(beta - gamma0), because -P'(u) - gamma0 decays
+exponentially in u as beta falls to gamma0.  On a curve the first step goes
+to the u extrapolated likewise.  The 2x2 Newton iteration on the
 two-parameter form, with u = t - q, is kept alongside as an independent
 consistency route with the plain step; the two share no root-finding code.
 The windows XI_WINDOW, BETA_WINDOW and the tolerance RESIDUAL_TOL are module
@@ -60,7 +64,7 @@ class InsufficientGridError(ValueError):
 
 
 XI_WINDOW = (0.05, 50.0)                        # Khintchine exponents accepted
-BETA_WINDOW = (golden_constant() + 1e-3, 150.0)  # Lyapunov exponents accepted
+BETA_WINDOW = (golden_constant() + 1e-6, 150.0)  # Lyapunov exponents accepted
 RESIDUAL_TOL = 1e-8  # largest max |F| a Newton solve may end at once its step stalls
 
 
@@ -127,13 +131,14 @@ NEWTON_TOL = 1e-12       # max |F| at which an iterate is accepted outright
 NEWTON_MIN_STEP = 1e-15  # a damped step this small ends the iteration
 LYAPUNOV_U_MIN = 0.506   # 1-D Newton iterates stay above this u (domain edge 0.505)
 DIMENSION_XTOL = 1e-13   # Newton step at which bounded_digit_dimension stops
+HERMITE_REACH = 8.0      # node spacings beyond its nearer node the cubic predictor may reach
 
 
 _Pair = tuple[float, float]
 
 
 def _newton(system: Callable[[float, float], tuple[_Pair, tuple[_Pair, _Pair]]],
-            t: float, q: float, tol: float) -> tuple[float, float]:
+            t: float, q: float, tol: float, step: _Pair | None = None) -> tuple[float, float]:
     """Damped Newton iteration for F(t, q) = 0 from (t, q).
 
     ``system`` returns F and the rows of the Jacobian the step uses
@@ -142,20 +147,26 @@ def _newton(system: Callable[[float, float], tuple[_Pair, tuple[_Pair, _Pair]]],
     of the exact Jacobian scaled by a positive factor gives the step of an
     equation with the same roots; damping and termination read F alone.
     A step is halved until t stays positive, the pressure is defined and
-    max |F| decreases.  The iteration ends at max |F| <= NEWTON_TOL, or
-    when the damped step falls below NEWTON_MIN_STEP with max |F| <=
-    ``tol``; otherwise it raises ``ConvergenceError``.
+    max |F| decreases.  ``step``, if given, replaces the first Newton step
+    (a predictor) and is damped the same way.  The iteration ends at
+    max |F| <= NEWTON_TOL, or when the damped step falls below
+    NEWTON_MIN_STEP with max |F| <= ``tol``; otherwise it raises
+    ``ConvergenceError``.
     """
     F, jac = system(t, q)
     norm = max(abs(F[0]), abs(F[1]))
     for _ in range(NEWTON_MAX_ITER):
         if norm <= NEWTON_TOL:
             return t, q
-        (a, b), (c, d) = jac
-        det = a * d - b * c
-        if det == 0.0 or not math.isfinite(det):
-            raise transfer.ConvergenceError(f"singular Newton Jacobian at (t, q) = ({t}, {q})")
-        dt, dq = (b * F[1] - d * F[0]) / det, (c * F[0] - a * F[1]) / det
+        if step is not None:
+            (dt, dq), step = step, None
+        else:
+            (a, b), (c, d) = jac
+            det = a * d - b * c
+            if det == 0.0 or not math.isfinite(det):
+                raise transfer.ConvergenceError(
+                    f"singular Newton Jacobian at (t, q) = ({t}, {q})")
+            dt, dq = (b * F[1] - d * F[0]) / det, (c * F[0] - a * F[1]) / det
         scale = 1.0
         while True:
             if scale * max(abs(dt), abs(dq)) < NEWTON_MIN_STEP:
@@ -186,17 +197,81 @@ def _start(hint: SpectrumPoint | None) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
+# predictor along a curve
+# ---------------------------------------------------------------------------
+
+def _coordinate(x: float, forward: bool, floor: float) -> tuple[float, float]:
+    """(s, dx/ds) in the coordinate where a curve is nearly linear at the end
+    a march heads toward: s = 1/x toward x -> infinity, s = log(x - floor)
+    toward the bottom of the window."""
+    if forward:
+        return 1.0 / x, -x * x
+    return math.log(x - floor), x - floor
+
+
+def _predict(x: float, floor: float, nodes):
+    """Values at exponent ``x`` extrapolated from solved ``nodes``.
+
+    ``nodes`` holds one or two (exponent, value, d value/d exponent), the
+    nearest to ``x`` first, and the extrapolation is taken in the
+    coordinate of ``_coordinate``.  Two nodes give the cubic Hermite
+    extrapolation through both, unless ``x`` lies more than HERMITE_REACH
+    of their spacings beyond the nearer one: farther out the cubic term
+    swamps the step, and at 32 spacings damped Newton from the prediction
+    fails on some grids.  Otherwise, and from one node, it is the tangent
+    line at the nearer node.
+    """
+    x1, y1, m1 = nodes[0]
+    forward = x > x1
+    s = _coordinate(x, forward, floor)[0]
+    s1, d1 = _coordinate(x1, forward, floor)
+    tangent = y1 + m1 * d1 * (s - s1)
+    if len(nodes) == 1:
+        return tangent
+    x0, y0, m0 = nodes[1]
+    s0, d0 = _coordinate(x0, forward, floor)
+    h = s1 - s0
+    if abs(s - s1) > HERMITE_REACH * abs(h):
+        return tangent
+    r = (s - s0) / h
+    return ((1.0 + 2.0 * r) * (1.0 - r) ** 2 * y0 + r * (1.0 - r) ** 2 * h * m0 * d0
+            + r * r * (3.0 - 2.0 * r) * y1 + r * r * (r - 1.0) * h * m1 * d1)
+
+
+def _marching(x: float, hint: SpectrumPoint,
+              prior: SpectrumPoint | None) -> list[SpectrumPoint]:
+    """The points to extrapolate to ``x`` from: ``hint`` and ``prior`` (the
+    point solved before it) if the step from ``prior`` to ``hint`` heads
+    toward ``x``, else ``hint`` alone."""
+    if prior is not None and (hint.exponent - prior.exponent) * (x - hint.exponent) > 0.0:
+        return [hint, prior]
+    return [hint]
+
+
+# ---------------------------------------------------------------------------
 # Khintchine spectrum
 # ---------------------------------------------------------------------------
 
+def _khintchine_slopes(r: transfer.PressureResult, q: float) -> tuple[float, float]:
+    """(t', q') along the Khintchine curve at the point of result ``r``."""
+    slope = q / r.dP_dt
+    return slope, (1.0 - r.d2P_dtdq * slope) / r.d2P_dq2
+
+
 def khintchine_point(xi: float, provider: PressureProvider | None = None,
-                     hint: SpectrumPoint | None = None) -> SpectrumPoint:
+                     hint: SpectrumPoint | None = None,
+                     prior: SpectrumPoint | None = None) -> SpectrumPoint:
     """Dimension of the level set of mean log-digit equal to ``xi``.
 
     The Newton step is that of (P - q xi, 1/xi - 1/P_q) = 0: the exact
     Jacobian of F = (P - q xi, P_q - xi) with its second row scaled by
     xi / P_q, while F and the residuals are the plain ones.  P_q <= 0 (only
     on the alphabet {1}) raises ``ConvergenceError``.
+
+    Newton starts from the peak (1, 0), or from ``hint`` with a first step
+    to the (t, q) that ``_predict`` extrapolates from ``hint`` and
+    ``prior`` with the slopes t', q' below, read from the provider at those
+    points (cache hits along a curve); that step is damped like the others.
 
     ``t_slope`` and ``t_curvature`` come from implicit differentiation of
     P(t, q) = q xi, P_q(t, q) = xi: t' = q / P_t, q' = (1 - P_tq t') / P_qq
@@ -214,10 +289,16 @@ def khintchine_point(xi: float, provider: PressureProvider | None = None,
         return ((r.value - q * xi, r.dP_dq - xi),
                 ((r.dP_dt, r.dP_dq - xi), (scale * r.d2P_dtdq, scale * r.d2P_dq2)))
 
-    t, q = _newton(system, *_start(hint), RESIDUAL_TOL)
+    step = None
+    if hint is not None:
+        nodes = [(p.exponent, np.array([p.dimension, p.q_value]),
+                  np.array(_khintchine_slopes(prov.result(p.dimension, p.q_value), p.q_value)))
+                 for p in _marching(xi, hint, prior)]
+        t_new, q_new = _predict(xi, 0.0, nodes)
+        step = (t_new - hint.dimension, q_new - hint.q_value)
+    t, q = _newton(system, *_start(hint), RESIDUAL_TOL, step)
     r = prov.result(t, q)
-    slope = q / r.dP_dt
-    dq = (1.0 - r.d2P_dtdq * slope) / r.d2P_dq2
+    slope, dq = _khintchine_slopes(r, q)
     curvature = (dq * r.dP_dt - q * (r.d2P_dt2 * slope + r.d2P_dtdq * dq)) / r.dP_dt ** 2
     return SpectrumPoint(
         exponent=xi, dimension=t, q_value=q,
@@ -247,43 +328,69 @@ def _lyapunov_point(beta: float, t: float, q: float, u: float,
     )
 
 
+def _lyapunov_u(p: SpectrumPoint) -> float:
+    """The u = t - q a point was solved at: its exact ``lyapunov_u`` when a
+    Lyapunov route set it, else t - q."""
+    return p.lyapunov_u if p.lyapunov_u is not None else p.dimension - p.q_value
+
+
 def lyapunov_point(beta: float, provider: PressureProvider | None = None,
-                   hint: SpectrumPoint | None = None) -> SpectrumPoint:
+                   hint: SpectrumPoint | None = None,
+                   prior: SpectrumPoint | None = None) -> SpectrumPoint:
     """Dimension of the level set of expansion rate ``beta`` (Legendre route).
 
     Solves P'(u) = -beta for u, sets q = P(u)/beta, t = u + q; the returned
-    residuals re-check the two-parameter system at (t, q).  P' is increasing
-    in u and behaves like -2/(2u - 1) near the domain edge, where 1/P' is
-    nearly linear.  So the step is Newton's on 1/beta + 1/P'(u) = 0: the
-    plain step on P' + beta times -P'(u)/beta, shorter right of the root
-    (where |P'| < beta), so a step toward the edge does not overshoot it.
-    A step that would still leave the domain is halved until u stays above
-    LYAPUNOV_U_MIN.  The iteration starts from the hint's u (its exact
-    ``lyapunov_u`` when a Lyapunov route set it, else t - q; 1 without a
-    hint), so a warm start's first query hits the provider cache.  It
-    stops at |P' + beta| <= NEWTON_TOL * beta, or when the step stops
+    residuals re-check the two-parameter system at (t, q).  P' increases in
+    u from -infinity at the domain edge u = 1/2 to -gamma0, and each Newton
+    step is taken on a form of the equation that is nearly linear in u:
+
+    - beta >= lambda0: 1/beta + 1/P'(u) = 0, since P' ~ -2/(2u - 1) near
+      the edge; this is the plain step times -P'(u)/beta, so a step toward
+      the edge does not overshoot it.
+    - beta < lambda0: log(-P'(u) - gamma0) = log(beta - gamma0), since the
+      gap -P'(u) - gamma0 decays exponentially in u.  A gap <= 0 raises
+      ``ConvergenceError``.
+
+    A step that would leave the domain is halved until u stays above
+    LYAPUNOV_U_MIN.  The iteration starts from u = 1, or from the hint's u
+    (``_lyapunov_u``), so a warm start's first query hits the provider
+    cache; its first step then goes to the u that ``_predict`` extrapolates
+    from ``hint`` and ``prior`` with u' = -1/P''(u).  It stops at
+    |P' + beta| <= NEWTON_TOL * beta, or when the Newton step stops
     shrinking once |P' + beta| is within RESIDUAL_TOL (the rounding floor
     of P').
     """
     _check_window("beta", [beta], BETA_WINDOW)
     prov = provider or default_provider()
+    gamma0 = golden_constant()
+    log_gap = beta < lyapunov_constant()
 
-    if hint is None:
-        u = 1.0
-    elif hint.lyapunov_u is not None:
-        u = hint.lyapunov_u
-    else:
-        u = hint.dimension - hint.q_value
+    u, predicted = 1.0, None
+    if hint is not None:
+        u = _lyapunov_u(hint)
+        nodes = [(p.exponent, _lyapunov_u(p), -1.0 / prov.result(_lyapunov_u(p), 0.0).d2P_dt2)
+                 for p in _marching(beta, hint, prior)]
+        predicted = _predict(beta, gamma0, nodes)
     last_step = math.inf
     for _ in range(NEWTON_MAX_ITER):
         res = prov.result(u, 0.0)
         gap = res.dP_dt + beta
-        step = gap * res.dP_dt / (beta * res.d2P_dt2)
+        if log_gap:
+            e = -res.dP_dt - gamma0
+            if e <= 0.0:
+                raise transfer.ConvergenceError(
+                    f"-P'(u) - gamma0 = {e} <= 0 at u = {u}; no log-gap step")
+            step = math.log(e / (beta - gamma0)) * e / res.d2P_dt2
+        else:
+            step = gap * res.dP_dt / (beta * res.d2P_dt2)
         if abs(gap) <= NEWTON_TOL * beta or (
                 abs(step) >= last_step and abs(gap) <= RESIDUAL_TOL):
             q = res.value / beta
             return _lyapunov_point(beta, u + q, q, u, res)
-        last_step = abs(step)
+        if predicted is not None:
+            step, predicted = predicted - u, None
+        else:
+            last_step = abs(step)
         while u + step <= LYAPUNOV_U_MIN:
             step *= 0.5
         u += step
@@ -320,12 +427,13 @@ def _solve_curve(grid: Sequence[float], solver, center: float,
     solves_before = provider.solves
 
     def march(indices):
-        hint = solved.get(start)
+        # the last two points solved on this side, the nearest last
+        hint, prior = solved.get(start), None
         for idx in indices:
             try:
-                pt = solver(grid[idx], provider, hint)
+                pt = solver(grid[idx], provider, hint, prior)
                 solved[idx] = pt
-                hint = pt
+                hint, prior = pt, hint
             except (WindowError, transfer.DomainError,
                     transfer.ConvergenceError) as exc:
                 failures.append({"exponent": float(grid[idx]), "error": str(exc)})

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import weakref
 
 import numpy as np
@@ -135,14 +136,36 @@ def test_newton_curve_solve_count():
     prov = sp.default_provider()
     curve = sp.khintchine_curve(np.geomspace(0.3, 40.0, 60), prov)
     assert len(curve.points) == 60
-    assert curve.metadata["solves"] == len(prov._cache) < 220
+    assert curve.metadata["solves"] == len(prov._cache) <= 165
 
 
 def test_lyapunov_curve_solve_count():
     prov = sp.default_provider()
     curve = sp.lyapunov_curve(np.geomspace(GAMMA0 + 0.01, 150.0, 25), prov)
     assert len(curve.points) == 25
-    assert curve.metadata["solves"] == len(prov._cache) < 110
+    assert curve.metadata["solves"] == len(prov._cache) <= 75
+
+
+def test_lyapunov_edge_curve_solve_count():
+    # the log-gap step and the predictor down to the bottom of the window
+    prov = sp.default_provider()
+    curve = sp.lyapunov_curve(GAMMA0 + np.geomspace(1e-6, 0.04, 20), prov)
+    assert len(curve.points) == 20
+    assert max(max(p.residuals) for p in curve.points) <= 1e-10
+    assert curve.metadata["solves"] == len(prov._cache) <= 50
+
+
+@pytest.mark.parametrize("curve_fn, grid", [
+    (sp.khintchine_curve, [0.05, XI0 * 0.9998, XI0 * 0.9999, XI0]),
+    (sp.lyapunov_curve, [GAMMA0 + 1e-6, 2.2 * 0.999, 2.2, LAM0]),
+])
+def test_curve_predictor_far_beyond_its_nodes(curve_fn, grid):
+    # a cubic extrapolated thousands of node spacings out lands far off the
+    # curve (Newton stalls, or u reaches ~72 where -P' - gamma0 rounds to 0),
+    # so that far out the predictor is the tangent line
+    curve = curve_fn(grid, sp.default_provider())
+    assert not curve.metadata["failures"]
+    assert len(curve.points) == 4
 
 
 def test_curve_solves_count_only_new_solves():
@@ -227,8 +250,8 @@ def test_lyapunov_routes_agree(provider):
         assert p1.t_curvature == pytest.approx(p2.t_curvature, rel=1e-6)
 
 
-def test_lyapunov_warm_start_first_query_is_a_cache_hit(monkeypatch):
-    # a warm start queries the exact u its hint was solved at
+def _first_queries_of_warm_starts(monkeypatch, name, curve_fn, grid):
+    """Whether each warm-started point's first provider query was a cache hit."""
     prov = sp.default_provider()
     lookup = prov._lookup
     hits = []
@@ -238,20 +261,60 @@ def test_lyapunov_warm_start_first_query_is_a_cache_hit(monkeypatch):
         return lookup(t, q)
 
     prov._lookup = recorded
-    point = sp.lyapunov_point
+    point = getattr(sp, name)
     first_hits = []
 
-    def warm_point(beta, provider, hint):
+    def warm_point(x, provider, hint, prior):
         start = len(hits)
-        pt = point(beta, provider, hint)
+        pt = point(x, provider, hint, prior)
         if hint is not None:
             first_hits.append(hits[start])
         return pt
 
-    monkeypatch.setattr(sp, "lyapunov_point", warm_point)
-    curve = sp.lyapunov_curve(np.geomspace(1.0, 100.0, 40), prov)
-    assert len(curve.points) == 40
+    monkeypatch.setattr(sp, name, warm_point)
+    curve = curve_fn(grid, prov)
+    assert len(curve.points) == len(grid)
+    return first_hits
+
+
+def test_lyapunov_warm_start_first_query_is_a_cache_hit(monkeypatch):
+    # a warm start queries the exact u its hint was solved at
+    first_hits = _first_queries_of_warm_starts(
+        monkeypatch, "lyapunov_point", sp.lyapunov_curve, np.geomspace(1.0, 100.0, 40))
     assert len(first_hits) == 39 and all(first_hits)
+
+
+def test_khintchine_warm_start_first_query_is_a_cache_hit(monkeypatch):
+    first_hits = _first_queries_of_warm_starts(
+        monkeypatch, "khintchine_point", sp.khintchine_curve, np.geomspace(0.3, 40.0, 40))
+    assert len(first_hits) == 39 and all(first_hits)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_lyapunov_cold_point_near_gamma0(k):
+    # the log-gap step reaches beta = gamma0 + 10^-k in a few solves, and the
+    # point does not depend on the collocation order
+    beta = GAMMA0 + 10.0 ** -k
+    prov = sp.default_provider()
+    p16 = sp.lyapunov_point(beta, prov)
+    assert len(prov._cache) <= 6
+    assert max(p16.residuals) <= 1e-10
+    p32 = sp.lyapunov_point(beta, tr.PressureProvider(
+        tr.Alphabet.full(64), tr.Discretization.chebyshev(32)))
+    assert abs(p16.dimension - p32.dimension) <= 1e-12
+    assert abs(p16.q_value - p32.q_value) <= 1e-8
+
+
+@pytest.mark.parametrize("dP_dt", [-GAMMA0, -GAMMA0 + 0.01])
+def test_lyapunov_log_gap_step_needs_a_positive_gap(dP_dt):
+    # -P'(u) - gamma0 <= 0 has no logarithm: the solve raises instead of
+    # switching to another step
+    class Stub:
+        def result(self, t, q):
+            return types.SimpleNamespace(value=0.1, dP_dt=dP_dt, d2P_dt2=1.0)
+
+    with pytest.raises(tr.ConvergenceError, match="log-gap"):
+        sp.lyapunov_point(GAMMA0 + 0.1, Stub())
 
 
 def test_lyapunov_point_near_floor_solves():

@@ -5,8 +5,8 @@
 
 The benchmark is the one ``BENCHMARK.json`` declares: its command, its
 workloads, its end-to-end metrics and its run length.  The parent commit is
-checked out into a temporary ``git worktree`` (removed afterwards); the
-change is the checkout this script lives in, working tree included, so run
+unpacked with ``git archive`` into a temporary directory (removed
+afterwards), so the repository itself is left untouched; the change is the checkout this script lives in, working tree included, so run
 it before committing with ``--parent HEAD``, or after with ``--parent
 HEAD~1``.
 
@@ -124,11 +124,13 @@ def main(argv=None) -> int:
               + (" with uncommitted changes" if git("status", "--porcelain") else ""))
     scratch = Path(tempfile.mkdtemp(prefix="bench-parent-"))
     parent_dir = scratch / "parent"
-    git("worktree", "add", "--detach", str(parent_dir), parent_sha)
     try:
+        parent_dir.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", parent_sha],
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_dir)], input=archive, check=True)
         workloads = run_pairs(args, spec, parent_dir)
     finally:
-        git("worktree", "remove", "--force", str(parent_dir))
         shutil.rmtree(scratch, ignore_errors=True)
     report = {
         "parent": parent_sha,
