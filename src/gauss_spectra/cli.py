@@ -20,7 +20,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .acceptance import CRITERIA, VerifyConfig, run_criterion
 from .spectra import (WindowError, bounded_digit_dimension, khintchine_curve,
                       lyapunov_curve, spectrum_shape_report, InsufficientGridError)
 from .transfer import (Alphabet, ConvergenceError, Discretization, DomainError,
@@ -288,6 +287,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .acceptance import CRITERIA, VerifyConfig, run_criterion  # only verify needs them
     if args.list_only:
         for cid, title, _ in CRITERIA:
             print(f"{cid}  {title}")

@@ -8,10 +8,13 @@ system
 whose unique solution (t, q) has t = dim of the level set.  It is found by
 damped Newton iteration on F(t, q) = (P - q xi, dP/dq - xi), started from
 the peak (1, 0), or, when a curve is marched outward from the peak, from
-the neighbouring solved point with a first step to the cubic Hermite
-extrapolation of the last two points solved on that side (``_predict``).
-The Jacobian is exact, built from the pressure's gradient and Hessian, so
-each iterate costs one eigen-solve.
+the neighbouring solved point with a first step to the Hermite
+extrapolation through the last three points solved on the march
+(``_predict``; the march to the left of the peak starts from the peak and
+the two points right of it).  Toward large xi the extrapolated pair is
+(t, log(xi (2t - q - 1))), whose second entry levels off as the curve
+nears the divergence line.  The Jacobian is exact, built from the
+pressure's gradient and Hessian, so each iterate costs one eigen-solve.
 
 Each step is Newton's on the reciprocal slope equation 1/xi - 1/P_q = 0.
 Near the divergence line 2t - q = 1, P ~ -log(2t - q - 1), so P_q grows
@@ -25,7 +28,9 @@ P''(u), then q = P(u)/beta and t = u + q.  Above the peak lambda0 the step
 is taken from 1/beta + 1/P'(u) = 0 likewise; below it from
 log(-P'(u) - gamma0) = log(beta - gamma0), because -P'(u) - gamma0 decays
 exponentially in u as beta falls to gamma0.  On a curve the first step goes
-to the u extrapolated likewise.  The 2x2 Newton iteration on the
+to the u extrapolated likewise, as log(beta (u - 1/2)) toward large beta.
+A predicted first step is kept only if it lowers the residual; otherwise
+the Newton step from the neighbouring point is taken.  The 2x2 Newton iteration on the
 two-parameter form, with u = t - q, is kept alongside as an independent
 consistency route with the plain step; the two share no root-finding code.
 The windows XI_WINDOW, BETA_WINDOW and the tolerance RESIDUAL_TOL are module
@@ -147,43 +152,50 @@ def _newton(system: Callable[[float, float], tuple[_Pair, tuple[_Pair, _Pair]]],
     of the exact Jacobian scaled by a positive factor gives the step of an
     equation with the same roots; damping and termination read F alone.
     A step is halved until t stays positive, the pressure is defined and
-    max |F| decreases.  ``step``, if given, replaces the first Newton step
-    (a predictor) and is damped the same way.  The iteration ends at
-    max |F| <= NEWTON_TOL, or when the damped step falls below
-    NEWTON_MIN_STEP with max |F| <= ``tol``; otherwise it raises
-    ``ConvergenceError``.
+    max |F| decreases.  ``step``, if given, is a predicted first step: it
+    is taken whole if it passes the same test, and otherwise dropped for
+    the Newton step from (t, q), since a prediction need not point
+    downhill.  The iteration ends at max |F| <= NEWTON_TOL, or when the
+    damped step falls below NEWTON_MIN_STEP with max |F| <= ``tol``;
+    otherwise it raises ``ConvergenceError``.
     """
+    def downhill(t_new: float, q_new: float, norm: float):
+        """F and jac at (t_new, q_new) if max |F| falls below ``norm`` there."""
+        if t_new <= 0.0:
+            return None
+        try:
+            F_new, jac_new = system(t_new, q_new)
+        except transfer.DomainError:
+            return None
+        return (F_new, jac_new) if max(abs(F_new[0]), abs(F_new[1])) < norm else None
+
     F, jac = system(t, q)
     norm = max(abs(F[0]), abs(F[1]))
     for _ in range(NEWTON_MAX_ITER):
         if norm <= NEWTON_TOL:
             return t, q
+        accepted = None
         if step is not None:
-            (dt, dq), step = step, None
-        else:
+            t_new, q_new = t + step[0], q + step[1]
+            accepted, step = downhill(t_new, q_new, norm), None
+        if accepted is None:
             (a, b), (c, d) = jac
             det = a * d - b * c
             if det == 0.0 or not math.isfinite(det):
                 raise transfer.ConvergenceError(
                     f"singular Newton Jacobian at (t, q) = ({t}, {q})")
             dt, dq = (b * F[1] - d * F[0]) / det, (c * F[0] - a * F[1]) / det
-        scale = 1.0
-        while True:
-            if scale * max(abs(dt), abs(dq)) < NEWTON_MIN_STEP:
-                if norm <= tol:
-                    return t, q
-                raise transfer.ConvergenceError(
-                    f"Newton stalled at (t, q) = ({t}, {q}) with max |F| = {norm:.3e}")
-            t_new, q_new = t + scale * dt, q + scale * dq
-            if t_new > 0.0:
-                try:
-                    F_new, jac_new = system(t_new, q_new)
-                except transfer.DomainError:
-                    F_new = None
-                if F_new is not None and max(abs(F_new[0]), abs(F_new[1])) < norm:
-                    break
-            scale *= 0.5
-        t, q, F, jac = t_new, q_new, F_new, jac_new
+            scale = 1.0
+            while accepted is None:
+                if scale * max(abs(dt), abs(dq)) < NEWTON_MIN_STEP:
+                    if norm <= tol:
+                        return t, q
+                    raise transfer.ConvergenceError(
+                        f"Newton stalled at (t, q) = ({t}, {q}) with max |F| = {norm:.3e}")
+                t_new, q_new = t + scale * dt, q + scale * dq
+                accepted = downhill(t_new, q_new, norm)
+                scale *= 0.5
+        t, q, (F, jac) = t_new, q_new, accepted
         norm = max(abs(F[0]), abs(F[1]))
     if norm <= tol:
         return t, q
@@ -212,40 +224,58 @@ def _coordinate(x: float, forward: bool, floor: float) -> tuple[float, float]:
 def _predict(x: float, floor: float, nodes):
     """Values at exponent ``x`` extrapolated from solved ``nodes``.
 
-    ``nodes`` holds one or two (exponent, value, d value/d exponent), the
+    ``nodes`` holds one to three (exponent, value, d value/d exponent), the
     nearest to ``x`` first, and the extrapolation is taken in the
-    coordinate of ``_coordinate``.  Two nodes give the cubic Hermite
-    extrapolation through both, unless ``x`` lies more than HERMITE_REACH
-    of their spacings beyond the nearer one: farther out the cubic term
-    swamps the step, and at 32 spacings damped Newton from the prediction
-    fails on some grids.  Otherwise, and from one node, it is the tangent
-    line at the nearer node.
+    coordinate s of ``_coordinate``.  It is the Hermite polynomial through
+    the value and slope at every node, in Newton form on the confluent
+    divided differences of the doubled nodes: one node gives the tangent
+    line, two the cubic, three the quintic.  If ``x`` lies more than
+    HERMITE_REACH spacings of the two nearest nodes beyond the nearer one,
+    it is the tangent line at the nearest node: farther out the higher
+    terms swamp the step, and at 32 spacings damped Newton from the
+    prediction fails on some grids.
     """
-    x1, y1, m1 = nodes[0]
-    forward = x > x1
+    forward = x > nodes[0][0]
     s = _coordinate(x, forward, floor)[0]
-    s1, d1 = _coordinate(x1, forward, floor)
-    tangent = y1 + m1 * d1 * (s - s1)
-    if len(nodes) == 1:
-        return tangent
-    x0, y0, m0 = nodes[1]
-    s0, d0 = _coordinate(x0, forward, floor)
-    h = s1 - s0
-    if abs(s - s1) > HERMITE_REACH * abs(h):
-        return tangent
-    r = (s - s0) / h
-    return ((1.0 + 2.0 * r) * (1.0 - r) ** 2 * y0 + r * (1.0 - r) ** 2 * h * m0 * d0
-            + r * r * (3.0 - 2.0 * r) * y1 + r * r * (r - 1.0) * h * m1 * d1)
+    z, coef, slopes = [], [], []
+    for xk, yk, mk in nodes:
+        sk, dk = _coordinate(xk, forward, floor)
+        z += [sk, sk]
+        coef += [yk, yk]
+        slopes.append(mk * dk)
+    if len(nodes) > 1 and abs(s - z[0]) > HERMITE_REACH * abs(z[0] - z[2]):
+        z, coef = z[:2], coef[:2]
+    n = len(z)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            if j == 1 and i % 2:
+                coef[i] = slopes[i // 2]
+            else:
+                coef[i] = (coef[i] - coef[i - 1]) / (z[i] - z[i - j])
+    value = coef[-1]
+    for i in range(n - 2, -1, -1):
+        value = value * (s - z[i]) + coef[i]
+    return value
+
+
+def _log_gap(x: float, gap: float, slope: float) -> tuple[float, float]:
+    """log(x gap) and its derivative in x, from a gap to the divergence line
+    and its derivative ``slope``.  The gap falls like 1/x as x -> infinity,
+    so log(x gap) levels off there; the gap is e^g / x again."""
+    return math.log(x * gap), 1.0 / x + slope / gap
 
 
 def _marching(x: float, hint: SpectrumPoint,
-              prior: SpectrumPoint | None) -> list[SpectrumPoint]:
-    """The points to extrapolate to ``x`` from: ``hint`` and ``prior`` (the
-    point solved before it) if the step from ``prior`` to ``hint`` heads
-    toward ``x``, else ``hint`` alone."""
-    if prior is not None and (hint.exponent - prior.exponent) * (x - hint.exponent) > 0.0:
-        return [hint, prior]
-    return [hint]
+              prior: Sequence[SpectrumPoint]) -> list[SpectrumPoint]:
+    """The points to extrapolate to ``x`` from: ``hint``, then those of
+    ``prior`` (the points solved before it, the nearest first) as long as
+    each step from one to the next nearer heads toward ``x``."""
+    nodes = [hint]
+    for p in prior:
+        if (nodes[-1].exponent - p.exponent) * (x - hint.exponent) <= 0.0:
+            break
+        nodes.append(p)
+    return nodes
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +290,7 @@ def _khintchine_slopes(r: transfer.PressureResult, q: float) -> tuple[float, flo
 
 def khintchine_point(xi: float, provider: PressureProvider | None = None,
                      hint: SpectrumPoint | None = None,
-                     prior: SpectrumPoint | None = None) -> SpectrumPoint:
+                     prior: Sequence[SpectrumPoint] = ()) -> SpectrumPoint:
     """Dimension of the level set of mean log-digit equal to ``xi``.
 
     The Newton step is that of (P - q xi, 1/xi - 1/P_q) = 0: the exact
@@ -268,10 +298,15 @@ def khintchine_point(xi: float, provider: PressureProvider | None = None,
     xi / P_q, while F and the residuals are the plain ones.  P_q <= 0 (only
     on the alphabet {1}) raises ``ConvergenceError``.
 
-    Newton starts from the peak (1, 0), or from ``hint`` with a first step
-    to the (t, q) that ``_predict`` extrapolates from ``hint`` and
-    ``prior`` with the slopes t', q' below, read from the provider at those
-    points (cache hits along a curve); that step is damped like the others.
+    Newton starts from the peak (1, 0), or from ``hint`` with a predicted
+    first step (see ``_newton``) to the (t, q) that ``_predict``
+    extrapolates from ``hint`` and ``prior`` (the points solved before it,
+    the nearest first; see ``_marching``) with the slopes t', q' below, read
+    from the provider at those points (cache hits along a curve).  For
+    xi > hint.exponent on the full alphabet the pair extrapolated is
+    (t, g) with g = log(xi (2t - q - 1)) and g' = 1/xi + (2t' - q')/(2t - q - 1),
+    since P ~ -log(2t - q - 1) near the divergence line makes 2t - q - 1
+    fall like 1/xi; then q = 2t - 1 - e^g / xi.
 
     ``t_slope`` and ``t_curvature`` come from implicit differentiation of
     P(t, q) = q xi, P_q(t, q) = xi: t' = q / P_t, q' = (1 - P_tq t') / P_qq
@@ -291,10 +326,17 @@ def khintchine_point(xi: float, provider: PressureProvider | None = None,
 
     step = None
     if hint is not None:
-        nodes = [(p.exponent, np.array([p.dimension, p.q_value]),
-                  np.array(_khintchine_slopes(prov.result(p.dimension, p.q_value), p.q_value)))
-                 for p in _marching(xi, hint, prior)]
+        gap_form = xi > hint.exponent and prov.alphabet.has_tail
+        nodes = []
+        for p in _marching(xi, hint, prior):
+            t, q = p.dimension, p.q_value
+            dt, dq = _khintchine_slopes(prov.result(t, q), q)
+            if gap_form:
+                q, dq = _log_gap(p.exponent, 2.0 * t - q - 1.0, 2.0 * dt - dq)
+            nodes.append((p.exponent, np.array([t, q]), np.array([dt, dq])))
         t_new, q_new = _predict(xi, 0.0, nodes)
+        if gap_form:
+            q_new = 2.0 * t_new - 1.0 - math.exp(q_new) / xi
         step = (t_new - hint.dimension, q_new - hint.q_value)
     t, q = _newton(system, *_start(hint), RESIDUAL_TOL, step)
     r = prov.result(t, q)
@@ -336,7 +378,7 @@ def _lyapunov_u(p: SpectrumPoint) -> float:
 
 def lyapunov_point(beta: float, provider: PressureProvider | None = None,
                    hint: SpectrumPoint | None = None,
-                   prior: SpectrumPoint | None = None) -> SpectrumPoint:
+                   prior: Sequence[SpectrumPoint] = ()) -> SpectrumPoint:
     """Dimension of the level set of expansion rate ``beta`` (Legendre route).
 
     Solves P'(u) = -beta for u, sets q = P(u)/beta, t = u + q; the returned
@@ -355,7 +397,12 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
     LYAPUNOV_U_MIN.  The iteration starts from u = 1, or from the hint's u
     (``_lyapunov_u``), so a warm start's first query hits the provider
     cache; its first step then goes to the u that ``_predict`` extrapolates
-    from ``hint`` and ``prior`` with u' = -1/P''(u).  It stops at
+    from ``hint`` and ``prior`` with u' = -1/P''(u), or, for beta above
+    hint.exponent on the full alphabet, from v = log(beta (u - 1/2)) with
+    v' = 1/beta + u'/(u - 1/2), giving u = 1/2 + e^v / beta.  The predicted
+    u is kept only if the residual of the equation the step is taken on is
+    smaller there than at the hint; otherwise (a prediction need not land
+    nearer the root) the Newton step from the hint follows.  It stops at
     |P' + beta| <= NEWTON_TOL * beta, or when the Newton step stops
     shrinking once |P' + beta| is within RESIDUAL_TOL (the rounding floor
     of P').
@@ -368,19 +415,36 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
     u, predicted = 1.0, None
     if hint is not None:
         u = _lyapunov_u(hint)
-        nodes = [(p.exponent, _lyapunov_u(p), -1.0 / prov.result(_lyapunov_u(p), 0.0).d2P_dt2)
-                 for p in _marching(beta, hint, prior)]
+        gap_form = beta > hint.exponent and prov.alphabet.has_tail
+        nodes = []
+        for p in _marching(beta, hint, prior):
+            v = _lyapunov_u(p)
+            dv = -1.0 / prov.result(v, 0.0).d2P_dt2
+            if gap_form:
+                v, dv = _log_gap(p.exponent, v - 0.5, dv)
+            nodes.append((p.exponent, v, dv))
         predicted = _predict(beta, gamma0, nodes)
+        if gap_form:
+            predicted = 0.5 + math.exp(predicted) / beta
+
+    def residual(at: float) -> tuple[transfer.PressureResult, float]:
+        """The result at u = ``at`` and the left side there of the equation
+        the step is taken on."""
+        res = prov.result(at, 0.0)
+        if not log_gap:
+            return res, (res.dP_dt + beta) / (beta * res.dP_dt)
+        e = -res.dP_dt - gamma0
+        if e <= 0.0:
+            raise transfer.ConvergenceError(
+                f"-P'(u) - gamma0 = {e} <= 0 at u = {at}; no log-gap step")
+        return res, math.log(e / (beta - gamma0))
+
     last_step = math.inf
     for _ in range(NEWTON_MAX_ITER):
-        res = prov.result(u, 0.0)
+        res, r = residual(u)
         gap = res.dP_dt + beta
         if log_gap:
-            e = -res.dP_dt - gamma0
-            if e <= 0.0:
-                raise transfer.ConvergenceError(
-                    f"-P'(u) - gamma0 = {e} <= 0 at u = {u}; no log-gap step")
-            step = math.log(e / (beta - gamma0)) * e / res.d2P_dt2
+            step = r * (-res.dP_dt - gamma0) / res.d2P_dt2
         else:
             step = gap * res.dP_dt / (beta * res.d2P_dt2)
         if abs(gap) <= NEWTON_TOL * beta or (
@@ -388,9 +452,17 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
             q = res.value / beta
             return _lyapunov_point(beta, u + q, q, u, res)
         if predicted is not None:
-            step, predicted = predicted - u, None
-        else:
-            last_step = abs(step)
+            jump, predicted = predicted - u, None
+            while u + jump <= LYAPUNOV_U_MIN:
+                jump *= 0.5
+            try:
+                downhill = abs(residual(u + jump)[1]) < abs(r)
+            except transfer.ConvergenceError:
+                downhill = False
+            if downhill:
+                u += jump
+                continue
+        last_step = abs(step)
         while u + step <= LYAPUNOV_U_MIN:
             step *= 0.5
         u += step
@@ -419,6 +491,17 @@ def lyapunov_point_2d(beta: float, provider: PressureProvider | None = None,
 
 def _solve_curve(grid: Sequence[float], solver, center: float,
                  provider: PressureProvider | None) -> SpectrumCurve:
+    """Solve ``solver`` on the sorted grid, marching outward from the grid
+    point nearest ``center`` (the peak).
+
+    The first march goes from the peak to the right, the second from the
+    point left of the peak to the left.  Each point is solved with the
+    last three points solved on its march as ``hint`` and ``prior``, so its
+    predictor has up to three nodes.  The second march starts from the
+    peak and the first two points of the first, so its first point is
+    extrapolated through the peak rather than along the tangent there.  A
+    point that fails is recorded in ``metadata["failures"]`` and skipped.
+    """
     provider = provider or default_provider()
     grid = np.asarray(sorted(float(g) for g in grid))
     start = int(np.argmin(np.abs(grid - center)))
@@ -426,20 +509,20 @@ def _solve_curve(grid: Sequence[float], solver, center: float,
     failures: list[dict] = []
     solves_before = provider.solves
 
-    def march(indices):
-        # the last two points solved on this side, the nearest last
-        hint, prior = solved.get(start), None
+    def march(indices, trail):
+        # trail: the last three points solved along this march, the nearest first
         for idx in indices:
             try:
-                pt = solver(grid[idx], provider, hint, prior)
+                pt = solver(grid[idx], provider, trail[0] if trail else None, trail[1:])
                 solved[idx] = pt
-                hint, prior = pt, hint
+                trail = [pt] + trail[:2]
             except (WindowError, transfer.DomainError,
                     transfer.ConvergenceError) as exc:
                 failures.append({"exponent": float(grid[idx]), "error": str(exc)})
 
-    march(range(start, len(grid)))          # peak outward to the right
-    march(range(start - 1, -1, -1))         # then outward to the left
+    march(range(start, len(grid)), [])      # peak outward to the right
+    # then outward to the left, from the peak and the two points right of it
+    march(range(start - 1, -1, -1), [solved[i] for i in range(start, start + 3) if i in solved])
     points = [solved[i] for i in sorted(solved)]
     meta = {"failures": failures, "solves": provider.solves - solves_before}
     return SpectrumCurve(points=points, metadata=meta)

@@ -57,12 +57,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .cf import PartialQuotients
 from .zeta import hurwitz_zeta
+
+if TYPE_CHECKING:
+    from .cf import PartialQuotients
 
 DOMAIN_MARGIN = 0.01  # reject 2t - q below 1 + this; the pressure diverges at 1
 JET_ORDER = 6         # Taylor orders of the eigenfunction kept in the tail
@@ -652,6 +654,7 @@ def sample_digits(g: GibbsApprox, length: int, seed: int) -> PartialQuotients:
             out[pos] = digit
         x = 1.0 / (digit + x)
         pos += 1
+    from .cf import PartialQuotients  # only sampling needs cf (and fractions)
     return PartialQuotients(tuple(int(a) for a in out))
 
 

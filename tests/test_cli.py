@@ -281,7 +281,8 @@ def test_spectrum_failure_rows_and_exit3(capsys, monkeypatch):
 
 
 def test_verify_exit_codes(capsys, monkeypatch):
-    import gauss_spectra.cli as cli_mod
+    # cmd_verify imports the criteria from acceptance when it runs
+    import gauss_spectra.acceptance as acceptance_mod
     from gauss_spectra.acceptance import CriterionResult
 
     def fake_run(cid, cfg):
@@ -290,12 +291,12 @@ def test_verify_exit_codes(capsys, monkeypatch):
                                expected="e", tolerance="tol", runtime=0.0,
                                budget=1.0)
 
-    monkeypatch.setattr(cli_mod, "CRITERIA", (("c01", "a", None), ("c02", "b", None)))
-    monkeypatch.setattr(cli_mod, "run_criterion", fake_run)
+    monkeypatch.setattr(acceptance_mod, "CRITERIA", (("c01", "a", None), ("c02", "b", None)))
+    monkeypatch.setattr(acceptance_mod, "run_criterion", fake_run)
     code, out, _ = run(capsys, "verify")
     assert code == 1
     assert "FAIL c02" in out and "PASS c01" in out
 
-    monkeypatch.setattr(cli_mod, "CRITERIA", (("c01", "a", None),))
+    monkeypatch.setattr(acceptance_mod, "CRITERIA", (("c01", "a", None),))
     code, out, _ = run(capsys, "verify")
     assert code == 0
