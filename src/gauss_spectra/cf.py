@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 LOG2 = math.log(2.0)
-GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 
 DigitsLike = Union["PartialQuotients", Sequence[int]]
 

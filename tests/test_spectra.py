@@ -26,20 +26,24 @@ def provider():
     return sp.default_provider()
 
 
-def test_package_import_defers_integrate_and_optimize():
-    # the package and its CLI load no scipy module, outside the c01/c02 quadrature oracles
+def test_package_and_verify_oracles_run_without_scipy():
+    # numpy is the only dependency: with scipy blocked, the package, its CLI and
+    # verify's c01/c02 quadrature oracles run and load no scipy module
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    code = ("import sys, gauss_spectra; "
+    code = ("import sys; sys.modules['scipy'] = None; import gauss_spectra; "
             "gauss_spectra.khintchine_curve([0.5, 1.0, 2.0]); "
             "gauss_spectra.lyapunov_curve([2.0, 2.4, 3.0]); "
             "import gauss_spectra.cli; "
             "gauss_spectra.zeta.khintchine_exponent(); "
             "gauss_spectra.bounded_digit_dimension({1, 2}); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "from gauss_spectra import acceptance; "
+            "print([acceptance.run_criterion(c).passed for c in ('c01', 'c02')]); "
+            "print(sorted(m for m, mod in sys.modules.items() "
+            "if m.split('.')[0] == 'scipy' and mod is not None))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n")[:2] == ["[True, True]", "[]"]
 
 
 PACKAGE_NAMES = [

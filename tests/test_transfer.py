@@ -6,7 +6,6 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from gauss_spectra import transfer as tr
 from gauss_spectra.zeta import (DIM_E2_REFERENCE, golden_constant, khintchine_exponent,
@@ -217,7 +216,8 @@ def test_domain_margin_rejection():
 
 def test_restricted_pressure_root_matches_reference():
     a12 = tr.Alphabet.restricted({1, 2})
-    root = brentq(lambda t: P(t, 0.0, a12), 1e-6, 1.0, xtol=1e-13)
+    root = float(mpmath.findroot(lambda t: P(float(t), 0.0, a12), (1e-6, 1.0),
+                                 solver="anderson"))
     assert abs(root - DIM_E2_REFERENCE) < 1e-12
 
 

@@ -2,10 +2,9 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
-from scipy.special import zeta as scipy_zeta
 
 from gauss_spectra.zeta import (DIM_E2_REFERENCE, golden_constant, hurwitz_zeta,
                                 khintchine_constant, khintchine_exponent,
@@ -45,11 +44,18 @@ def test_zeta_decreasing_and_limits():
     assert riemann_zeta(1.001) > 690.0
 
 
-def test_hurwitz_matches_scipy_on_a_grid():
+def mp_zeta(s, a):
+    """Hurwitz zeta at 60 digits, elementwise over s: at mpmath's default
+    15 digits the reference itself is 2.7e-8 off at a = 65."""
+    with mpmath.workdps(60):
+        return np.array([float(mpmath.zeta(float(si), a)) for si in np.atleast_1d(s)])
+
+
+def test_hurwitz_matches_mpmath_on_a_grid():
     s = np.concatenate([np.linspace(1.001, 60.0, 40), [1.0005, 2.0, 30.0]])
     for a in (0.5, 1.0, 3.7, 9.0, 65.0, 80.5):
         mine = hurwitz_zeta(s, a)
-        ref = scipy_zeta(s, a)
+        ref = mp_zeta(s, a)
         assert np.max(np.abs(mine - ref) / np.abs(ref)) < 5e-13
 
 
@@ -58,8 +64,8 @@ def test_hurwitz_derivative_against_richardson_fd():
     for a in (1.0, 9.0, 65.0):
         _, dv = hurwitz_zeta(s0, a, derivative=True)
         h = 1e-5
-        f1 = (scipy_zeta(s0 + h, a) - scipy_zeta(s0 - h, a)) / (2 * h)
-        f2 = (scipy_zeta(s0 + h / 2, a) - scipy_zeta(s0 - h / 2, a)) / h
+        f1 = (mp_zeta(s0 + h, a) - mp_zeta(s0 - h, a)) / (2 * h)
+        f2 = (mp_zeta(s0 + h / 2, a) - mp_zeta(s0 - h / 2, a)) / h
         fd = (4.0 * f2 - f1) / 3.0
         assert np.max(np.abs(dv - fd)) < 1e-8 * np.max(np.abs(fd))
 
@@ -68,7 +74,6 @@ def test_hurwitz_second_derivative_against_mpmath_on_tail_grid():
     # the digit tail evaluates zeta(s, M + 1) with M = 64 from s = 2t - q,
     # which reaches 1 + DOMAIN_MARGIN; mpmath needs more than 40 digits here
     # (at 40 its zeta(26, 65) is off by 3e-12 relative)
-    mpmath = pytest.importorskip("mpmath")
     s = np.concatenate([np.linspace(1.01, 2.0, 12, endpoint=False), np.linspace(2.0, 80.0, 27)])
     a = 65.0 + np.array([0.0, 0.25, 0.5, 1.0])
     mine = hurwitz_zeta(s[:, None], a[None, :], derivative=2)
@@ -93,7 +98,6 @@ def test_hurwitz_rejects_nan(s, a):
 @pytest.mark.parametrize("s", [1.0 + 1e-6, 1.0 + 1e-4, 1.001])
 def test_hurwitz_near_the_pole_against_mpmath(s, a):
     # zeta ~ 1/(s - 1) and its derivatives ~ -1/(s - 1)^2, 2/(s - 1)^3 here
-    mpmath = pytest.importorskip("mpmath")
     mine = hurwitz_zeta(s, a, derivative=2)
     with mpmath.workdps(50):
         for d in range(3):
@@ -111,14 +115,13 @@ def test_khintchine_exponent_against_cylinder_quadrature():
     pts = mid[:, None] + half[:, None] * glx[None, :]
     masses = ((1.0 / ((1.0 + pts) * LOG2)) * glw[None, :]).sum(axis=1) * half
     head = float(np.sum(np.log(n) * masses))
-    tail, _ = integrate.quad(lambda x: -math.log(x) / ((1.0 + x) * LOG2),
-                             0.0, 1.0 / 20_001, epsabs=1e-12)
+    tail = float(mpmath.quad(lambda x: -mpmath.log(x) / ((1 + x) * LOG2),
+                             [0, mpmath.mpf(1) / 20_001]))
     assert khintchine_exponent() == pytest.approx(head + tail, abs=1e-6)
 
 
 def test_khintchine_exponent_against_mpmath():
     # the Bailey-Borwein-Crandall series against mpmath's Khintchine constant
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         ref = mpmath.log(mpmath.khinchin)
         assert abs(mpmath.mpf(khintchine_exponent()) - ref) <= 1e-15
@@ -136,9 +139,7 @@ def test_lyapunov_constant():
     lam = lyapunov_constant()
     assert abs(lam - 2.37314) < 1e-5
     assert lam == pytest.approx(math.pi ** 2 / (6.0 * LOG2), rel=1e-14)
-    quad_val, _ = integrate.quad(
-        lambda x: -2.0 * math.log(x) / ((1.0 + x) * LOG2), 0.0, 1.0,
-        epsabs=1e-13, epsrel=1e-13, limit=200)
+    quad_val = float(mpmath.quad(lambda x: -2 * mpmath.log(x) / ((1 + x) * LOG2), [0, 1]))
     assert lam == pytest.approx(quad_val, abs=1e-10)
 
 
