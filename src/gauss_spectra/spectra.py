@@ -29,14 +29,18 @@ is taken from 1/beta + 1/P'(u) = 0 likewise; below it from
 log(-P'(u) - gamma0) = log(beta - gamma0), because -P'(u) - gamma0 decays
 exponentially in u as beta falls to gamma0.  On a curve the first step goes
 to the u extrapolated likewise, as log(beta (u - 1/2)) toward large beta.
-A predicted first step is kept only if it lowers the residual; otherwise
-the Newton step from the neighbouring point is taken.  The 2x2 Newton iteration on the
-two-parameter form, with u = t - q, is kept alongside as an independent
-consistency route with the plain step; the two share no root-finding code.
-The windows XI_WINDOW, BETA_WINDOW and the tolerance RESIDUAL_TOL are module
-constants.  The shape report of a solved curve reads the analytic curvature
-each point carries; finite differences only check the analytic slope, in the
-tests and in the CLI's ``slope_fd`` column.
+Its steps are damped on the residual of that form.  The 2x2 Newton
+iteration on the two-parameter form, with u = t - q, is kept alongside as
+a cross-check with the plain step: independent equations, the same driver.
+
+These solves and the bounded-digit zeros below run on one damped Newton
+driver, ``_newton``; each caller gives it the residual of the form it steps
+on, that residual's Jacobian and its own stop measure.  A predicted first
+step is kept only if it lowers the residual.  The windows XI_WINDOW,
+BETA_WINDOW and the tolerance RESIDUAL_TOL are module constants.  The
+shape report of a solved curve reads the analytic curvature each point
+carries; finite differences only check the analytic slope, in the tests and
+in the CLI's ``slope_fd`` column.
 
 Also here: the flat fast spectrum 1/(b+1), the growth-ratio estimator for
 b, the Cantor-set dimension quotient for digit ranges s_n <= a_n < N s_n,
@@ -70,7 +74,7 @@ class InsufficientGridError(ValueError):
 
 XI_WINDOW = (0.05, 50.0)                        # Khintchine exponents accepted
 BETA_WINDOW = (golden_constant() + 1e-6, 150.0)  # Lyapunov exponents accepted
-RESIDUAL_TOL = 1e-8  # largest max |F| a Newton solve may end at once its step stalls
+RESIDUAL_TOL = 1e-8  # largest stop measure a Newton solve may end at once it stalls
 
 
 class SolverConfig:
@@ -128,84 +132,79 @@ def default_provider() -> PressureProvider:
 
 
 # ---------------------------------------------------------------------------
-# damped Newton solver for the two-parameter systems
+# damped Newton driver
 # ---------------------------------------------------------------------------
 
 NEWTON_MAX_ITER = 60
-NEWTON_TOL = 1e-12       # max |F| at which an iterate is accepted outright
+NEWTON_TOL = 1e-12       # stop measure at which an iterate is accepted outright
 NEWTON_MIN_STEP = 1e-15  # a damped step this small ends the iteration
 LYAPUNOV_U_MIN = 0.506   # 1-D Newton iterates stay above this u (domain edge 0.505)
-DIMENSION_XTOL = 1e-13   # Newton step at which bounded_digit_dimension stops
 HERMITE_REACH = 8.0      # node spacings beyond its nearer node the cubic predictor may reach
 
 
-_Pair = tuple[float, float]
+def _newton(system: Callable[[tuple], tuple], x: tuple, step: tuple | None = None) -> tuple:
+    """Damped Newton iteration for r(x) = 0 from the 1- or 2-tuple ``x``.
 
+    ``system(x)`` returns (r, J, err) from one pressure result, so an
+    iterate costs one eigen-solve: the residual r of the form whose step is
+    taken, the rows J of its Jacobian (J @ step = -r; a 1-D step is a
+    division, a 2-D one Cramer's rule) and the caller's stop measure err.  A
+    row of the exact Jacobian scaled by a positive factor gives the step of
+    an equation with the same roots.  A zero or non-finite determinant
+    raises ``ConvergenceError``.
 
-def _newton(system: Callable[[float, float], tuple[_Pair, tuple[_Pair, _Pair]]],
-            t: float, q: float, tol: float, step: _Pair | None = None) -> tuple[float, float]:
-    """Damped Newton iteration for F(t, q) = 0 from (t, q).
-
-    ``system`` returns F and the rows of the Jacobian the step uses
-    (jac @ step = -F), from one pressure result, so an iterate costs one
-    eigen-solve; the 2x2 step is taken by Cramer's rule.  A row
-    of the exact Jacobian scaled by a positive factor gives the step of an
-    equation with the same roots; damping and termination read F alone.
-    A step is halved until t stays positive, the pressure is defined and
-    max |F| decreases.  ``step``, if given, is a predicted first step: it
-    is taken whole if it passes the same test, and otherwise dropped for
-    the Newton step from (t, q), since a prediction need not point
-    downhill.  The iteration ends at max |F| <= NEWTON_TOL, or when the
-    damped step falls below NEWTON_MIN_STEP with max |F| <= ``tol``;
-    otherwise it raises ``ConvergenceError``.
+    A step is halved until ``system`` is defined at the trial point (raises
+    neither ``DomainError`` nor ``ConvergenceError`` there; errors at the
+    starting point propagate) and max |r| falls.  ``step``, if given, is a
+    predicted first step: it is taken whole if it passes the same test, and
+    otherwise dropped for the Newton step from ``x``, since a prediction
+    need not point downhill.  The iteration ends at err <= NEWTON_TOL; once
+    the damped step falls below NEWTON_MIN_STEP, or after NEWTON_MAX_ITER
+    iterations, it ends if err <= RESIDUAL_TOL and raises
+    ``ConvergenceError`` otherwise.
     """
-    def downhill(t_new: float, q_new: float, norm: float):
-        """F and jac at (t_new, q_new) if max |F| falls below ``norm`` there."""
-        if t_new <= 0.0:
-            return None
+    def trial(x_new: tuple, norm: float):
+        """``system`` at ``x_new`` if it is defined there and max |r| < ``norm``."""
         try:
-            F_new, jac_new = system(t_new, q_new)
-        except transfer.DomainError:
+            out = system(x_new)
+        except (transfer.DomainError, transfer.ConvergenceError):
             return None
-        return (F_new, jac_new) if max(abs(F_new[0]), abs(F_new[1])) < norm else None
+        return out if max(map(abs, out[0])) < norm else None
 
-    F, jac = system(t, q)
-    norm = max(abs(F[0]), abs(F[1]))
+    r, jac, err = system(x)
     for _ in range(NEWTON_MAX_ITER):
-        if norm <= NEWTON_TOL:
-            return t, q
+        if err <= NEWTON_TOL:
+            return x
+        norm = max(map(abs, r))
         accepted = None
         if step is not None:
-            t_new, q_new = t + step[0], q + step[1]
-            accepted, step = downhill(t_new, q_new, norm), None
+            x_new = tuple(v + s for v, s in zip(x, step))
+            accepted, step = trial(x_new, norm), None
         if accepted is None:
-            (a, b), (c, d) = jac
-            det = a * d - b * c
+            if len(x) == 1:
+                det, dx = jac[0][0], (-r[0],)
+            else:
+                (a, b), (c, d) = jac
+                det, dx = a * d - b * c, (b * r[1] - d * r[0], c * r[0] - a * r[1])
             if det == 0.0 or not math.isfinite(det):
-                raise transfer.ConvergenceError(
-                    f"singular Newton Jacobian at (t, q) = ({t}, {q})")
-            dt, dq = (b * F[1] - d * F[0]) / det, (c * F[0] - a * F[1]) / det
+                raise transfer.ConvergenceError(f"singular Newton Jacobian at {x}")
+            dx = tuple(s / det for s in dx)
             scale = 1.0
             while accepted is None:
-                if scale * max(abs(dt), abs(dq)) < NEWTON_MIN_STEP:
-                    if norm <= tol:
-                        return t, q
+                if scale * max(map(abs, dx)) < NEWTON_MIN_STEP:
+                    if err <= RESIDUAL_TOL:
+                        return x
                     raise transfer.ConvergenceError(
-                        f"Newton stalled at (t, q) = ({t}, {q}) with max |F| = {norm:.3e}")
-                t_new, q_new = t + scale * dt, q + scale * dq
-                accepted = downhill(t_new, q_new, norm)
+                        f"Newton stalled at {x} with stop measure {err:.3e}")
+                x_new = tuple(v + scale * s for v, s in zip(x, dx))
+                accepted = trial(x_new, norm)
                 scale *= 0.5
-        t, q, (F, jac) = t_new, q_new, accepted
-        norm = max(abs(F[0]), abs(F[1]))
-    if norm <= tol:
-        return t, q
+        x, (r, jac, err) = x_new, accepted
+    if err <= RESIDUAL_TOL:
+        return x
     raise transfer.ConvergenceError(
         f"Newton did not converge in {NEWTON_MAX_ITER} iterations; "
-        f"max |F| = {norm:.3e} at (t, q) = ({t}, {q})")
-
-
-def _start(hint: SpectrumPoint | None) -> tuple[float, float]:
-    return (hint.dimension, hint.q_value) if hint is not None else (1.0, 0.0)
+        f"stop measure {err:.3e} at {x}")
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +294,9 @@ def khintchine_point(xi: float, provider: PressureProvider | None = None,
 
     The Newton step is that of (P - q xi, 1/xi - 1/P_q) = 0: the exact
     Jacobian of F = (P - q xi, P_q - xi) with its second row scaled by
-    xi / P_q, while F and the residuals are the plain ones.  P_q <= 0 (only
-    on the alphabet {1}) raises ``ConvergenceError``.
+    xi / P_q, while F, the damping and the stop test on max |F| and the
+    residuals are the plain ones.  P_q <= 0 (only on the alphabet {1})
+    raises ``ConvergenceError``; t <= 0 is outside the domain.
 
     Newton starts from the peak (1, 0), or from ``hint`` with a predicted
     first step (see ``_newton``) to the (t, q) that ``_predict``
@@ -315,14 +315,18 @@ def khintchine_point(xi: float, provider: PressureProvider | None = None,
     _check_window("xi", [xi], XI_WINDOW)
     prov = provider or default_provider()
 
-    def system(t: float, q: float):
+    def system(x):
+        t, q = x
+        if t <= 0.0:
+            raise transfer.DomainError(f"t = {t} <= 0")
         r = prov.result(t, q)
         if r.dP_dq <= 0.0:
             raise transfer.ConvergenceError(
                 f"dP/dq = {r.dP_dq} <= 0 at (t, q) = ({t}, {q}); xi = {xi} is unreachable")
         scale = xi / r.dP_dq
-        return ((r.value - q * xi, r.dP_dq - xi),
-                ((r.dP_dt, r.dP_dq - xi), (scale * r.d2P_dtdq, scale * r.d2P_dq2)))
+        F = (r.value - q * xi, r.dP_dq - xi)
+        return (F, ((r.dP_dt, r.dP_dq - xi), (scale * r.d2P_dtdq, scale * r.d2P_dq2)),
+                max(map(abs, F)))
 
     step = None
     if hint is not None:
@@ -338,7 +342,8 @@ def khintchine_point(xi: float, provider: PressureProvider | None = None,
         if gap_form:
             q_new = 2.0 * t_new - 1.0 - math.exp(q_new) / xi
         step = (t_new - hint.dimension, q_new - hint.q_value)
-    t, q = _newton(system, *_start(hint), RESIDUAL_TOL, step)
+    start = (hint.dimension, hint.q_value) if hint is not None else (1.0, 0.0)
+    t, q = _newton(system, start, step)
     r = prov.result(t, q)
     slope, dq = _khintchine_slopes(r, q)
     curvature = (dq * r.dP_dt - q * (r.d2P_dt2 * slope + r.d2P_dtdq * dq)) / r.dP_dt ** 2
@@ -393,26 +398,21 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
       gap -P'(u) - gamma0 decays exponentially in u.  A gap <= 0 raises
       ``ConvergenceError``.
 
-    A step that would leave the domain is halved until u stays above
-    LYAPUNOV_U_MIN.  The iteration starts from u = 1, or from the hint's u
-    (``_lyapunov_u``), so a warm start's first query hits the provider
-    cache; its first step then goes to the u that ``_predict`` extrapolates
-    from ``hint`` and ``prior`` with u' = -1/P''(u), or, for beta above
-    hint.exponent on the full alphabet, from v = log(beta (u - 1/2)) with
-    v' = 1/beta + u'/(u - 1/2), giving u = 1/2 + e^v / beta.  The predicted
-    u is kept only if the residual of the equation the step is taken on is
-    smaller there than at the hint; otherwise (a prediction need not land
-    nearer the root) the Newton step from the hint follows.  It stops at
-    |P' + beta| <= NEWTON_TOL * beta, or when the Newton step stops
-    shrinking once |P' + beta| is within RESIDUAL_TOL (the rounding floor
-    of P').
+    ``_newton`` damps each step on the residual of that form, and treats
+    u <= LYAPUNOV_U_MIN as outside the domain.  The iteration starts from
+    u = 1, or from the hint's u (``_lyapunov_u``), so a warm start's first
+    query hits the provider cache; its predicted first step then goes to the
+    u that ``_predict`` extrapolates from ``hint`` and ``prior`` with
+    u' = -1/P''(u), or, for beta above hint.exponent on the full alphabet,
+    from v = log(beta (u - 1/2)) with v' = 1/beta + u'/(u - 1/2), giving
+    u = 1/2 + e^v / beta.  It stops at |P' + beta| / beta <= NEWTON_TOL.
     """
     _check_window("beta", [beta], BETA_WINDOW)
     prov = provider or default_provider()
     gamma0 = golden_constant()
     log_gap = beta < lyapunov_constant()
 
-    u, predicted = 1.0, None
+    u, step = 1.0, None
     if hint is not None:
         u = _lyapunov_u(hint)
         gap_form = beta > hint.exponent and prov.alphabet.has_tail
@@ -426,66 +426,51 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
         predicted = _predict(beta, gamma0, nodes)
         if gap_form:
             predicted = 0.5 + math.exp(predicted) / beta
+        step = (predicted - u,)
 
-    def residual(at: float) -> tuple[transfer.PressureResult, float]:
-        """The result at u = ``at`` and the left side there of the equation
-        the step is taken on."""
-        res = prov.result(at, 0.0)
-        if not log_gap:
-            return res, (res.dP_dt + beta) / (beta * res.dP_dt)
-        e = -res.dP_dt - gamma0
-        if e <= 0.0:
-            raise transfer.ConvergenceError(
-                f"-P'(u) - gamma0 = {e} <= 0 at u = {at}; no log-gap step")
-        return res, math.log(e / (beta - gamma0))
-
-    last_step = math.inf
-    for _ in range(NEWTON_MAX_ITER):
-        res, r = residual(u)
-        gap = res.dP_dt + beta
+    def system(x):
+        u, = x
+        if u <= LYAPUNOV_U_MIN:
+            raise transfer.DomainError(f"u = {u} <= {LYAPUNOV_U_MIN}")
+        res = prov.result(u, 0.0)
         if log_gap:
-            step = r * (-res.dP_dt - gamma0) / res.d2P_dt2
+            e = -res.dP_dt - gamma0
+            if e <= 0.0:
+                raise transfer.ConvergenceError(
+                    f"-P'(u) - gamma0 = {e} <= 0 at u = {u}; no log-gap step")
+            r, dr = math.log(e / (beta - gamma0)), -res.d2P_dt2 / e
         else:
-            step = gap * res.dP_dt / (beta * res.d2P_dt2)
-        if abs(gap) <= NEWTON_TOL * beta or (
-                abs(step) >= last_step and abs(gap) <= RESIDUAL_TOL):
-            q = res.value / beta
-            return _lyapunov_point(beta, u + q, q, u, res)
-        if predicted is not None:
-            jump, predicted = predicted - u, None
-            while u + jump <= LYAPUNOV_U_MIN:
-                jump *= 0.5
-            try:
-                downhill = abs(residual(u + jump)[1]) < abs(r)
-            except transfer.ConvergenceError:
-                downhill = False
-            if downhill:
-                u += jump
-                continue
-        last_step = abs(step)
-        while u + step <= LYAPUNOV_U_MIN:
-            step *= 0.5
-        u += step
-    raise transfer.ConvergenceError(
-        f"P'(u) = {-beta} not reached in {NEWTON_MAX_ITER} Newton steps; u = {u}")
+            r, dr = (res.dP_dt + beta) / (beta * res.dP_dt), -res.d2P_dt2 / res.dP_dt ** 2
+        return (r,), ((dr,),), abs(res.dP_dt + beta) / beta
+
+    u, = _newton(system, (u,), step)
+    res = prov.result(u, 0.0)
+    q = res.value / beta
+    return _lyapunov_point(beta, u + q, q, u, res)
 
 
 def lyapunov_point_2d(beta: float, provider: PressureProvider | None = None,
                       hint: SpectrumPoint | None = None) -> SpectrumPoint:
     """Lyapunov point by Newton on the two-parameter system (cross-route).
 
-    With u = t - q the system is P(u, 0) = q beta, -dP/dt(u, 0) = beta; it
-    shares no root-finding code with ``lyapunov_point``.
+    With u = t - q the system is P(u, 0) = q beta, -dP/dt(u, 0) = beta,
+    stepped on plainly and stopped at max |F| <= NEWTON_TOL: equations
+    independent of ``lyapunov_point``'s, on the same ``_newton`` driver.
     """
     _check_window("beta", [beta], BETA_WINDOW)
     prov = provider or default_provider()
 
-    def system(t: float, q: float):
+    def system(x):
+        t, q = x
+        if t <= 0.0:
+            raise transfer.DomainError(f"t = {t} <= 0")
         r = prov.result(t - q, 0.0)
-        return ((r.value - q * beta, -r.dP_dt - beta),
-                ((r.dP_dt, -r.dP_dt - beta), (-r.d2P_dt2, r.d2P_dt2)))
+        F = (r.value - q * beta, -r.dP_dt - beta)
+        return (F, ((r.dP_dt, -r.dP_dt - beta), (-r.d2P_dt2, r.d2P_dt2)),
+                max(map(abs, F)))
 
-    t, q = _newton(system, *_start(hint), RESIDUAL_TOL)
+    start = (hint.dimension, hint.q_value) if hint is not None else (1.0, 0.0)
+    t, q = _newton(system, start)
     return _lyapunov_point(beta, t, q, t - q, prov.result(t - q, 0.0))
 
 
@@ -631,8 +616,8 @@ def bounded_digit_dimension(digits: Iterable[int],
     The unique zero of the restricted-alphabet pressure t -> P_D(t); a
     single digit gives a single point, dimension 0.  P_D is decreasing and
     convex with P_D(0) = log |D| > 0, so Newton on the exact P_D' from
-    t = 0 climbs monotonically to the zero; it stops at a step of at most
-    DIMENSION_XTOL or once steps stop shrinking (the rounding floor).
+    t = 0 climbs monotonically to the zero; ``_newton`` stops it at
+    |P_D(t)| <= NEWTON_TOL.
     """
     ds = tuple(sorted(set(int(d) for d in digits)))
     if not ds:
@@ -642,18 +627,11 @@ def bounded_digit_dimension(digits: Iterable[int],
     alphabet = Alphabet.restricted(ds)
     disc = disc or Discretization.chebyshev()
 
-    t, last_step = 0.0, math.inf
-    for _ in range(NEWTON_MAX_ITER):
-        res = transfer.pressure(t, 0.0, alphabet, disc)
-        step = -res.value / res.dP_dt
-        if abs(step) >= last_step:
-            return t
-        t += step
-        if abs(step) <= DIMENSION_XTOL:
-            return t
-        last_step = abs(step)
-    raise transfer.ConvergenceError(
-        f"P_D(t) = 0 not reached in {NEWTON_MAX_ITER} Newton steps for D = {ds}; t = {t}")
+    def system(x):
+        res = transfer.pressure(x[0], 0.0, alphabet, disc)
+        return (res.value,), ((res.dP_dt,),), abs(res.value)
+
+    return _newton(system, (0.0,))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,88 @@ def test_tail_dimension(provider):
     assert 0.5 < pt.dimension < 0.56
 
 
+
+# ---------------------------------------------------------------------------
+# the damped Newton driver, on stub systems with no eigen-solve
+
+def _recorded(system):
+    """``system`` wrapped to record every point it is called at."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return system(x)
+
+    return wrapped, calls
+
+
+def _sqrt2(x):
+    return (x[0] ** 2 - 2.0,), ((2.0 * x[0],),), abs(x[0] ** 2 - 2.0)
+
+
+def test_newton_driver_finds_1d_and_2d_roots():
+    (root,) = sp._newton(_sqrt2, (1.0,))
+    assert root == pytest.approx(math.sqrt(2.0), abs=1e-15)
+
+    def circle_and_diagonal(x):
+        t, q = x
+        F = (t * t + q * q - 4.0, t - q)
+        return F, ((2.0 * t, 2.0 * q), (1.0, -1.0)), max(map(abs, F))
+
+    t, q = sp._newton(circle_and_diagonal, (1.0, 0.5))
+    assert (t, q) == pytest.approx((math.sqrt(2.0), math.sqrt(2.0)), abs=1e-15)
+
+
+def test_newton_driver_keeps_a_downhill_prediction_and_drops_an_uphill_one():
+    system, calls = _recorded(_sqrt2)
+    sp._newton(system, (1.0,), step=(math.sqrt(2.0) - 1.0,))
+    assert calls == [(1.0,), (math.sqrt(2.0),)]      # kept whole, and at the root
+    system, calls = _recorded(_sqrt2)
+    sp._newton(system, (1.0,), step=(2.0,))
+    assert calls[:3] == [(1.0,), (3.0,), (1.5,)]      # dropped for the Newton step
+
+
+@pytest.mark.parametrize("error", [tr.DomainError, tr.ConvergenceError])
+def test_newton_driver_halves_a_step_to_an_undefined_point(error):
+    # the Newton step from 1 goes to 1.5; beyond 1.45 the system is undefined
+    def bounded(x):
+        if x[0] > 1.45:
+            raise error("undefined")
+        return _sqrt2(x)
+
+    system, calls = _recorded(bounded)
+    (root,) = sp._newton(system, (1.0,))
+    assert calls[1:3] == [(1.5,), (1.25,)]
+    assert root == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    with pytest.raises(error):                        # not caught at the start
+        sp._newton(bounded, (2.0,))
+
+
+@pytest.mark.parametrize("err, stops", [(0.5 * sp.RESIDUAL_TOL, True),
+                                        (2.0 * sp.RESIDUAL_TOL, False)])
+def test_newton_driver_stall_returns_only_within_the_residual_tolerance(err, stops):
+    # the residual never falls, so the damped step shrinks below NEWTON_MIN_STEP
+    def flat(x):
+        return (1.0,), ((1.0,),), err
+
+    if stops:
+        assert sp._newton(flat, (0.3,)) == (0.3,)
+    else:
+        with pytest.raises(tr.ConvergenceError, match="stalled"):
+            sp._newton(flat, (0.3,))
+
+
+@pytest.mark.parametrize("x, jac", [((1.0,), ((0.0,),)),
+                                    ((1.0, 2.0), ((1.0, 2.0), (2.0, 4.0))),
+                                    ((1.0, 2.0), ((math.inf, 0.0), (0.0, 1.0)))])
+def test_newton_driver_singular_jacobian_raises(x, jac):
+    def singular(point):
+        return (1.0,) * len(point), jac, 1.0
+
+    with pytest.raises(tr.ConvergenceError, match="singular"):
+        sp._newton(singular, x)
+
+
 def test_newton_cold_and_warm_starts_agree():
     cold = sp.khintchine_point(5.0, sp.default_provider())
     prov = sp.default_provider()
@@ -637,3 +719,22 @@ def test_bounded_digit_dimension_values():
     d123 = sp.bounded_digit_dimension({1, 2, 3})
     assert 0.5313 < d123 < 1.0
     assert d12 < d123
+
+
+@pytest.mark.parametrize("digits, max_calls", [
+    ({1, 2}, 5), ({2, 3}, 4), (set(range(1, 11)), 6), (set(range(1, 101)), 7),
+])
+def test_bounded_digit_dimension_cost(monkeypatch, digits, max_calls):
+    # one eigen-solve per Newton iterate from t = 0
+    calls = []
+    pressure = tr.pressure
+
+    def counted(t, q, alphabet, disc):
+        calls.append(t)
+        return pressure(t, q, alphabet, disc)
+
+    monkeypatch.setattr(tr, "pressure", counted)
+    d = sp.bounded_digit_dimension(digits)
+    assert len(calls) <= max_calls
+    if digits == {1, 2}:
+        assert abs(d - DIM_E2_REFERENCE) <= 1e-13

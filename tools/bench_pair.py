@@ -10,6 +10,13 @@ afterwards), so the repository itself is left untouched; the change is the check
 it before committing with ``--parent HEAD``, or after with ``--parent
 HEAD~1``.
 
+Every run of either side has ``PYTHONDONTWRITEBYTECODE=1`` and
+``PYTHONPYCACHEPREFIX`` set to a directory in the temporary directory
+that stays empty, so both sides compile every module from source and neither
+reads bytecode a checkout happens to hold: a working tree's
+``__pycache__`` would otherwise spare the change side the compile time
+that ``setup_s`` includes on the freshly unpacked parent.
+
 For each workload the script runs PAIRS pairs of runs of the length
 ``BENCHMARK.json`` sets, each pair on its own seed, and alternates which
 side runs first.  It writes, per workload and metric,
@@ -53,11 +60,11 @@ def git(*argv: str) -> str:
 
 
 def run_once(checkout: Path, command: list[str], workload: str, seed: int,
-             seconds: float) -> dict:
+             seconds: float, env: dict[str, str]) -> dict:
     """One benchmark run; its last stdout line is the JSON result."""
     argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", f"{seconds:g}", "--trace", "0"]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
+    proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {proc.returncode}:\n"
@@ -90,7 +97,7 @@ def compare(parent_runs: list[dict], change_runs: list[dict], metrics: list[dict
     return out
 
 
-def run_pairs(args, spec, parent_dir: Path) -> dict:
+def run_pairs(args, spec, parent_dir: Path, env: dict[str, str]) -> dict:
     seconds = spec["run_seconds"]
     sides = {"parent": parent_dir, "change": ROOT}
     workloads = {}
@@ -102,7 +109,7 @@ def run_pairs(args, spec, parent_dir: Path) -> dict:
             first = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             order.append(first[0])
             for side in first:
-                run = run_once(sides[side], spec["command"], w["name"], seed, seconds)
+                run = run_once(sides[side], spec["command"], w["name"], seed, seconds, env)
                 runs[side].append(run)
                 print(f"{w['name']} seed {seed} {side}: "
                       + ", ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items()),
@@ -124,12 +131,14 @@ def main(argv=None) -> int:
               + (" with uncommitted changes" if git("status", "--porcelain") else ""))
     scratch = Path(tempfile.mkdtemp(prefix="bench-parent-"))
     parent_dir = scratch / "parent"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPYCACHEPREFIX=str(scratch / "pycache"))   # never written, so empty
     try:
         parent_dir.mkdir()
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", parent_sha],
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(parent_dir)], input=archive, check=True)
-        workloads = run_pairs(args, spec, parent_dir)
+        workloads = run_pairs(args, spec, parent_dir, env)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     report = {
