@@ -27,16 +27,20 @@ find u with P'(u) = -beta by a 1-D Newton iteration on u with the exact
 P''(u), then q = P(u)/beta and t = u + q.  Above the peak lambda0 the step
 is taken from 1/beta + 1/P'(u) = 0 likewise; below it from
 log(-P'(u) - gamma0) = log(beta - gamma0), because -P'(u) - gamma0 decays
-exponentially in u as beta falls to gamma0.  On a curve the first step goes
-to the u extrapolated likewise, as log(beta (u - 1/2)) toward large beta.
-Its steps are damped on the residual of that form.  The 2x2 Newton
+exponentially in u as beta falls to gamma0.  Each step is Chebyshev's
+third-order step on that form, from the exact P'''(u) every solve carries,
+and falls back to the damped Newton step where it does not lower the
+residual.  On a curve the first step goes to the u extrapolated likewise,
+as log(beta (u - 1/2)) toward large beta, with the curvature u'' at the
+nearest solved point.  The 2x2 Newton
 iteration on the two-parameter form, with u = t - q, is kept alongside as
 a cross-check with the plain step: independent equations, the same driver.
 
 These solves and the bounded-digit zeros below run on one damped Newton
 driver, ``_newton``; each caller gives it the residual of the form it steps
-on, that residual's Jacobian and its own stop measure.  A predicted first
-step is kept only if it lowers the residual.  The windows XI_WINDOW,
+on, that residual's Jacobian, its Hessian on the Lyapunov route only, and
+its own stop measure.  A predicted first step and a Chebyshev step are
+kept only if they lower the residual.  The windows XI_WINDOW,
 BETA_WINDOW and the tolerance RESIDUAL_TOL are module constants.  The
 shape report of a solved curve reads the analytic curvature each point
 carries; finite differences only check the analytic slope, in the tests and
@@ -142,53 +146,67 @@ LYAPUNOV_U_MIN = 0.506   # 1-D Newton iterates stay above this u (domain edge 0.
 HERMITE_REACH = 8.0      # node spacings beyond its nearer node the cubic predictor may reach
 
 
+def _solve(jac, rhs, x: tuple) -> tuple:
+    """J^-1 rhs for the rows ``jac`` of a 1x1 or 2x2 Jacobian at ``x``: a
+    division, or Cramer's rule.  A zero or non-finite determinant raises
+    ``ConvergenceError``."""
+    if len(rhs) == 1:
+        det, out = jac[0][0], rhs
+    else:
+        (a, b), (c, d) = jac
+        det, out = a * d - b * c, (d * rhs[0] - b * rhs[1], a * rhs[1] - c * rhs[0])
+    if det == 0.0 or not math.isfinite(det):
+        raise transfer.ConvergenceError(f"singular Newton Jacobian at {x}")
+    return tuple([v / det for v in out])
+
+
 def _newton(system: Callable[[tuple], tuple], x: tuple, step: tuple | None = None) -> tuple:
     """Damped Newton iteration for r(x) = 0 from the 1- or 2-tuple ``x``.
 
-    ``system(x)`` returns (r, J, err) from one pressure result, so an
+    ``system(x)`` returns (r, J, H, err) from one pressure result, so an
     iterate costs one eigen-solve: the residual r of the form whose step is
-    taken, the rows J of its Jacobian (J @ step = -r; a 1-D step is a
-    division, a 2-D one Cramer's rule) and the caller's stop measure err.  A
-    row of the exact Jacobian scaled by a positive factor gives the step of
-    an equation with the same roots.  A zero or non-finite determinant
-    raises ``ConvergenceError``.
+    taken, the rows J of its Jacobian (J @ step = -r), the Hessians H[i] of
+    the r[i] or ``None``, and the caller's stop measure err.  A row of the
+    exact Jacobian scaled by a positive factor gives the step of an
+    equation with the same roots.  A zero or non-finite determinant raises
+    ``ConvergenceError``.
 
-    A step is halved until ``system`` is defined at the trial point (raises
-    neither ``DomainError`` nor ``ConvergenceError`` there; errors at the
-    starting point propagate) and max |r| falls.  ``step``, if given, is a
-    predicted first step: it is taken whole if it passes the same test, and
-    otherwise dropped for the Newton step from ``x``, since a prediction
-    need not point downhill.  The iteration ends at err <= NEWTON_TOL; once
-    the damped step falls below NEWTON_MIN_STEP, or after NEWTON_MAX_ITER
+    A trial point passes if ``system`` is defined there (raises neither
+    ``DomainError`` nor ``ConvergenceError``; errors at the starting point
+    propagate) and max |r| falls.  ``step``, if given, is a predicted first
+    step: it is taken whole if it passes, and otherwise dropped, since a
+    prediction need not point downhill.  With H, the step tried next is
+    Chebyshev's third-order one, dx - J^-1 H(dx, dx) / 2 for the Newton
+    step dx, taken whole if it passes.  Otherwise the Newton step is halved
+    until it passes.  The iteration ends at err <= NEWTON_TOL; once the
+    damped step falls below NEWTON_MIN_STEP, or after NEWTON_MAX_ITER
     iterations, it ends if err <= RESIDUAL_TOL and raises
     ``ConvergenceError`` otherwise.
     """
-    def trial(x_new: tuple, norm: float):
-        """``system`` at ``x_new`` if it is defined there and max |r| < ``norm``."""
+    def trial(dx, norm: float):
+        """(x + dx, ``system`` there) if it is defined there and max |r| < ``norm``."""
+        x_new = tuple([v + s for v, s in zip(x, dx)])
         try:
             out = system(x_new)
         except (transfer.DomainError, transfer.ConvergenceError):
             return None
-        return out if max(map(abs, out[0])) < norm else None
+        return (x_new, out) if max(map(abs, out[0])) < norm else None
 
-    r, jac, err = system(x)
+    r, jac, hess, err = system(x)
     for _ in range(NEWTON_MAX_ITER):
         if err <= NEWTON_TOL:
             return x
         norm = max(map(abs, r))
         accepted = None
         if step is not None:
-            x_new = tuple(v + s for v, s in zip(x, step))
-            accepted, step = trial(x_new, norm), None
+            accepted, step = trial(step, norm), None
         if accepted is None:
-            if len(x) == 1:
-                det, dx = jac[0][0], (-r[0],)
-            else:
-                (a, b), (c, d) = jac
-                det, dx = a * d - b * c, (b * r[1] - d * r[0], c * r[0] - a * r[1])
-            if det == 0.0 or not math.isfinite(det):
-                raise transfer.ConvergenceError(f"singular Newton Jacobian at {x}")
-            dx = tuple(s / det for s in dx)
+            dx = _solve(jac, [-v for v in r], x)
+            if hess is not None:
+                curve = [sum([dx[j] * row[j][k] * dx[k] for j in range(len(dx))
+                              for k in range(len(dx))]) for row in hess]
+                accepted = trial([a - 0.5 * b for a, b in zip(dx, _solve(jac, curve, x))],
+                                 norm)
             scale = 1.0
             while accepted is None:
                 if scale * max(map(abs, dx)) < NEWTON_MIN_STEP:
@@ -196,10 +214,9 @@ def _newton(system: Callable[[tuple], tuple], x: tuple, step: tuple | None = Non
                         return x
                     raise transfer.ConvergenceError(
                         f"Newton stalled at {x} with stop measure {err:.3e}")
-                x_new = tuple(v + scale * s for v, s in zip(x, dx))
-                accepted = trial(x_new, norm)
+                accepted = trial([scale * s for s in dx], norm)
                 scale *= 0.5
-        x, (r, jac, err) = x_new, accepted
+        x, (r, jac, hess, err) = accepted
     if err <= RESIDUAL_TOL:
         return x
     raise transfer.ConvergenceError(
@@ -211,44 +228,54 @@ def _newton(system: Callable[[tuple], tuple], x: tuple, step: tuple | None = Non
 # predictor along a curve
 # ---------------------------------------------------------------------------
 
-def _coordinate(x: float, forward: bool, floor: float) -> tuple[float, float]:
-    """(s, dx/ds) in the coordinate where a curve is nearly linear at the end
-    a march heads toward: s = 1/x toward x -> infinity, s = log(x - floor)
-    toward the bottom of the window."""
+def _coordinate(x: float, forward: bool, floor: float) -> tuple[float, float, float]:
+    """(s, dx/ds, d^2x/ds^2) in the coordinate where a curve is nearly linear
+    at the end a march heads toward: s = 1/x toward x -> infinity,
+    s = log(x - floor) toward the bottom of the window."""
     if forward:
-        return 1.0 / x, -x * x
-    return math.log(x - floor), x - floor
+        return 1.0 / x, -x * x, 2.0 * x * x * x
+    return math.log(x - floor), x - floor, x - floor
 
 
 def _predict(x: float, floor: float, nodes):
     """Values at exponent ``x`` extrapolated from solved ``nodes``.
 
     ``nodes`` holds one to three (exponent, value, d value/d exponent), the
-    nearest to ``x`` first, and the extrapolation is taken in the
-    coordinate s of ``_coordinate``.  It is the Hermite polynomial through
-    the value and slope at every node, in Newton form on the confluent
-    divided differences of the doubled nodes: one node gives the tangent
-    line, two the cubic, three the quintic.  If ``x`` lies more than
-    HERMITE_REACH spacings of the two nearest nodes beyond the nearer one,
-    it is the tangent line at the nearest node: farther out the higher
-    terms swamp the step, and at 32 spacings damped Newton from the
-    prediction fails on some grids.
+    nearest to ``x`` first; a node may carry d^2 value/d exponent^2 as a
+    fourth entry.  The extrapolation is taken in the coordinate s of
+    ``_coordinate``.  It is the Hermite polynomial through the value and
+    slope at every node and the curvatures given, in Newton form on the
+    confluent divided differences of the repeated nodes: one node gives
+    the tangent line, two the cubic, three the quintic, and a curvature at
+    the nearest node raises the degree by one.  Callers give a curvature at
+    the nearest node only: with curvatures at all three nodes the
+    extrapolation overshoots on some sparse grids until the solve's exp
+    overflows.  If ``x`` lies more
+    than HERMITE_REACH spacings of the two nearest nodes beyond the nearer
+    one, it is the Taylor polynomial at
+    the nearest node (the tangent line, or the parabola): farther out the
+    terms of the other nodes swamp the step, and at 32 spacings damped
+    Newton from the cubic through two nodes fails on some grids.
     """
     forward = x > nodes[0][0]
     s = _coordinate(x, forward, floor)[0]
-    z, coef, slopes = [], [], []
-    for xk, yk, mk in nodes:
-        sk, dk = _coordinate(xk, forward, floor)
-        z += [sk, sk]
-        coef += [yk, yk]
-        slopes.append(mk * dk)
-    if len(nodes) > 1 and abs(s - z[0]) > HERMITE_REACH * abs(z[0] - z[2]):
-        z, coef = z[:2], coef[:2]
+    z, derivs = [], []                  # derivs[i]: value, d/ds, d^2/ds^2 / 2 at z[i]
+    for xk, yk, mk, *curvature in nodes:
+        sk, dk, ddk = _coordinate(xk, forward, floor)
+        jet = [yk, mk * dk]
+        if curvature:
+            jet.append(0.5 * (curvature[0] * dk * dk + mk * ddk))
+        z += [sk] * len(jet)
+        derivs += [jet] * len(jet)
+    near = len(derivs[0])
+    if len(nodes) > 1 and abs(s - z[0]) > HERMITE_REACH * abs(z[0] - z[near]):
+        z, derivs = z[:near], derivs[:near]
     n = len(z)
+    coef = [d[0] for d in derivs]
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            if j == 1 and i % 2:
-                coef[i] = slopes[i // 2]
+            if z[i] == z[i - j]:        # confluent: the j-th Taylor coefficient
+                coef[i] = derivs[i][j]
             else:
                 coef[i] = (coef[i] - coef[i - 1]) / (z[i] - z[i - j])
     value = coef[-1]
@@ -295,7 +322,9 @@ def khintchine_point(xi: float, provider: PressureProvider | None = None,
     The Newton step is that of (P - q xi, 1/xi - 1/P_q) = 0: the exact
     Jacobian of F = (P - q xi, P_q - xi) with its second row scaled by
     xi / P_q, while F, the damping and the stop test on max |F| and the
-    residuals are the plain ones.  P_q <= 0 (only on the alphabet {1})
+    residuals are the plain ones.  The steps stay Newton's: a third-order
+    step would need the mixed third derivatives P_ttq, P_tqq and P_qqq,
+    which would cost every solve about a quarter more than it saves.  P_q <= 0 (only on the alphabet {1})
     raises ``ConvergenceError``; t <= 0 is outside the domain.
 
     Newton starts from the peak (1, 0), or from ``hint`` with a predicted
@@ -326,7 +355,7 @@ def khintchine_point(xi: float, provider: PressureProvider | None = None,
         scale = xi / r.dP_dq
         F = (r.value - q * xi, r.dP_dq - xi)
         return (F, ((r.dP_dt, r.dP_dq - xi), (scale * r.d2P_dtdq, scale * r.d2P_dq2)),
-                max(map(abs, F)))
+                None, max(map(abs, F)))
 
     step = None
     if hint is not None:
@@ -338,7 +367,7 @@ def khintchine_point(xi: float, provider: PressureProvider | None = None,
             if gap_form:
                 q, dq = _log_gap(p.exponent, 2.0 * t - q - 1.0, 2.0 * dt - dq)
             nodes.append((p.exponent, np.array([t, q]), np.array([dt, dq])))
-        t_new, q_new = _predict(xi, 0.0, nodes)
+        t_new, q_new = _predict(xi, 0.0, nodes).tolist()
         if gap_form:
             q_new = 2.0 * t_new - 1.0 - math.exp(q_new) / xi
         step = (t_new - hint.dimension, q_new - hint.q_value)
@@ -398,13 +427,18 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
       gap -P'(u) - gamma0 decays exponentially in u.  A gap <= 0 raises
       ``ConvergenceError``.
 
-    ``_newton`` damps each step on the residual of that form, and treats
+    ``_newton`` tries Chebyshev's step on that form first, with its second
+    derivative r'' = -P'''/P'^2 + 2 P''^2/P'^3 (reciprocal form) or
+    -P'''/e - (P''/e)^2 with e = -P' - gamma0 (log-gap form); otherwise it
+    damps the Newton step on the residual of that form.  It treats
     u <= LYAPUNOV_U_MIN as outside the domain.  The iteration starts from
     u = 1, or from the hint's u (``_lyapunov_u``), so a warm start's first
     query hits the provider cache; its predicted first step then goes to the
     u that ``_predict`` extrapolates from ``hint`` and ``prior`` with
-    u' = -1/P''(u), or, for beta above hint.exponent on the full alphabet,
-    from v = log(beta (u - 1/2)) with v' = 1/beta + u'/(u - 1/2), giving
+    u' = -1/P''(u), and u'' = P''' u'/P''^2 at the nearest node, or, for
+    beta above hint.exponent on the full alphabet, from
+    v = log(beta (u - 1/2)) with v' = 1/beta + u'/(u - 1/2) and
+    v'' = -1/beta^2 + u''/(u - 1/2) - (u'/(u - 1/2))^2, giving
     u = 1/2 + e^v / beta.  It stops at |P' + beta| / beta <= NEWTON_TOL.
     """
     _check_window("beta", [beta], BETA_WINDOW)
@@ -419,10 +453,15 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
         nodes = []
         for p in _marching(beta, hint, prior):
             v = _lyapunov_u(p)
-            dv = -1.0 / prov.result(v, 0.0).d2P_dt2
+            res = prov.result(v, 0.0)
+            dv = -1.0 / res.d2P_dt2
+            ddv = res.d3P_dt3 * dv / res.d2P_dt2 ** 2
             if gap_form:
-                v, dv = _log_gap(p.exponent, v - 0.5, dv)
-            nodes.append((p.exponent, v, dv))
+                gap = v - 0.5
+                ddv = -1.0 / p.exponent ** 2 + ddv / gap - (dv / gap) ** 2
+                v, dv = _log_gap(p.exponent, gap, dv)
+            # the curvature goes in at the nearest node only
+            nodes.append((p.exponent, v, dv) + ((ddv,) if not nodes else ()))
         predicted = _predict(beta, gamma0, nodes)
         if gap_form:
             predicted = 0.5 + math.exp(predicted) / beta
@@ -433,15 +472,18 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
         if u <= LYAPUNOV_U_MIN:
             raise transfer.DomainError(f"u = {u} <= {LYAPUNOV_U_MIN}")
         res = prov.result(u, 0.0)
+        P1, P2 = res.dP_dt, res.d2P_dt2
         if log_gap:
-            e = -res.dP_dt - gamma0
+            e = -P1 - gamma0
             if e <= 0.0:
                 raise transfer.ConvergenceError(
                     f"-P'(u) - gamma0 = {e} <= 0 at u = {u}; no log-gap step")
-            r, dr = math.log(e / (beta - gamma0)), -res.d2P_dt2 / e
+            r, dr = math.log(e / (beta - gamma0)), -P2 / e
+            ddr = -res.d3P_dt3 / e - dr * dr
         else:
-            r, dr = (res.dP_dt + beta) / (beta * res.dP_dt), -res.d2P_dt2 / res.dP_dt ** 2
-        return (r,), ((dr,),), abs(res.dP_dt + beta) / beta
+            r, dr = (P1 + beta) / (beta * P1), -P2 / P1 ** 2
+            ddr = -res.d3P_dt3 / P1 ** 2 + 2.0 * P2 * P2 / P1 ** 3
+        return (r,), ((dr,),), (((ddr,),),), abs(P1 + beta) / beta
 
     u, = _newton(system, (u,), step)
     res = prov.result(u, 0.0)
@@ -467,7 +509,7 @@ def lyapunov_point_2d(beta: float, provider: PressureProvider | None = None,
         r = prov.result(t - q, 0.0)
         F = (r.value - q * beta, -r.dP_dt - beta)
         return (F, ((r.dP_dt, -r.dP_dt - beta), (-r.d2P_dt2, r.d2P_dt2)),
-                max(map(abs, F)))
+                None, max(map(abs, F)))
 
     start = (hint.dimension, hint.q_value) if hint is not None else (1.0, 0.0)
     t, q = _newton(system, start)
@@ -488,8 +530,8 @@ def _solve_curve(grid: Sequence[float], solver, center: float,
     point that fails is recorded in ``metadata["failures"]`` and skipped.
     """
     provider = provider or default_provider()
-    grid = np.asarray(sorted(float(g) for g in grid))
-    start = int(np.argmin(np.abs(grid - center)))
+    grid = sorted(float(g) for g in grid)         # floats, not numpy scalars, in the points
+    start = min(range(len(grid)), key=lambda i: abs(grid[i] - center))
     solved: dict[int, SpectrumPoint] = {}
     failures: list[dict] = []
     solves_before = provider.solves
@@ -617,7 +659,9 @@ def bounded_digit_dimension(digits: Iterable[int],
     single digit gives a single point, dimension 0.  P_D is decreasing and
     convex with P_D(0) = log |D| > 0, so Newton on the exact P_D' from
     t = 0 climbs monotonically to the zero; ``_newton`` stops it at
-    |P_D(t)| <= NEWTON_TOL.
+    |P_D(t)| <= NEWTON_TOL.  The steps stay Newton's: a third-order step
+    from P_D'' ends just inside the tolerance, 4e-13 from the {1, 2}
+    reference value, where Newton's last step lands on it.
     """
     ds = tuple(sorted(set(int(d) for d in digits)))
     if not ds:
@@ -629,7 +673,7 @@ def bounded_digit_dimension(digits: Iterable[int],
 
     def system(x):
         res = transfer.pressure(x[0], 0.0, alphabet, disc)
-        return (res.value,), ((res.dP_dt,),), abs(res.value)
+        return (res.value,), ((res.dP_dt,),), None, abs(res.value)
 
     return _newton(system, (0.0,))[0]
 

@@ -28,7 +28,8 @@ and node.  This keeps the cutoff error orders of magnitude below the
 collocation error instead of the ~1/M^2 a crude integral bound leaves.
 
 Every value comes from one path: the collocation matrix A is assembled
-together with its first and second (t, q)-derivatives; everything that does
+together with its first and second (t, q)-derivatives and its third
+t-derivative (the stack DERIVATIVES); everything that does
 not depend on (t, q) (the interpolation tensor, the stacked log-weights of
 the digit weights, the node powers and jet rows of the tail expansion and
 the per-node mixing of its tables) is built once per discretization and
@@ -41,15 +42,16 @@ ConvergenceError unless lambda > 0 and the right eigenvector is positive
 at every node.  Pressure derivatives are exact derivatives of the
 discretized eigenvalue (left/right eigenvector contraction of the
 differentiated matrix), which is precisely the node-weighted Gibbs average
-of log a_1 resp. -log|T'|; the second derivatives take the eigenvector
-derivatives from the same inverse, so a solve factorizes once.  The
+of log a_1 resp. -log|T'|; the second and third derivatives take the
+eigenvector derivatives from the same inverse, so a solve factorizes once.  The
 inverse gets one step of iterative refinement.  All linear algebra is
 numpy's own LAPACK.  Eigendata handed out (eigenfunction values, the
 Gibbs eigenfunction) are those of L: h = w f.
 
 ``pressure`` and the caching ``PressureProvider`` are the two ways to ask
-for a pressure; the gradient, Hessian, eigendata and tail bound are fields
-of the one ``PressureResult`` either returns.
+for a pressure; the gradient, Hessian, third t-derivative, eigendata and
+tail bound are read off the one ``PressureResult`` either returns, the last
+two computed on first read.
 """
 
 from __future__ import annotations
@@ -73,6 +75,10 @@ PSI = (math.sqrt(5.0) - 1.0) / 2.0   # 1/phi: the weight is (x + phi)^(-2t) ~ (1
 BURN_IN = 64          # Gibbs-chain steps sample_digits discards before recording
 CACHED_GRIDS = 8      # Discretization.chebyshev keeps the grids of the last 8 orders used
 CACHED_ALPHABETS = 8  # a grid keeps the DigitTables of the last 8 alphabets built
+# (t-order, q-order) of the derivatives of A stacked by one assembly:
+# A, A_t, A_q, A_tt, A_tq, A_qq, A_ttt
+DERIVATIVES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0))
+MAX_T_ORDER = 3
 
 
 class DomainError(ValueError):
@@ -123,15 +129,16 @@ class DigitTables(NamedTuple):
 
     ``tensor[j, i, m]`` is the barycentric coefficient of node m in
     f(1/(i + x_j)); ``log_weights[j, :, i]`` stacks the log-derivatives
-    (1, l_t, l_q, l_t^2, l_t l_q, l_q^2) of the golden-weighted digit weight
+    (1, l_t, l_q, l_t^2, l_t l_q, l_q^2, l_t^3), one per entry of
+    DERIVATIVES, of the golden-weighted digit weight
     i^q ((1 + psi x_j) / (i + x_j + psi))^(2t), with
     l_t = a_j - 2 log(i + x_j + psi), a_j = 2 log(1 + psi x_j) and
     l_q = log i.  For the digit tail, ``golden_log[j]`` is a_j;
     ``node_powers[j, m]`` is (x_m + psi)^j for the binomial expansion;
     ``tail_rows`` maps node values of f to the Taylor jet F of
     f(u / (1 - psi u)), so f(1/(i + x)) = F(1/(i + x + psi)); and
-    ``tail_mix[j]`` turns the six moment tables (S, S_t, S_q, S_tt, S_tq,
-    S_qq) into those of e^(t a_j) S divided by e^(t a_j).
+    ``tail_mix[j]`` turns the seven moment tables (S and its derivatives in
+    DERIVATIVES) into those of e^(t a_j) S divided by e^(t a_j).
     """
 
     tensor: np.ndarray
@@ -153,16 +160,23 @@ def _golden_shift() -> np.ndarray:
     return shift
 
 
-def _tail_mix(a: np.ndarray) -> np.ndarray:
-    """Per-node (6, 6) matrices taking (S, S_t, S_q, S_tt, S_tq, S_qq) to
-    (S, S_t + aS, S_q, S_tt + 2aS_t + a^2 S, S_tq + aS_q, S_qq), the
-    tables of e^(t a) S over e^(t a)."""
-    mix = np.zeros((len(a), 6, 6))
-    mix[:, range(6), range(6)] = 1.0
-    mix[:, 1, 0] = a
-    mix[:, 3, 0] = a * a
-    mix[:, 3, 1] = 2.0 * a
-    mix[:, 4, 2] = a
+def _leibniz_terms():
+    """(row, k, n, C(m, k), m - k) for every term of the Leibniz rule
+    d^m/dt^m (g h) = sum_k C(m, k) g^(m-k) h^(k) on the stacked derivative
+    d^m/dt^m d^n/dq^n of row ``row`` of DERIVATIVES, where g depends on t
+    alone."""
+    for row, (m, n) in enumerate(DERIVATIVES):
+        for k in range(m + 1):
+            yield row, k, n, math.comb(m, k), m - k
+
+
+def _golden_mix(a: np.ndarray) -> np.ndarray:
+    """Per-node (7, 7) matrices taking the tables of S and its DERIVATIVES
+    to those of e^(t a) S over e^(t a): d^m/dt^m d^n/dq^n (e^(t a) S) over
+    e^(t a) is sum_k C(m, k) a^(m-k) S_(k, n)."""
+    mix = np.zeros((len(a), len(DERIVATIVES), len(DERIVATIVES)))
+    for row, k, n, binom, power in _leibniz_terms():
+        mix[:, row, DERIVATIVES.index((k, n))] += binom * a ** power
     return mix
 
 
@@ -236,14 +250,15 @@ class Discretization:
         a = 2.0 * np.log1p(PSI * self.nodes)
         lt = a[:, None] - 2.0 * np.log(d + self.nodes[:, None] + PSI)     # (K, M)
         lq = np.broadcast_to(np.log(d), lt.shape)
+        lt2 = lt * lt
         return DigitTables(
             tensor=self.coefficients(1.0 / (d + self.nodes[:, None])),
-            log_weights=np.stack([np.ones_like(lt), lt, lq, lt * lt, lt * lq, lq * lq],
+            log_weights=np.stack([np.ones_like(lt), lt, lq, lt2, lt * lq, lq * lq, lt2 * lt],
                                  axis=1),
             golden_log=a,
             node_powers=_node_powers(self.nodes + PSI),
             tail_rows=_golden_shift() @ self.jet_rows,
-            tail_mix=_tail_mix(a))
+            tail_mix=_golden_mix(a))
 
 
 @functools.lru_cache(maxsize=CACHED_GRIDS)
@@ -253,12 +268,13 @@ def _grid(order: int) -> Discretization:
 
 @dataclass(frozen=True)
 class PressureResult:
-    """Pressure value with its exact gradient and Hessian, eigenfunction and
-    tail diagnostics.
+    """Pressure value with its exact gradient, Hessian and third t-derivative,
+    eigenfunction and tail diagnostics.
 
     ``eigenfunction_values`` are the node values, on the requested
     discretization, of the eigenfunction h of the unweighted operator
-    (largest 1).
+    (largest 1).  It and ``tail_error_bound`` are computed on first read
+    from the eigenvector the solve keeps; the spectrum solvers read neither.
     """
 
     value: float
@@ -267,8 +283,29 @@ class PressureResult:
     d2P_dt2: float
     d2P_dtdq: float
     d2P_dq2: float
-    eigenfunction_values: np.ndarray
-    tail_error_bound: float
+    d3P_dt3: float
+    _f: np.ndarray = field(repr=False)        # golden-weighted eigenvector, entries sum 1
+    _weight: np.ndarray = field(repr=False)   # node weights e^(t a_j)
+    # (lambda, tail_rows, |S| at Taylor order JET_ORDER, binom_trunc) with a digit tail
+    _tail: tuple | None = field(repr=False)
+
+    @functools.cached_property
+    def eigenfunction_values(self) -> np.ndarray:
+        h = self._f / self._weight
+        return h / h.max()
+
+    @functools.cached_property
+    def tail_error_bound(self) -> float:
+        """Size of the neglected terms of the digit tail's Taylor and
+        binomial expansions, relative to lambda (0 without a tail)."""
+        if self._tail is None:
+            return 0.0
+        lam, tail_rows, top, binom_trunc = self._tail
+        # the bound is linear in f: take f at largest node value 1, not sum 1
+        jets = tail_rows @ (self._f / self._f.max())
+        weight = self._weight
+        return float((abs(jets[-1]) * (weight * top).max()
+                      + abs(jets[0]) * binom_trunc * weight.max()) / lam)
 
 
 def check_domain(t: float, q: float, alphabet: Alphabet) -> None:
@@ -281,11 +318,11 @@ def check_domain(t: float, q: float, alphabet: Alphabet) -> None:
 
 
 def _binomial_polys(count: int) -> np.ndarray:
-    """C(-rho, j) = (-1)^j (rho)_j / j! for j < count and its first two
+    """C(-rho, j) = (-1)^j (rho)_j / j! for j < count and its first three
     t-derivatives (rho = 2t + r, drho/dt = 2) as polynomials in rho.
 
-    Entry [d, k, j] is the coefficient of rho^k in d^d C(-rho, j) / dt^d,
-    so a row of powers of rho times the table gives all three at once.  They
+    Entry [k, d count + j] is the coefficient of rho^k in d^d C(-rho, j) / dt^d,
+    so a row of powers of rho times the table gives all four at once.  They
     come from the rising-factorial recurrence
     (rho)_j = (rho)_{j-1} (rho + j - 1) applied to coefficient vectors, so
     the values are polynomial evaluations with no division by rho + m
@@ -297,25 +334,45 @@ def _binomial_polys(count: int) -> np.ndarray:
         poly[j] += (j - 1) * poly[j - 1]
     poly *= np.array([(-1.0) ** j / math.factorial(j) for j in range(count)])[:, None]
     d_dt = np.diag(2.0 * np.arange(1, count), -1)   # d/dt rho^k = 2k rho^(k-1)
-    return np.stack([poly, poly @ d_dt, poly @ d_dt @ d_dt]).transpose(0, 2, 1)
+    tables = [poly]
+    for _ in range(MAX_T_ORDER):
+        tables.append(tables[-1] @ d_dt)
+    return np.stack(tables).transpose(2, 0, 1).reshape(count, -1)
 
 
 _BINOM_POLYS = _binomial_polys(BINOM_TERMS + 1)
 _POWERS = np.arange(BINOM_TERMS + 1, dtype=float)
 _ORDERS = np.arange(JET_ORDER + 1, dtype=float)
 _S_OFFSETS = np.arange(JET_ORDER + BINOM_TERMS + 1, dtype=float)
-# zeta row index of term j at Taylor order r
-_ZETA_WINDOW = np.arange(JET_ORDER + 1)[:, None] + np.arange(BINOM_TERMS + 1)
-# the six tables as combinations of the products C_a Z_b (column 3a + b) of
-# the binomial coefficients C, C_t, C_tt and the zeta values Z, Z', Z''
-_TAIL_MIX = np.array([
-    [1, 0, 0, 0, 0, 0, 0, 0, 0],     # C Z
-    [0, 2, 0, 1, 0, 0, 0, 0, 0],     # C_t Z + 2 C Z'
-    [0, -1, 0, 0, 0, 0, 0, 0, 0],    # -C Z'
-    [0, 0, 4, 0, 4, 0, 1, 0, 0],     # C_tt Z + 4 C_t Z' + 4 C Z''
-    [0, 0, -2, 0, -1, 0, 0, 0, 0],   # -C_t Z' - 2 C Z''
-    [0, 0, 1, 0, 0, 0, 0, 0, 0],     # C Z''
-], dtype=float)
+
+
+def _moment_mix():
+    """(mix, binom_index, zeta_index) for the seven tables of C Z, where
+    C = C(-rho, j) at rho = 2t + r and Z = zeta(s, M + 1) at s = rho + j - q.
+
+    With ds/dt = 2 and ds/dq = -1, d^m/dt^m d^n/dq^n (C Z) is
+    sum_k C(m, k) C^(k) 2^(m-k) (-1)^n Z^(m-k+n): a combination, row by row
+    of ``mix``, of the ten products C^(k) Z^(p) that occur, t-derivatives
+    of C times s-derivatives of Z.  Product c at Taylor order r and term j
+    is binom.flat[binom_index[c, r, j]] * zeta.flat[zeta_index[c, r, j]]
+    for binom[r, (k, j)] of ``_BINOM_POLYS`` and the zeta row zeta[p, r + j].
+    """
+    pairs, terms = [], []
+    for row, k, n, binom, power in _leibniz_terms():
+        if (k, power + n) not in pairs:
+            pairs.append((k, power + n))
+        terms.append((row, pairs.index((k, power + n)), binom * 2.0 ** power * (-1.0) ** n))
+    mix = np.zeros((len(DERIVATIVES), len(pairs)))
+    for row, col, coef in terms:
+        mix[row, col] += coef
+    k, p = np.array(pairs).T[:, :, None, None]
+    r, j = np.arange(JET_ORDER + 1)[:, None], np.arange(BINOM_TERMS + 1)
+    binom_index = r * _BINOM_POLYS.shape[1] + k * (BINOM_TERMS + 1) + j
+    zeta_index = p * len(_S_OFFSETS) + r + j
+    return mix, binom_index, zeta_index
+
+
+_TAIL_MIX, _BINOM_INDEX, _ZETA_INDEX = _moment_mix()
 
 
 def _node_powers(x: np.ndarray) -> np.ndarray:
@@ -331,37 +388,39 @@ def _tail_moments(t: float, q: float, node_powers: np.ndarray, cutoff: int):
 
         sum_{i>M} f_p(i, x_k) i^q (i + x_k)^(-(2t+r)),
 
-    f_p = 1, -2 log(i+x), log i, 4 log^2(i+x), -2 log i log(i+x), log^2 i for
-    p = 0..5: the moment and its t, q, tt, tq and qq derivatives.  Expanding
+    f_p = 1, -2 log(i+x), log i, 4 log^2(i+x), -2 log i log(i+x), log^2 i,
+    -8 log^3(i+x) for p = 0..6: the moment and its derivatives in
+    DERIVATIVES.  Expanding
     (i+x)^(-rho) = sum_j C(-rho, j) x^j i^(-rho-j) in x/i gives
 
         sum_{i>M} i^q (i+x)^(-rho) = sum_j C(-rho, j) x^j zeta(rho + j - q, M + 1),
 
     so every zeta value sits at the one point a = M + 1 and one Hurwitz zeta
-    row, with two s-derivatives, serves all orders r and nodes x.  With
+    row, with three s-derivatives, serves all orders r and nodes x.  With
     rho = 2t + r the coefficients depend on t alone and s = rho + j - q has
     ds/dt = 2, ds/dq = -1, so the derivative tables follow by the chain rule:
-    the six coefficient tables are one constant mixing matrix times the
-    products of (C, C_t, C_tt) with (Z, Z', Z'').  ``binom_trunc`` is the
+    the seven coefficient tables are one constant mixing matrix (``_moment_mix``)
+    times the products of C and its t-derivatives with Z and its
+    s-derivatives.  ``binom_trunc`` is the
     size of the last binomial term at r = 0, a truncation proxy.  The
     assembly passes the shifted nodes x + psi <= 1 + psi, so the ratio x/i
     is at most 0.025 and BINOM_TERMS = 20 terms reach 1e-32.
     """
     s_grid = 2.0 * t - q + _S_OFFSETS
-    zeta = np.array(hurwitz_zeta(s_grid, cutoff + 1.0, derivative=2))[:, _ZETA_WINDOW]
-    rho = 2.0 * t + _ORDERS
-    binom = rho[:, None] ** _POWERS @ _BINOM_POLYS                  # (3, R, J+1)
-    products = binom.reshape(3, 1, -1) * zeta.reshape(1, 3, -1)     # C_a Z_b at [a, b]
-    coefs = (_TAIL_MIX @ products.reshape(9, -1)).reshape(6 * (JET_ORDER + 1), -1)
-    moments = (coefs @ node_powers).reshape(6, JET_ORDER + 1, -1)
-    binom_trunc = abs(float(coefs[0, -1])) * float(node_powers[-1].max())
+    zeta = np.array(hurwitz_zeta(s_grid, cutoff + 1.0, derivative=MAX_T_ORDER))
+    binom = (2.0 * t + _ORDERS)[:, None] ** _POWERS @ _BINOM_POLYS  # [r, (k, j)]
+    products = binom.take(_BINOM_INDEX) * zeta.take(_ZETA_INDEX)     # C^(k) Z^(p) at [c, r, j]
+    coefs = (_TAIL_MIX @ products.reshape(len(_TAIL_MIX[0]), -1)).reshape(
+        len(DERIVATIVES) * (JET_ORDER + 1), -1)
+    moments = (coefs @ node_powers).reshape(len(DERIVATIVES), JET_ORDER + 1, -1)
+    binom_trunc = abs(coefs[0, -1].item()) * node_powers[-1].max().item()
     return moments, binom_trunc
 
 
 def _assemble(t: float, q: float, alphabet: Alphabet, disc: Discretization):
-    """The golden-weighted A and its derivatives d/dt, d/dq, d2/dt2, d2/dtdq,
-    d2/dq2 stacked as (6, K, K), the tail moments (or None) and the node
-    weights e^(t a_j) = w(0) / w(x_j)."""
+    """The golden-weighted A and its derivatives in DERIVATIVES stacked as
+    (7, K, K), the tail moments (or None) and the node weights
+    e^(t a_j) = w(0) / w(x_j)."""
     tables = disc.digit_tables(alphabet)
     weight = np.exp(t * tables.golden_log)
     W = np.exp(q * tables.log_weights[:, 2] + t * tables.log_weights[:, 1])    # (K, M)
@@ -370,9 +429,20 @@ def _assemble(t: float, q: float, alphabet: Alphabet, disc: Discretization):
     moments = None
     if alphabet.has_tail:
         moments = _tail_moments(t, q, tables.node_powers, alphabet.cutoff)
-        tail = tables.tail_mix @ moments[0].transpose(2, 0, 1)                # (K, 6, R)
+        tail = tables.tail_mix @ moments[0].transpose(2, 0, 1)                # (K, 7, R)
         mats += (weight[:, None, None] * tail) @ tables.tail_rows
     return mats.transpose(1, 0, 2), moments, weight
+
+
+@functools.lru_cache(maxsize=CACHED_GRIDS)
+def _border(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(template, identity) of the bordered matrix of order n + 1: ones with
+    a zero corner, and the identity, both read-only."""
+    template = np.ones((n + 1, n + 1))
+    template[n, n] = 0.0
+    identity = np.eye(n + 1)
+    template.flags.writeable = identity.flags.writeable = False
+    return template, identity
 
 
 def _perron_pair(A: np.ndarray, t: float, q: float, disc: Discretization):
@@ -402,24 +472,23 @@ def _perron_pair(A: np.ndarray, t: float, q: float, disc: Discretization):
     except np.linalg.LinAlgError:
         raise ConvergenceError(
             f"eigenvalues did not converge at (t, q) = ({t}, {q}) (order {disc.order})") from None
-    real = eig.real[eig.imag == 0.0]
-    lam = float(real.max()) if real.size else math.nan
+    lam = max((e.real for e in eig.tolist() if e.imag == 0.0), default=math.nan)
     if not lam > 0.0:
         raise ConvergenceError(
             f"no positive real eigenvalue at (t, q) = ({t}, {q}) (order {disc.order})")
     n = len(A)
-    bordered = np.ones((n + 1, n + 1))
+    template, identity = _border(n)
+    bordered = template.copy()
     bordered[:n, :n] = -A
     bordered.flat[:n * (n + 2):n + 2] += lam
-    bordered[n, n] = 0.0
     try:
         inverse = np.linalg.inv(bordered)
     except np.linalg.LinAlgError:
         raise ConvergenceError(
             f"singular bordered matrix at (t, q) = ({t}, {q}) (order {disc.order})") from None
-    inverse += inverse @ (np.eye(n + 1) - bordered @ inverse)
+    inverse += inverse @ (identity - bordered @ inverse)
     f = inverse[:n, n]
-    if not (f > 0.0).all():
+    if not f.min() > 0.0:
         raise ConvergenceError(
             "the eigenvector of the largest real eigenvalue is not positive at "
             f"(t, q) = ({t}, {q}) (order {disc.order})")
@@ -440,58 +509,66 @@ def required_order(t: float, base_order: int) -> int:
 def pressure(t: float, q: float, alphabet: Alphabet | None = None,
              disc: Discretization | None = None) -> PressureResult:
     """P(t, q) as the log of the Perron collocation eigenvalue, with its exact
-    gradient and Hessian: the eigen-solve behind every pressure value.
+    gradient, Hessian and third t-derivative: the eigen-solve behind every
+    pressure value.
 
     The alphabet defaults to the full one (cutoff 64) and the grid to order
-    16.  Checks the domain, assembles the golden-weighted A with its first and
-    second derivatives once and takes the Perron pair (f, nu) from
+    16.  Checks the domain, assembles the golden-weighted A with its
+    derivatives in DERIVATIVES once and takes the Perron pair (f, nu) from
     ``_perron_pair``.  The derivatives are the exact ones of the discretized
     eigenvalue: with nu f = 1,
 
-        lambda_i  = nu A_i f,
-        lambda_ij = nu A_ij f + nu A_i f_j + nu A_j f_i,
+        lambda_i   = nu A_i f,
+        lambda_ij  = nu A_ij f + nu A_i f_j + nu A_j f_i,
+        lambda_ttt = nu A_ttt f + 3 nu A_tt f_t + 3 nu A_t f_tt,
 
     where the eigenvector derivative f_i solves (lambda - A) f_i =
-    (A_i - lambda_i) f with nu f_i = 0.  The right-hand sides are
-    annihilated by nu, so the bordered system [lambda - A, 1; 1^T, 0]
-    [f_i; 0] = [(A_i - lambda_i) f; 0] holds, and the Perron pair's refined
-    inverse of it solves both columns at once; the Perron direction is then
-    projected out.  The
-    eigenfunction returned is that of the unweighted operator, h = w f up
-    to normalization.
+    (A_i - lambda_i) f and f_tt solves (lambda - A) f_tt =
+    2 (A_t - lambda_t) f_t + (A_tt - lambda_tt) f, each with nu f_i = 0.
+    The right-hand sides are annihilated by nu, so the bordered system
+    [lambda - A, 1; 1^T, 0] [f_i; 0] = [rhs; 0] holds, and the Perron pair's
+    refined inverse of it solves them all; the Perron direction is then
+    projected out.  P = log lambda, so
+    P_ttt = lambda_ttt/lambda - 3 lambda_tt lambda_t/lambda^2 + 2 (lambda_t/lambda)^3.
+    The eigenfunction and the tail bound are computed from f on first read.
     """
     alphabet = alphabet or Alphabet.full()
     disc = disc or Discretization.chebyshev()
     check_domain(t, q, alphabet)
     mats, moments, weight = _assemble(t, q, alphabet, disc)
     f, nu, inverse = _perron_pair(mats[0], t, q, disc)
-    # nu (A, A_t, A_q, A_tt, A_tq, A_qq) f with nu f = 1; the two-sided
-    # quotient is second-order accurate in the eigenvectors
-    nu_f = nu / float(nu @ f)
+    # nu (A, A_t, A_q, A_tt, A_tq, A_qq, A_ttt) f with nu f = 1; the
+    # two-sided quotient is second-order accurate in the eigenvectors
+    nu_f = nu / (nu @ f)
     nu_mats = nu_f @ mats
-    lam, lam_t, lam_q, lam_tt, lam_tq, lam_qq = nu_mats @ f
-    rhs = (mats[1:3] @ f).T - f[:, None] * (lam_t, lam_q)
-    df = inverse[:-1, :-1] @ rhs                   # the border row of the rhs is 0
+    lam, lam_t, lam_q, lam_tt, lam_tq, lam_qq, lam_ttt = (nu_mats @ f).tolist()
+    mats_f = mats[1:4] @ f                         # A_t f, A_q f, A_tt f
+    solve = inverse[:-1, :-1]                      # the border row of every rhs is 0
+    df = solve @ (mats_f[:2].T - f[:, None] * (lam_t, lam_q))
     df -= f[:, None] * (nu_f @ df)                 # columns f_t, f_q with nu f_i = 0
-    cross = nu_mats[1:3] @ df                      # cross[i, j] = nu A_i f_j
+    (cross_tt, cross_tq), (cross_qt, cross_qq) = (nu_mats[1:3] @ df).tolist()
+    f_t = df[:, 0]
+    d2_lam = lam_tt + 2.0 * cross_tt               # lambda_tt
+    f_tt = solve @ (2.0 * (mats[1] @ f_t - lam_t * f_t) + (mats_f[2] - d2_lam * f))
+    f_tt -= f * (nu_f @ f_tt)
+    d3_lam = lam_ttt + 3.0 * (nu_mats[3] @ f_t).item() + 3.0 * (nu_mats[1] @ f_tt).item()
     P_t, P_q = lam_t / lam, lam_q / lam
-    tail_bound = 0.0
+    tail = None
     if moments is not None:
         S, binom_trunc = moments
-        # the bound is linear in f: take f at largest node value 1, not sum 1
-        jets = disc.digit_tables(alphabet).tail_rows @ (f / f.max())
-        tail_bound = float((abs(jets[-1]) * (weight * np.abs(S[0, JET_ORDER])).max()
-                            + abs(jets[0]) * binom_trunc * weight.max()) / lam)
-    eigenfunction = f / weight
+        tail = (lam, disc.digit_tables(alphabet).tail_rows, np.abs(S[0, JET_ORDER]),
+                binom_trunc)
     return PressureResult(
         value=math.log(lam),
-        dP_dt=float(P_t),
-        dP_dq=float(P_q),
-        d2P_dt2=float((lam_tt + 2.0 * cross[0, 0]) / lam - P_t * P_t),
-        d2P_dtdq=float((lam_tq + cross[0, 1] + cross[1, 0]) / lam - P_t * P_q),
-        d2P_dq2=float((lam_qq + 2.0 * cross[1, 1]) / lam - P_q * P_q),
-        eigenfunction_values=eigenfunction / eigenfunction.max(),
-        tail_error_bound=tail_bound,
+        dP_dt=P_t,
+        dP_dq=P_q,
+        d2P_dt2=d2_lam / lam - P_t * P_t,
+        d2P_dtdq=(lam_tq + cross_tq + cross_qt) / lam - P_t * P_q,
+        d2P_dq2=(lam_qq + 2.0 * cross_qq) / lam - P_q * P_q,
+        d3P_dt3=d3_lam / lam - 3.0 * (d2_lam / lam) * P_t + 2.0 * P_t ** 3,
+        _f=f.copy(),                               # f is a view of the inverse
+        _weight=weight,
+        _tail=tail,
     )
 
 

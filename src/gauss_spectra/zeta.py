@@ -6,7 +6,7 @@ Everything here is real-variable only.  ``hurwitz_zeta`` evaluates
 
 by direct summation up to a shift plus an Euler-Maclaurin correction whose
 eight terms are summed as one polynomial in s from a constant table, and
-optionally returns its first and second derivatives in s as well.  The
+optionally returns its s-derivatives up to the third as well.  The
 Riemann zeta function is the a = 1 special case.  The remaining functions package the three
 constants attached to the Gauss map
 
@@ -39,6 +39,7 @@ _BERN_FACT = np.array([
 _EM_DEGREE = 2 * len(_BERN_FACT)          # monomials s^0 .. s^15
 _EM_POWERS = np.arange(_EM_DEGREE, dtype=float)
 _B_POWERS = np.arange(len(_BERN_FACT), dtype=float)
+MAX_DERIVATIVE = 3                          # highest s-derivative hurwitz_zeta returns
 
 
 def _euler_maclaurin_table() -> np.ndarray:
@@ -49,27 +50,30 @@ def _euler_maclaurin_table() -> np.ndarray:
         E(s) = sum_k B_2k/(2k)! (s)_{2k-1} base^(-2(k-1)),
 
     (s)_n = s (s+1) ... (s+n-1) the rising factorial.  Row k-1 holds the
-    coefficients of s^m in B_2k/(2k)! (s)_{2k-1} (columns m), of its first
-    s-derivative (columns 16 + m) and of its second (columns 32 + m), so
-    the powers of base^-2 times this table are E, E' and E'' in monomials.
-    All coefficients of (s)_n are positive, so for s > 0 the monomial sum
-    of each term has no cancellation.
+    coefficients of s^m in B_2k/(2k)! (s)_{2k-1} (columns m) and of its
+    d-th s-derivative (columns 16 d + m) for d <= MAX_DERIVATIVE, so the
+    powers of base^-2 times this table are E and its derivatives in
+    monomials.  All coefficients of (s)_n are positive, so for s > 0 the
+    monomial sum of each term has no cancellation.
     """
     poch = np.zeros((_EM_DEGREE, _EM_DEGREE))     # poch[n, m]: s^m in (s)_n
     poch[0, 0] = 1.0
     for n in range(1, _EM_DEGREE):
         poch[n, 1:] = poch[n - 1, :-1]
         poch[n] += (n - 1) * poch[n - 1]
-    value = _BERN_FACT[:, None] * poch[1::2]
+    blocks = [_BERN_FACT[:, None] * poch[1::2]]
     d_ds = np.diag(_EM_POWERS[1:], -1)            # d/ds s^m = m s^(m-1)
-    return np.concatenate([value, value @ d_ds, value @ d_ds @ d_ds], axis=1)
+    for _ in range(MAX_DERIVATIVE):
+        blocks.append(blocks[-1] @ d_ds)
+    return np.concatenate(blocks, axis=1)
 
 
-_EM_TABLE = _euler_maclaurin_table()               # (8, 48)
+_EM_TABLE = _euler_maclaurin_table()               # (8, 64)
+_ORDERS = range(MAX_DERIVATIVE + 1)
 # Leibniz rule for x^(-s) g(s): its d-th s-derivative is
 # x^(-s) sum_j _LEIBNIZ[d, j] (log x)^_LEIBNIZ_POWERS[d, j] g^(j)(s)
-_LEIBNIZ = np.array([[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [1.0, -2.0, 1.0]])
-_LEIBNIZ_POWERS = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 1.0, 0.0]])
+_LEIBNIZ = np.array([[math.comb(d, j) * (-1.0) ** (d - j) for j in _ORDERS] for d in _ORDERS])
+_LEIBNIZ_POWERS = np.array([[max(d - j, 0) for j in _ORDERS] for d in _ORDERS], dtype=float)
 
 
 def _euler_maclaurin_coefficients(base: np.ndarray, order: int):
@@ -78,10 +82,10 @@ def _euler_maclaurin_coefficients(base: np.ndarray, order: int):
     for d <= order."""
     logb = np.log(base)
     em = ((base ** -2.0)[..., None] ** _B_POWERS @ _EM_TABLE).reshape(
-        base.shape + (3, _EM_DEGREE)) / base[..., None, None]
+        base.shape + (MAX_DERIVATIVE + 1, _EM_DEGREE)) / base[..., None, None]
     em[..., 0, 0] += 0.5
-    em = (logb[..., None, None] ** _LEIBNIZ_POWERS * _LEIBNIZ)[..., :order + 1, :] @ em
-    return logb, em
+    leibniz = logb[..., None, None] ** _LEIBNIZ_POWERS * _LEIBNIZ
+    return logb, leibniz[..., :order + 1, :] @ em
 
 
 @functools.lru_cache(maxsize=16)
@@ -93,16 +97,16 @@ def _euler_maclaurin_rows(base: float, order: int):
     logb, em = _euler_maclaurin_coefficients(np.asarray(base), order)
     rows = np.ascontiguousarray(em.T)
     rows.flags.writeable = False
-    return logb, rows
+    return float(logb), rows
 
 
 def hurwitz_zeta(s, a=1.0, derivative: int = 0):
     """zeta(s, a) for s > 1, a > 0, broadcasting over array inputs.
 
     ``derivative`` is the highest s-derivative returned: 0 gives zeta alone,
-    1 the pair (zeta, d zeta / ds) and 2 the triple that adds d^2 zeta / ds^2
-    (``True`` counts as 1).  NaN or infinity in ``s`` or ``a`` raises
-    ``ValueError``.
+    d >= 1 the tuple (zeta, d zeta / ds, .., d^d zeta / ds^d) for
+    d <= MAX_DERIVATIVE = 3 (``True`` counts as 1).  NaN or infinity in
+    ``s`` or ``a`` raises ``ValueError``.
 
     The Euler-Maclaurin base point is pushed out far enough that the
     correction series converges geometrically for every requested s, so
@@ -111,21 +115,27 @@ def hurwitz_zeta(s, a=1.0, derivative: int = 0):
     correction terms are one polynomial in s of degree 15 whose monomial
     coefficients, for each base point, are the powers of base^-2 times a
     constant table; with one base point (a scalar ``a``), the corrections
-    and both derivatives of a whole row of s come from one Vandermonde
+    and all derivatives of a whole row of s come from one Vandermonde
     matrix and one matrix product, and the coefficient rows of the 16 most
-    recently used base points are cached.
+    recently used base points are cached.  The integral term
+    base^(1-s)/(s-1) and its derivatives are added on their own, in closed
+    form.
     """
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
-    s_max, a_min = float(s.max()), float(a.min())
+    s_max = float(s.max())
+    if a.ndim == 0:
+        a_min = a_max = float(a)
+    else:
+        a_min, a_max = float(a.min()), float(a.max())
     # both tests are False for NaN as well
     if not (s.min() > 1.0 and s_max < math.inf):
         raise ValueError("hurwitz_zeta requires finite s > 1")
-    if not (a_min > 0.0 and a.max() < math.inf):
+    if not (a_min > 0.0 and a_max < math.inf):
         raise ValueError("hurwitz_zeta requires finite a > 0")
     order = int(derivative)
-    if order not in (0, 1, 2):
-        raise ValueError("derivative must be 0, 1 or 2")
+    if order not in _ORDERS:
+        raise ValueError(f"derivative must be an integer from 0 to {MAX_DERIVATIVE}")
 
     # base ~ 0.75*(s+16) keeps the correction-term ratio ((s+2k)/(2 pi base))^2
     # near 0.05, so eight Bernoulli terms reach ~1e-14 relative error.
@@ -160,13 +170,17 @@ def hurwitz_zeta(s, a=1.0, derivative: int = 0):
     pw_s = np.exp(-s * logb)                      # base^(-s)
     inv = 1.0 / (s - 1.0)
     intg = pw_s * base * inv                      # base^(1-s)/(s-1), the largest term
+    # its d-th derivative is (-1)^d intg times a polynomial in c1 = log base
+    # + v and v = 1/(s-1): 1, c1, c1^2 + v^2, c1^3 + 3 c1 v^2 + 2 v^3
     out[0] = out[0] + intg + pw_s * poly[..., 0]
     if order >= 1:
         c1 = logb + inv
         out[1] = out[1] - c1 * intg + pw_s * poly[..., 1]
-    if order == 2:
+    if order >= 2:
         out[2] = out[2] + (c1 * c1 + inv * inv) * intg + pw_s * poly[..., 2]
-
+    if order == 3:
+        out[3] = (out[3] - (c1 * c1 * c1 + (3.0 * c1 + 2.0 * inv) * inv * inv) * intg
+                  + pw_s * poly[..., 3])
     return out[0] if order == 0 else tuple(out)
 
 

@@ -176,7 +176,7 @@ def _recorded(system):
 
 
 def _sqrt2(x):
-    return (x[0] ** 2 - 2.0,), ((2.0 * x[0],),), abs(x[0] ** 2 - 2.0)
+    return (x[0] ** 2 - 2.0,), ((2.0 * x[0],),), None, abs(x[0] ** 2 - 2.0)
 
 
 def test_newton_driver_finds_1d_and_2d_roots():
@@ -186,7 +186,7 @@ def test_newton_driver_finds_1d_and_2d_roots():
     def circle_and_diagonal(x):
         t, q = x
         F = (t * t + q * q - 4.0, t - q)
-        return F, ((2.0 * t, 2.0 * q), (1.0, -1.0)), max(map(abs, F))
+        return F, ((2.0 * t, 2.0 * q), (1.0, -1.0)), None, max(map(abs, F))
 
     t, q = sp._newton(circle_and_diagonal, (1.0, 0.5))
     assert (t, q) == pytest.approx((math.sqrt(2.0), math.sqrt(2.0)), abs=1e-15)
@@ -222,7 +222,7 @@ def test_newton_driver_halves_a_step_to_an_undefined_point(error):
 def test_newton_driver_stall_returns_only_within_the_residual_tolerance(err, stops):
     # the residual never falls, so the damped step shrinks below NEWTON_MIN_STEP
     def flat(x):
-        return (1.0,), ((1.0,),), err
+        return (1.0,), ((1.0,),), None, err
 
     if stops:
         assert sp._newton(flat, (0.3,)) == (0.3,)
@@ -236,10 +236,49 @@ def test_newton_driver_stall_returns_only_within_the_residual_tolerance(err, sto
                                     ((1.0, 2.0), ((math.inf, 0.0), (0.0, 1.0)))])
 def test_newton_driver_singular_jacobian_raises(x, jac):
     def singular(point):
-        return (1.0,) * len(point), jac, 1.0
+        return (1.0,) * len(point), jac, None, 1.0
 
     with pytest.raises(tr.ConvergenceError, match="singular"):
         sp._newton(singular, x)
+
+
+def _with_hessian(hessian):
+    """u^2 - 2 with the constant Hessian ``hessian`` (2 is the true one)."""
+    def system(x):
+        r, jac, _, err = _sqrt2(x)
+        return r, jac, (((hessian,),),), err
+
+    return system
+
+
+def test_newton_driver_keeps_a_chebyshev_step_that_lowers_the_residual():
+    # from 1: the Newton step is 1/2 and the correction H dx^2 / (2 J) is 1/8
+    system, calls = _recorded(_with_hessian(2.0))
+    (root,) = sp._newton(system, (1.0,))
+    assert calls[:2] == [(1.0,), (1.375,)]
+    assert abs(root - math.sqrt(2.0)) <= sp.NEWTON_TOL       # stopped at |r| <= NEWTON_TOL
+    # a wrong Hessian sends the step to 4, where |r| rises: dropped for Newton's
+    system, calls = _recorded(_with_hessian(-40.0))
+    sp._newton(system, (1.0,))
+    assert calls[:3] == [(1.0,), (4.0,), (1.5,)]
+
+
+def test_chebyshev_steps_take_fewer_iterations_than_newton():
+    # e^u - 2 = 0 from u = 0: third-order against second-order convergence
+    def exp_system(hessian):
+        def system(x):
+            e = math.exp(x[0])
+            return (e - 2.0,), ((e,),), (((e,),),) if hessian else None, abs(e - 2.0)
+
+        return system
+
+    counts = []
+    for hessian in (False, True):
+        system, calls = _recorded(exp_system(hessian))
+        (root,) = sp._newton(system, (0.0,))
+        assert abs(root - math.log(2.0)) <= sp.NEWTON_TOL
+        counts.append(len(calls))
+    assert counts[1] < counts[0]
 
 
 def test_newton_cold_and_warm_starts_agree():
@@ -271,7 +310,7 @@ def test_lyapunov_curve_solve_count():
     prov = sp.default_provider()
     curve = sp.lyapunov_curve(np.geomspace(GAMMA0 + 0.01, 150.0, 25), prov)
     assert len(curve.points) == 25
-    assert curve.metadata["solves"] == len(prov._cache) <= 66
+    assert curve.metadata["solves"] == len(prov._cache) <= 55
 
 
 def test_lyapunov_edge_curve_solve_count():
@@ -280,7 +319,7 @@ def test_lyapunov_edge_curve_solve_count():
     curve = sp.lyapunov_curve(GAMMA0 + np.geomspace(1e-6, 0.04, 20), prov)
     assert len(curve.points) == 20
     assert max(max(p.residuals) for p in curve.points) <= 1e-10
-    assert curve.metadata["solves"] == len(prov._cache) <= 47
+    assert curve.metadata["solves"] == len(prov._cache) <= 41
 
 
 @pytest.mark.parametrize("curve_fn, grid", [
@@ -309,8 +348,31 @@ def test_predict_is_exact_on_polynomials_in_the_march_coordinate(degree, forward
     x = 4.6 if forward else 2.6
     nodes = []
     for xk in exponents:
-        s, dx_ds = sp._coordinate(xk, forward, floor)
+        s, dx_ds, _ = sp._coordinate(xk, forward, floor)
         nodes.append((xk, poly(s), dpoly(s) / dx_ds))
+    s = sp._coordinate(x, forward, floor)[0]
+    assert sp._predict(x, floor, nodes) == pytest.approx(poly(s), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("degree", [2, 4, 6])
+@pytest.mark.parametrize("forward, floor", [(True, 0.0), (False, 0.0), (False, GAMMA0)])
+def test_predict_with_a_curvature_is_exact_on_polynomials(degree, forward, floor):
+    # the nearest node adds its curvature, one more condition: degree / 2
+    # nodes reproduce any polynomial of that degree in s
+    coef = np.array([0.7, -1.3, 0.4, 2.1, -0.6, 0.25, -0.1])[:degree + 1]
+    poly = np.polynomial.Polynomial(coef)
+    dpoly, ddpoly = poly.deriv(), poly.deriv(2)
+    exponents = [4.0, 3.5, 3.0][:degree // 2]
+    if not forward:
+        exponents = exponents[::-1]
+    x = 4.6 if forward else 2.6
+    nodes = []
+    for xk in exponents:                # the nearest first
+        s, dx_ds, d2x_ds2 = sp._coordinate(xk, forward, floor)
+        nodes.append((xk, poly(s), dpoly(s) / dx_ds))
+    # y(x) = poly(s(x)) has y'' = poly'' s'^2 + poly' s'' with s' = 1 / x'(s)
+    s, dx_ds, d2x_ds2 = sp._coordinate(exponents[0], forward, floor)
+    nodes[0] += (ddpoly(s) / dx_ds ** 2 - dpoly(s) * d2x_ds2 / dx_ds ** 3,)
     s = sp._coordinate(x, forward, floor)[0]
     assert sp._predict(x, floor, nodes) == pytest.approx(poly(s), rel=1e-12, abs=1e-12)
 
@@ -369,7 +431,7 @@ def test_curve_drops_a_prediction_that_does_not_lower_the_residual(curve_fn, gri
 
 @pytest.mark.parametrize("curve_fn, window, center, max_solves", [
     (sp.khintchine_curve, sp.XI_WINDOW, XI0, 2700),
-    (sp.lyapunov_curve, sp.BETA_WINDOW, LAM0, 2320),
+    (sp.lyapunov_curve, sp.BETA_WINDOW, LAM0, 1870),
 ])
 def test_random_grids_solve_every_point(curve_fn, window, center, max_solves):
     # 60 seeded grids of 3-24 log-uniform exponents across the window plus
@@ -515,7 +577,7 @@ def test_lyapunov_cold_point_near_gamma0(k):
     beta = GAMMA0 + 10.0 ** -k
     prov = sp.default_provider()
     p16 = sp.lyapunov_point(beta, prov)
-    assert len(prov._cache) <= 6
+    assert len(prov._cache) <= 5
     assert max(p16.residuals) <= 1e-10
     p32 = sp.lyapunov_point(beta, tr.PressureProvider(
         tr.Alphabet.full(64), tr.Discretization.chebyshev(32)))

@@ -188,7 +188,7 @@ def test_tail_moments_against_direct_sums(t, q, x):
     log = mpmath.log
     factors = (lambda i: 1, lambda i: -2 * log(i + x), log,
                lambda i: 4 * log(i + x) ** 2, lambda i: -2 * log(i) * log(i + x),
-               lambda i: log(i) ** 2)
+               lambda i: log(i) ** 2, lambda i: -8 * log(i + x) ** 3)
 
     def direct(r, factor):
         with mpmath.workdps(17):
@@ -301,7 +301,7 @@ def _bordered_hessian(alphabet, t, q):
     mats, _, _ = tr._assemble(t, q, alphabet, DISC)
     f, nu, _ = tr._perron_pair(mats[0], t, q, DISC)
     nu = nu / (nu @ f)
-    lam, lam_t, lam_q, lam_tt, lam_tq, lam_qq = nu @ mats @ f
+    lam, lam_t, lam_q, lam_tt, lam_tq, lam_qq = nu @ mats[:6] @ f
     n = len(f)
     border = np.zeros((n + 1, n + 1))
     border[:n, :n] = lam * np.eye(n) - mats[0]
@@ -328,9 +328,9 @@ def test_hessian_matches_bordered_reference(alphabet, t, q):
 
 
 def _mpmath_pressure(t, q):
-    """(P, P_t, P_q, P_tt, P_tq, P_qq) from a 40-digit eigen-solve of the
-    same float matrices: lambda from mpmath's eigenvalues, f, nu and the
-    eigenvector derivatives from 40-digit bordered solves."""
+    """(P, P_t, P_q, P_tt, P_tq, P_qq, P_ttt) from a 40-digit eigen-solve of
+    the same float matrices: lambda from mpmath's eigenvalues, f, nu and the
+    eigenvector derivatives f_t, f_q and f_tt from 40-digit bordered solves."""
     mats, _, _ = tr._assemble(t, q, ALPH, DISC)
     with mpmath.workdps(40):
         A = [mpmath.matrix(m.tolist()) for m in mats]
@@ -354,22 +354,54 @@ def _mpmath_pressure(t, q):
             f_i = mpmath.matrix(x[:n])
             df.append(f_i - f * (nu.T * f_i)[0])
         cross = [[(nu.T * A[1 + i] * df[j])[0] for j in range(2)] for i in range(2)]
+        lam_tt = lams[3] + 2 * cross[0][0]
+        f_t = df[0]
+        rhs = 2 * (A[1] * f_t - lams[1] * f_t) + A[3] * f - lam_tt * f
+        f_tt = mpmath.matrix(mpmath.lu_solve(border, mpmath.matrix(list(rhs) + [0]))[:n])
+        f_tt -= f * (nu.T * f_tt)[0]
+        lam_ttt = lams[6] + 3 * (nu.T * A[3] * f_t)[0] + 3 * (nu.T * A[1] * f_tt)[0]
         P_t, P_q = lams[1] / lam, lams[2] / lam
         return [float(v) for v in (
             mpmath.log(lam), P_t, P_q,
-            (lams[3] + 2 * cross[0][0]) / lam - P_t * P_t,
+            lam_tt / lam - P_t * P_t,
             (lams[4] + cross[0][1] + cross[1][0]) / lam - P_t * P_q,
-            (lams[5] + 2 * cross[1][1]) / lam - P_q * P_q)]
+            (lams[5] + 2 * cross[1][1]) / lam - P_q * P_q,
+            lam_ttt / lam - 3 * lam_tt * lams[1] / lam ** 2 + 2 * P_t ** 3)]
+
+
+# bounds on P_ttt relative to |P_ttt| (-0.013 at (5, 0)): it is 3e-13 and
+# 1.3e-11 off at the two points next to the divergence line at large t, and
+# 3e-14 or less at the others; the error at those two moves by several times
+# with the summation order of the float solve
+TTT_TOL = {(14.0, 26.0): 1e-11, (14.25, 26.793): 5e-11}
 
 
 @pytest.mark.parametrize("t, q", [(14.0, 26.0), (12.0, 20.0), (8.0, 14.0), (1.0, 0.0),
-                                  (3.0, 2.0), (14.25, 26.793)])
+                                  (3.0, 2.0), (14.25, 26.793), (0.6, 0.0), (5.0, 0.0)])
 def test_pressure_matches_mpmath_eigen_solve_of_the_same_matrix(t, q):
     res = tr.pressure(t, q, ALPH, DISC)
     got = (res.value, res.dP_dt, res.dP_dq, res.d2P_dt2, res.d2P_dtdq, res.d2P_dq2)
-    for name, g, ref in zip(("P", "P_t", "P_q", "P_tt", "P_tq", "P_qq"), got,
-                            _mpmath_pressure(t, q)):
-        assert abs(g - ref) <= 5e-12 * max(1.0, abs(ref)), name
+    ref = _mpmath_pressure(t, q)
+    for name, g, r in zip(("P", "P_t", "P_q", "P_tt", "P_tq", "P_qq"), got, ref):
+        assert abs(g - r) <= 5e-12 * max(1.0, abs(r)), name
+    assert abs(res.d3P_dt3 - ref[6]) <= TTT_TOL.get((t, q), 1e-13) * abs(ref[6])
+
+
+@pytest.mark.parametrize("alphabet, t, q", [(ALPH, 0.6, 0.0), (ALPH, 1.0, 0.0),
+                                            (ALPH, 3.0, 2.0), (ALPH, 6.0, 0.0),
+                                            (ALPH, 12.0, 20.0),
+                                            (tr.Alphabet.restricted({1, 2}), 0.5, 0.0)])
+def test_third_t_derivative_matches_differences_of_the_second(alphabet, t, q):
+    # fourth-order central difference of P_tt; it reads within 2e-10 of P_ttt
+    # at these points, 0.1 from the divergence line at (0.6, 0) included
+    h = 2e-4
+
+    def d2(tt):
+        return tr.pressure(tt, q, alphabet, DISC).d2P_dt2
+
+    fd = (8.0 * (d2(t + h) - d2(t - h)) - (d2(t + 2 * h) - d2(t - 2 * h))) / (12.0 * h)
+    ref = tr.pressure(t, q, alphabet, DISC).d3P_dt3
+    assert abs(ref - fd) <= 1e-8 * max(1.0, abs(ref))
 
 
 # ---------------------------------------------------------------------------

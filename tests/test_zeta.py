@@ -83,13 +83,43 @@ def test_hurwitz_second_derivative_against_mpmath_on_tail_grid():
             assert np.max(np.abs(mine[d] - ref) / np.abs(ref)) < 1e-12
 
 
+def test_hurwitz_third_derivative_against_mpmath_on_a_grid():
+    # the value grid's s at a <= 65; above that mpmath.zeta is itself off
+    # (1e-10 at a = 1000, s >= 30), and the direct sums below take over
+    s = np.concatenate([np.linspace(1.001, 60.0, 40), [1.0005, 2.0, 30.0]])
+    for a in (0.5, 1.0, 3.7, 9.0, 65.0):
+        mine = hurwitz_zeta(s, a, derivative=3)[3]
+        with mpmath.workdps(60):
+            ref = np.array([float(mpmath.zeta(float(si), a, 3)) for si in s])
+        assert np.max(np.abs(mine - ref) / np.abs(ref)) < 5e-13
+
+
+@pytest.mark.parametrize("a", [80.5, 1000.0])
+def test_hurwitz_derivatives_against_direct_sums_at_large_a(a):
+    # sum_n (-log(n + a))^d (n + a)^(-s) over 2e5 terms, summed exactly; the
+    # terms left out are below 1e-30 of the sum at s >= 20
+    s = np.array([20.0, 30.0, 45.0, 60.0])
+    n = np.arange(200_000.0) + a
+    log_n = np.log(n)
+    mine = hurwitz_zeta(s, a, derivative=3)
+    for d in range(4):
+        ref = np.array([math.fsum((-log_n) ** d * n ** -si) for si in s])
+        assert np.max(np.abs(mine[d] - ref) / np.abs(ref)) < 2e-13
+
+
+@pytest.mark.parametrize("derivative", [-1, 4])
+def test_hurwitz_rejects_derivative_orders_it_does_not_have(derivative):
+    with pytest.raises(ValueError, match="derivative"):
+        hurwitz_zeta(2.0, 1.0, derivative=derivative)
+
+
 @pytest.mark.parametrize("s, a", [(math.nan, 1.0), (2.0, math.nan),
                                   ([2.0, math.nan], 65.0), (3.0, [65.0, math.nan]),
                                   (math.inf, 1.0), (-math.inf, 1.0), (2.0, math.inf),
                                   (2.0, -math.inf), ([2.0, math.inf], 65.0),
                                   (3.0, [65.0, math.inf])])
 def test_hurwitz_rejects_nan(s, a):
-    for derivative in (0, 2):
+    for derivative in (0, 2, 3):
         with pytest.raises(ValueError, match="hurwitz_zeta requires"):
             hurwitz_zeta(s, a, derivative=derivative)
 
@@ -97,10 +127,11 @@ def test_hurwitz_rejects_nan(s, a):
 @pytest.mark.parametrize("a", [1.0, 65.0])
 @pytest.mark.parametrize("s", [1.0 + 1e-6, 1.0 + 1e-4, 1.001])
 def test_hurwitz_near_the_pole_against_mpmath(s, a):
-    # zeta ~ 1/(s - 1) and its derivatives ~ -1/(s - 1)^2, 2/(s - 1)^3 here
-    mine = hurwitz_zeta(s, a, derivative=2)
+    # zeta ~ 1/(s - 1) and its derivatives ~ -1/(s - 1)^2, 2/(s - 1)^3,
+    # -6/(s - 1)^4 here
+    mine = hurwitz_zeta(s, a, derivative=3)
     with mpmath.workdps(50):
-        for d in range(3):
+        for d in range(4):
             ref = float(mpmath.zeta(s, a, d))
             assert abs(float(mine[d]) - ref) <= 2e-15 * abs(ref)
 
