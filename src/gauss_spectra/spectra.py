@@ -13,14 +13,17 @@ extrapolation through the last three points solved on the march
 (``_predict``; the march to the left of the peak starts from the peak and
 the two points right of it).  Toward large xi the extrapolated pair is
 (t, log(xi (2t - q - 1))), whose second entry levels off as the curve
-nears the divergence line.  The Jacobian is exact, built from the
-pressure's gradient and Hessian, so each iterate costs one eigen-solve.
+nears the divergence line; the nearest point adds its curvature.  The
+Jacobian is exact, built from the pressure's gradient and Hessian, so each
+iterate costs one eigen-solve, which also gives the mixed third
+derivatives for the curvature and for Chebyshev's step.
 
-Each step is Newton's on the reciprocal slope equation 1/xi - 1/P_q = 0.
+Each step is taken on the reciprocal slope equation 1/xi - 1/P_q = 0,
+Newton's from the peak and Chebyshev's from a warm start.
 Near the divergence line 2t - q = 1, P ~ -log(2t - q - 1), so P_q grows
 like 1/(2t - q - 1) while 1/P_q is nearly linear, and the plain step would
-overshoot toward the line.  Only the step changes: F, its residuals, the
-damping test and the tolerances stay those of the plain system.
+overshoot toward the line.  Only the step changes: F, its residuals and
+the damping test stay those of the plain system.
 
 The Lyapunov spectrum reduces to the one-parameter pressure P(u) = P(u, 0):
 find u with P'(u) = -beta by a 1-D Newton iteration on u with the exact
@@ -38,8 +41,8 @@ a cross-check with the plain step: independent equations, the same driver.
 
 These solves and the bounded-digit zeros below run on one damped Newton
 driver, ``_newton``; each caller gives it the residual of the form it steps
-on, that residual's Jacobian, its Hessian on the Lyapunov route only, and
-its own stop measure.  A predicted first step and a Chebyshev step are
+on, that residual's Jacobian, optionally its Hessian, and its own stop
+measure.  A predicted first step and a Chebyshev step are
 kept only if they lower the residual.  The windows XI_WINDOW,
 BETA_WINDOW and the tolerance RESIDUAL_TOL are module constants.  The
 shape report of a solved curve reads the analytic curvature each point
@@ -308,10 +311,11 @@ def _marching(x: float, hint: SpectrumPoint,
 # Khintchine spectrum
 # ---------------------------------------------------------------------------
 
-def _khintchine_slopes(r: transfer.PressureResult, q: float) -> tuple[float, float]:
-    """(t', q') along the Khintchine curve at the point of result ``r``."""
+def _khintchine_slopes(r: transfer.PressureResult, q: float) -> tuple[float, float, float]:
+    """(t', q', t'') along the Khintchine curve at the point of result ``r``."""
     slope = q / r.dP_dt
-    return slope, (1.0 - r.d2P_dtdq * slope) / r.d2P_dq2
+    dq = (1.0 - r.d2P_dtdq * slope) / r.d2P_dq2
+    return slope, dq, (dq * r.dP_dt - q * (r.d2P_dt2 * slope + r.d2P_dtdq * dq)) / r.dP_dt ** 2
 
 
 def khintchine_point(xi: float, provider: PressureProvider | None = None,
@@ -321,41 +325,66 @@ def khintchine_point(xi: float, provider: PressureProvider | None = None,
 
     The Newton step is that of (P - q xi, 1/xi - 1/P_q) = 0: the exact
     Jacobian of F = (P - q xi, P_q - xi) with its second row scaled by
-    xi / P_q, while F, the damping and the stop test on max |F| and the
-    residuals are the plain ones.  The steps stay Newton's: a third-order
-    step would need the mixed third derivatives P_ttq, P_tqq and P_qqq,
-    which would cost every solve about a quarter more than it saves.  P_q <= 0 (only on the alphabet {1})
+    xi / P_q, while F and the damping test on max |F| are the plain ones.
+    It stops at max(|P - q xi|, |P_q - xi| / xi) <= NEWTON_TOL, since P_q
+    is known only to a few ulps of xi.  P_q <= 0 (only on the alphabet {1})
     raises ``ConvergenceError``; t <= 0 is outside the domain.
 
     Newton starts from the peak (1, 0), or from ``hint`` with a predicted
     first step (see ``_newton``) to the (t, q) that ``_predict``
     extrapolates from ``hint`` and ``prior`` (the points solved before it,
     the nearest first; see ``_marching``) with the slopes t', q' below, read
-    from the provider at those points (cache hits along a curve).  For
-    xi > hint.exponent on the full alphabet the pair extrapolated is
-    (t, g) with g = log(xi (2t - q - 1)) and g' = 1/xi + (2t' - q')/(2t - q - 1),
-    since P ~ -log(2t - q - 1) near the divergence line makes 2t - q - 1
-    fall like 1/xi; then q = 2t - 1 - e^g / xi.
+    from the provider at those points (cache hits along a curve), and the
+    curvature (t'', q'') at ``hint``.  For xi > hint.exponent on the full
+    alphabet the pair extrapolated is (t, g) with g = log(xi (2t - q - 1)),
+    g' = 1/xi + G'/G and g'' = -1/xi^2 + G''/G - (G'/G)^2 for the gap
+    G = 2t - q - 1, since P ~ -log(2t - q - 1) near the divergence line
+    makes G fall like 1/xi; then q = 2t - 1 - e^g / xi.  A warm start also
+    gives ``_newton`` the Hessians of the step form for Chebyshev's steps:
+    Hess P and (xi/P_q) Hess P_q - (2 xi/P_q^2) grad P_q grad P_q^T.  From
+    the cold start (1, 0) a Chebyshev step toward xi = 50 lands beyond the
+    divergence line, so it takes Newton's.
 
     ``t_slope`` and ``t_curvature`` come from implicit differentiation of
-    P(t, q) = q xi, P_q(t, q) = xi: t' = q / P_t, q' = (1 - P_tq t') / P_qq
-    and t'' = (q' P_t - q (P_tt t' + P_tq q')) / P_t^2.
+    P(t, q) = q xi, P_q(t, q) = xi: t' = q / P_t, q' = (1 - P_tq t') / P_qq,
+    t'' = (q' P_t - q (P_tt t' + P_tq q')) / P_t^2 and
+    q'' = -(P_ttq t'^2 + 2 P_tqq t' q' + P_qqq q'^2 + P_tq t'') / P_qq.
     """
     _check_window("xi", [xi], XI_WINDOW)
     prov = provider or default_provider()
+    mixed_thirds, prov.mixed_thirds = prov.mixed_thirds, True
+    try:
+        return _khintchine_point(xi, prov, hint, prior)
+    finally:
+        prov.mixed_thirds = mixed_thirds
+
+
+def _khintchine_point(xi: float, prov: PressureProvider, hint: SpectrumPoint | None,
+                      prior: Sequence[SpectrumPoint]) -> SpectrumPoint:
+    """``khintchine_point`` on a provider whose solves compute the mixed
+    third derivatives."""
 
     def system(x):
         t, q = x
         if t <= 0.0:
             raise transfer.DomainError(f"t = {t} <= 0")
         r = prov.result(t, q)
-        if r.dP_dq <= 0.0:
+        P_q = r.dP_dq
+        if P_q <= 0.0:
             raise transfer.ConvergenceError(
-                f"dP/dq = {r.dP_dq} <= 0 at (t, q) = ({t}, {q}); xi = {xi} is unreachable")
-        scale = xi / r.dP_dq
-        F = (r.value - q * xi, r.dP_dq - xi)
-        return (F, ((r.dP_dt, r.dP_dq - xi), (scale * r.d2P_dtdq, scale * r.d2P_dq2)),
-                None, max(map(abs, F)))
+                f"dP/dq = {P_q} <= 0 at (t, q) = ({t}, {q}); xi = {xi} is unreachable")
+        scale = xi / P_q
+        F = (r.value - q * xi, P_q - xi)
+        jac = ((r.dP_dt, P_q - xi), (scale * r.d2P_dtdq, scale * r.d2P_dq2))
+        hess = None
+        if hint is not None:
+            tq, qq = jac[1]                 # (xi/P_q) grad P_q
+            cross = 2.0 / xi
+            tqq = scale * r.d3P_dtdq2 - cross * tq * qq
+            hess = (((r.d2P_dt2, r.d2P_dtdq), (r.d2P_dtdq, r.d2P_dq2)),
+                    ((scale * r.d3P_dt2dq - cross * tq * tq, tqq),
+                     (tqq, scale * r.d3P_dq3 - cross * qq * qq)))
+        return F, jac, hess, max(abs(F[0]), abs(F[1]) / xi)
 
     step = None
     if hint is not None:
@@ -363,10 +392,18 @@ def khintchine_point(xi: float, provider: PressureProvider | None = None,
         nodes = []
         for p in _marching(xi, hint, prior):
             t, q = p.dimension, p.q_value
-            dt, dq = _khintchine_slopes(prov.result(t, q), q)
+            r = prov.result(t, q)
+            dt, dq, ddt = _khintchine_slopes(r, q)
+            if not nodes:                   # the curvature goes in at the nearest node only
+                ddq = -(r.d3P_dt2dq * dt * dt + 2.0 * r.d3P_dtdq2 * dt * dq
+                        + r.d3P_dq3 * dq * dq + r.d2P_dtdq * ddt) / r.d2P_dq2
             if gap_form:
-                q, dq = _log_gap(p.exponent, 2.0 * t - q - 1.0, 2.0 * dt - dq)
-            nodes.append((p.exponent, np.array([t, q]), np.array([dt, dq])))
+                gap, dgap = 2.0 * t - q - 1.0, 2.0 * dt - dq
+                if not nodes:
+                    ddq = -1.0 / p.exponent ** 2 + (2.0 * ddt - ddq) / gap - (dgap / gap) ** 2
+                q, dq = _log_gap(p.exponent, gap, dgap)
+            nodes.append((p.exponent, np.array([t, q]), np.array([dt, dq]))
+                         + ((np.array([ddt, ddq]),) if not nodes else ()))
         t_new, q_new = _predict(xi, 0.0, nodes).tolist()
         if gap_form:
             q_new = 2.0 * t_new - 1.0 - math.exp(q_new) / xi
@@ -374,8 +411,7 @@ def khintchine_point(xi: float, provider: PressureProvider | None = None,
     start = (hint.dimension, hint.q_value) if hint is not None else (1.0, 0.0)
     t, q = _newton(system, start, step)
     r = prov.result(t, q)
-    slope, dq = _khintchine_slopes(r, q)
-    curvature = (dq * r.dP_dt - q * (r.d2P_dt2 * slope + r.d2P_dtdq * dq)) / r.dP_dt ** 2
+    slope, _, curvature = _khintchine_slopes(r, q)
     return SpectrumPoint(
         exponent=xi, dimension=t, q_value=q,
         residuals=(abs(r.value - q * xi), abs(r.dP_dq - xi)),

@@ -29,7 +29,9 @@ collocation error instead of the ~1/M^2 a crude integral bound leaves.
 
 Every value comes from one path: the collocation matrix A is assembled
 together with its first and second (t, q)-derivatives and its third
-t-derivative (the stack DERIVATIVES); everything that does
+t-derivative (the stack DERIVATIVES), and a solve asked for the mixed
+third derivatives contracts A_ttq, A_tqq and A_qqq with its eigenvectors
+without forming them.  Everything that does
 not depend on (t, q) (the interpolation tensor, the stacked log-weights of
 the digit weights, the node powers and jet rows of the tail expansion and
 the per-node mixing of its tables) is built once per discretization and
@@ -49,7 +51,7 @@ numpy's own LAPACK.  Eigendata handed out (eigenfunction values, the
 Gibbs eigenfunction) are those of L: h = w f.
 
 ``pressure`` and the caching ``PressureProvider`` are the two ways to ask
-for a pressure; the gradient, Hessian, third t-derivative, eigendata and
+for a pressure; the gradient, Hessian, third derivatives, eigendata and
 tail bound are read off the one ``PressureResult`` either returns, the last
 two computed on first read.
 """
@@ -57,6 +59,7 @@ two computed on first read.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -78,6 +81,8 @@ CACHED_ALPHABETS = 8  # a grid keeps the DigitTables of the last 8 alphabets bui
 # (t-order, q-order) of the derivatives of A stacked by one assembly:
 # A, A_t, A_q, A_tt, A_tq, A_qq, A_ttt
 DERIVATIVES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0))
+# A_ttq, A_tqq, A_qqq: contracted with the eigenvectors by solves asked for them
+MIXED_THIRDS = ((2, 1), (1, 2), (0, 3))
 MAX_T_ORDER = 3
 
 
@@ -139,6 +144,9 @@ class DigitTables(NamedTuple):
     f(u / (1 - psi u)), so f(1/(i + x)) = F(1/(i + x + psi)); and
     ``tail_mix[j]`` turns the seven moment tables (S and its derivatives in
     DERIVATIVES) into those of e^(t a_j) S divided by e^(t a_j).
+    ``mixed_log_weights`` (l_t^2 l_q, l_t l_q^2, l_q^3) and ``mixed_tail_mix``
+    (the golden mix times ``_MOMENT_MIX``, so from the ten tail products)
+    serve MIXED_THIRDS, flattened to (3, K M) and (3, 10 K).
     """
 
     tensor: np.ndarray
@@ -147,6 +155,8 @@ class DigitTables(NamedTuple):
     node_powers: np.ndarray
     tail_rows: np.ndarray
     tail_mix: np.ndarray
+    mixed_log_weights: np.ndarray
+    mixed_tail_mix: np.ndarray
 
 
 def _golden_shift() -> np.ndarray:
@@ -160,23 +170,24 @@ def _golden_shift() -> np.ndarray:
     return shift
 
 
-def _leibniz_terms():
+def _leibniz_terms(rows=DERIVATIVES):
     """(row, k, n, C(m, k), m - k) for every term of the Leibniz rule
     d^m/dt^m (g h) = sum_k C(m, k) g^(m-k) h^(k) on the stacked derivative
-    d^m/dt^m d^n/dq^n of row ``row`` of DERIVATIVES, where g depends on t
+    d^m/dt^m d^n/dq^n of row ``row`` of ``rows``, where g depends on t
     alone."""
-    for row, (m, n) in enumerate(DERIVATIVES):
+    for row, (m, n) in enumerate(rows):
         for k in range(m + 1):
             yield row, k, n, math.comb(m, k), m - k
 
 
-def _golden_mix(a: np.ndarray) -> np.ndarray:
-    """Per-node (7, 7) matrices taking the tables of S and its DERIVATIVES
-    to those of e^(t a) S over e^(t a): d^m/dt^m d^n/dq^n (e^(t a) S) over
-    e^(t a) is sum_k C(m, k) a^(m-k) S_(k, n)."""
-    mix = np.zeros((len(a), len(DERIVATIVES), len(DERIVATIVES)))
-    for row, k, n, binom, power in _leibniz_terms():
-        mix[:, row, DERIVATIVES.index((k, n))] += binom * a ** power
+def _golden_mix(a: np.ndarray, rows=DERIVATIVES, columns=DERIVATIVES) -> np.ndarray:
+    """Per-node (len(rows), len(columns)) matrices taking the tables of S and
+    its derivatives ``columns`` to the derivatives ``rows`` of e^(t a) S over
+    e^(t a): d^m/dt^m d^n/dq^n (e^(t a) S) over e^(t a) is
+    sum_k C(m, k) a^(m-k) S_(k, n)."""
+    mix = np.zeros((len(a), len(rows), len(columns)))
+    for row, k, n, binom, power in _leibniz_terms(rows):
+        mix[:, row, columns.index((k, n))] += binom * a ** power
     return mix
 
 
@@ -250,15 +261,18 @@ class Discretization:
         a = 2.0 * np.log1p(PSI * self.nodes)
         lt = a[:, None] - 2.0 * np.log(d + self.nodes[:, None] + PSI)     # (K, M)
         lq = np.broadcast_to(np.log(d), lt.shape)
-        lt2 = lt * lt
+        lt2, lq2 = lt * lt, lq * lq
         return DigitTables(
             tensor=self.coefficients(1.0 / (d + self.nodes[:, None])),
-            log_weights=np.stack([np.ones_like(lt), lt, lq, lt2, lt * lq, lq * lq, lt2 * lt],
-                                 axis=1),
+            log_weights=np.stack([np.ones_like(lt), lt, lq, lt2, lt * lq, lq2, lt2 * lt], axis=1),
             golden_log=a,
             node_powers=_node_powers(self.nodes + PSI),
             tail_rows=_golden_shift() @ self.jet_rows,
-            tail_mix=_golden_mix(a))
+            tail_mix=_golden_mix(a),
+            mixed_log_weights=np.stack([lt2 * lq, lt * lq2, lq2 * lq]).reshape(3, -1),
+            mixed_tail_mix=np.einsum("jmc,cp->mpj", _golden_mix(
+                a, MIXED_THIRDS, DERIVATIVES + MIXED_THIRDS), _MOMENT_MIX).reshape(
+                    len(MIXED_THIRDS), -1))
 
 
 @functools.lru_cache(maxsize=CACHED_GRIDS)
@@ -268,13 +282,15 @@ def _grid(order: int) -> Discretization:
 
 @dataclass(frozen=True)
 class PressureResult:
-    """Pressure value with its exact gradient, Hessian and third t-derivative,
+    """Pressure value with its exact gradient, Hessian and third derivatives,
     eigenfunction and tail diagnostics.
 
     ``eigenfunction_values`` are the node values, on the requested
     discretization, of the eigenfunction h of the unweighted operator
     (largest 1).  It and ``tail_error_bound`` are computed on first read
     from the eigenvector the solve keeps; the spectrum solvers read neither.
+    The mixed third derivatives ``d3P_dt2dq``, ``d3P_dtdq2`` and ``d3P_dq3``
+    come from a solve asked for them, else from one more solve on first read.
     """
 
     value: float
@@ -288,6 +304,27 @@ class PressureResult:
     _weight: np.ndarray = field(repr=False)   # node weights e^(t a_j)
     # (lambda, tail_rows, |S| at Taylor order JET_ORDER, binom_trunc) with a digit tail
     _tail: tuple | None = field(repr=False)
+    # (t, q, alphabet, disc, (P_ttq, P_tqq, P_qqq) or None)
+    _mixed: tuple = field(repr=False)
+
+    @functools.cached_property
+    def _mixed_thirds(self) -> tuple[float, float, float]:
+        # no arrays are kept for a later read: kept arrays slowed every later
+        # solve of a curve by more than the solves made again here cost
+        *where, thirds = self._mixed
+        return thirds or pressure(*where, mixed_thirds=True)._mixed[-1]
+
+    @property
+    def d3P_dt2dq(self) -> float:
+        return self._mixed_thirds[0]
+
+    @property
+    def d3P_dtdq2(self) -> float:
+        return self._mixed_thirds[1]
+
+    @property
+    def d3P_dq3(self) -> float:
+        return self._mixed_thirds[2]
 
     @functools.cached_property
     def eigenfunction_values(self) -> np.ndarray:
@@ -347,22 +384,24 @@ _S_OFFSETS = np.arange(JET_ORDER + BINOM_TERMS + 1, dtype=float)
 
 
 def _moment_mix():
-    """(mix, binom_index, zeta_index) for the seven tables of C Z, where
-    C = C(-rho, j) at rho = 2t + r and Z = zeta(s, M + 1) at s = rho + j - q.
+    """(mix, binom_index, zeta_index) for the ten tables of C Z in
+    DERIVATIVES + MIXED_THIRDS, where C = C(-rho, j) at rho = 2t + r and
+    Z = zeta(s, M + 1) at s = rho + j - q.
 
     With ds/dt = 2 and ds/dq = -1, d^m/dt^m d^n/dq^n (C Z) is
     sum_k C(m, k) C^(k) 2^(m-k) (-1)^n Z^(m-k+n): a combination, row by row
     of ``mix``, of the ten products C^(k) Z^(p) that occur, t-derivatives
-    of C times s-derivatives of Z.  Product c at Taylor order r and term j
-    is binom.flat[binom_index[c, r, j]] * zeta.flat[zeta_index[c, r, j]]
+    of C times s-derivatives of Z; MIXED_THIRDS adds no product.  Product c
+    at Taylor order r and term j is
+    binom.flat[binom_index[c, r, j]] * zeta.flat[zeta_index[c, r, j]]
     for binom[r, (k, j)] of ``_BINOM_POLYS`` and the zeta row zeta[p, r + j].
     """
     pairs, terms = [], []
-    for row, k, n, binom, power in _leibniz_terms():
+    for row, k, n, binom, power in _leibniz_terms(DERIVATIVES + MIXED_THIRDS):
         if (k, power + n) not in pairs:
             pairs.append((k, power + n))
         terms.append((row, pairs.index((k, power + n)), binom * 2.0 ** power * (-1.0) ** n))
-    mix = np.zeros((len(DERIVATIVES), len(pairs)))
+    mix = np.zeros((len(DERIVATIVES) + len(MIXED_THIRDS), len(pairs)))
     for row, col, coef in terms:
         mix[row, col] += coef
     k, p = np.array(pairs).T[:, :, None, None]
@@ -372,7 +411,26 @@ def _moment_mix():
     return mix, binom_index, zeta_index
 
 
-_TAIL_MIX, _BINOM_INDEX, _ZETA_INDEX = _moment_mix()
+_MOMENT_MIX, _BINOM_INDEX, _ZETA_INDEX = _moment_mix()
+_TAIL_MIX = _MOMENT_MIX[:len(DERIVATIVES)]
+
+
+def _mixed_sums():
+    """(indices, sums): the (t, q) indices (0 for t, 1 for q) of each of
+    MIXED_THIRDS, and the rows that add up its 2n + 1 terms out of
+    ``_mixed_third_derivatives``' products left_u B_b right_c at 9b + 3u + c."""
+    indices = [(0,) * m + (1,) * n for m, n in MIXED_THIRDS]
+    sums = np.zeros((len(indices), 45))
+    for row, (i, j, k) in enumerate(indices):
+        for a, b, c in ((k, i, j), (i, j, k), (j, i, k)):            # the splits (a; bc)
+            sums[row, 9 * (2 + b + c) + 3 * (1 + a)] += 1.0          # nu_a A_bc f
+            sums[row, 9 * (2 + b + c) + 1 + a] += 1.0                # nu A_bc f_a
+        for a, b, c in itertools.permutations((i, j, k)):
+            sums[row, 9 * b + 3 * (1 + a) + 1 + c] += 1.0            # nu_a (A_b - lambda_b) f_c
+    return indices, sums
+
+
+_MIXED_INDICES, _MIXED_SUMS = _mixed_sums()
 
 
 def _node_powers(x: np.ndarray) -> np.ndarray:
@@ -384,7 +442,7 @@ def _tail_moments(t: float, q: float, node_powers: np.ndarray, cutoff: int):
     """Closed-form digit-tail moments above the cutoff and their (t, q)-derivatives.
 
     ``node_powers`` is ``_node_powers(x)`` of the points x_k.  Returns
-    (moments, binom_trunc).  moments[p, r, k] for r <= JET_ORDER is
+    (moments, binom_trunc, products).  moments[p, r, k] for r <= JET_ORDER is
 
         sum_{i>M} f_p(i, x_k) i^q (i + x_k)^(-(2t+r)),
 
@@ -414,13 +472,13 @@ def _tail_moments(t: float, q: float, node_powers: np.ndarray, cutoff: int):
         len(DERIVATIVES) * (JET_ORDER + 1), -1)
     moments = (coefs @ node_powers).reshape(len(DERIVATIVES), JET_ORDER + 1, -1)
     binom_trunc = abs(coefs[0, -1].item()) * node_powers[-1].max().item()
-    return moments, binom_trunc
+    return moments, binom_trunc, products
 
 
 def _assemble(t: float, q: float, alphabet: Alphabet, disc: Discretization):
     """The golden-weighted A and its derivatives in DERIVATIVES stacked as
-    (7, K, K), the tail moments (or None) and the node weights
-    e^(t a_j) = w(0) / w(x_j)."""
+    (7, K, K), the tail moments (or None), the node weights
+    e^(t a_j) = w(0) / w(x_j) and the digit weights W[j, i]."""
     tables = disc.digit_tables(alphabet)
     weight = np.exp(t * tables.golden_log)
     W = np.exp(q * tables.log_weights[:, 2] + t * tables.log_weights[:, 1])    # (K, M)
@@ -431,7 +489,47 @@ def _assemble(t: float, q: float, alphabet: Alphabet, disc: Discretization):
         moments = _tail_moments(t, q, tables.node_powers, alphabet.cutoff)
         tail = tables.tail_mix @ moments[0].transpose(2, 0, 1)                # (K, 7, R)
         mats += (weight[:, None, None] * tail) @ tables.tail_rows
-    return mats.transpose(1, 0, 2), moments, weight
+    return mats.transpose(1, 0, 2), moments, weight, W
+
+
+def _mixed_third_derivatives(tables: DigitTables, W: np.ndarray, weight: np.ndarray,
+                             products: np.ndarray | None, mats: np.ndarray, f: np.ndarray,
+                             nu: np.ndarray, nu_mats: np.ndarray, df: np.ndarray,
+                             inverse: np.ndarray, lams, grad, hess) -> tuple:
+    """(P_ttq, P_tqq, P_qqq) of one solve by Wigner's 2n + 1 rule: the
+    first-order right and left eigenvector derivatives fix the eigenvalue
+    through third order.  With nu f = 1, nu f_a = 0 and nu_a f = 0,
+
+        lambda_ijk = nu A_ijk f + sum over the three splits (a; bc) of
+                     (nu_a A_bc f + nu A_bc f_a)
+                   + sum over the six orderings (a, b, c) of (i, j, k) of
+                     nu_a (A_b - lambda_b) f_c,
+
+    where nu_a solves nu_a (lambda - A) = nu (A_a - lambda_a) with the
+    solve's bordered ``inverse``; then
+    P_ijk = lambda_ijk / lambda - (P_ij P_k + P_ik P_j + P_jk P_i) - P_i P_j P_k.
+    A_ttq, A_tqq, A_qqq enter only as nu A f: digit weights W and C f over
+    nodes and digits, and the tail ``products`` of ``_tail_moments`` at the
+    jets of f.
+    """
+    n = len(f)
+    third = tables.mixed_log_weights @ ((nu[:, None] * W).ravel()
+                                        * (tables.tensor.reshape(-1, n) @ f))
+    if products is not None:
+        Z = (tables.tail_rows @ f) @ products @ tables.node_powers        # (10, K)
+        third += tables.mixed_tail_mix @ (Z * (nu * weight)).ravel()
+    right = np.concatenate((f[:, None], df), axis=1)                  # f, f_t, f_q
+    left = np.empty((3, n))                                           # nu, nu_t, nu_q
+    left[0] = nu
+    left[1:] = (nu_mats[1:3] - np.multiply.outer(lams[1:], nu)) @ inverse[:-1, :-1]
+    left[1:] -= np.multiply.outer(left[1:] @ f, nu)                   # nu_a f = 0
+    # left_u B_b right_c, B_b = A_t - lambda_t, A_q - lambda_q, A_tt, A_tq, A_qq
+    applied = mats[1:6] @ right
+    applied[:2] -= np.multiply.outer(lams[1:], right)
+    lam_3 = (third + _MIXED_SUMS @ (left @ applied).ravel()).tolist()
+    return tuple([lam_3[m] / lams[0] - hess[i][j] * grad[k] - hess[i][k] * grad[j]
+                  - hess[j][k] * grad[i] - grad[i] * grad[j] * grad[k]
+                  for m, (i, j, k) in enumerate(_MIXED_INDICES)])
 
 
 @functools.lru_cache(maxsize=CACHED_GRIDS)
@@ -507,9 +605,9 @@ def required_order(t: float, base_order: int) -> int:
 
 
 def pressure(t: float, q: float, alphabet: Alphabet | None = None,
-             disc: Discretization | None = None) -> PressureResult:
+             disc: Discretization | None = None, mixed_thirds: bool = False) -> PressureResult:
     """P(t, q) as the log of the Perron collocation eigenvalue, with its exact
-    gradient, Hessian and third t-derivative: the eigen-solve behind every
+    gradient, Hessian and third derivatives: the eigen-solve behind every
     pressure value.
 
     The alphabet defaults to the full one (cutoff 64) and the grid to order
@@ -530,12 +628,14 @@ def pressure(t: float, q: float, alphabet: Alphabet | None = None,
     refined inverse of it solves them all; the Perron direction is then
     projected out.  P = log lambda, so
     P_ttt = lambda_ttt/lambda - 3 lambda_tt lambda_t/lambda^2 + 2 (lambda_t/lambda)^3.
-    The eigenfunction and the tail bound are computed from f on first read.
+    With ``mixed_thirds`` it also gives P_ttq, P_tqq and P_qqq
+    (``_mixed_third_derivatives``).  The eigenfunction and the tail bound
+    are computed from f on first read.
     """
     alphabet = alphabet or Alphabet.full()
     disc = disc or Discretization.chebyshev()
     check_domain(t, q, alphabet)
-    mats, moments, weight = _assemble(t, q, alphabet, disc)
+    mats, moments, weight, W = _assemble(t, q, alphabet, disc)
     f, nu, inverse = _perron_pair(mats[0], t, q, disc)
     # nu (A, A_t, A_q, A_tt, A_tq, A_qq, A_ttt) f with nu f = 1; the
     # two-sided quotient is second-order accurate in the eigenvectors
@@ -553,22 +653,31 @@ def pressure(t: float, q: float, alphabet: Alphabet | None = None,
     f_tt -= f * (nu_f @ f_tt)
     d3_lam = lam_ttt + 3.0 * (nu_mats[3] @ f_t).item() + 3.0 * (nu_mats[1] @ f_tt).item()
     P_t, P_q = lam_t / lam, lam_q / lam
-    tail = None
+    P_tt = d2_lam / lam - P_t * P_t
+    P_tq = (lam_tq + cross_tq + cross_qt) / lam - P_t * P_q
+    P_qq = (lam_qq + 2.0 * cross_qq) / lam - P_q * P_q
+    tail = products = None
     if moments is not None:
-        S, binom_trunc = moments
+        S, binom_trunc, products = moments
         tail = (lam, disc.digit_tables(alphabet).tail_rows, np.abs(S[0, JET_ORDER]),
                 binom_trunc)
+    thirds = None
+    if mixed_thirds:
+        thirds = _mixed_third_derivatives(
+            disc.digit_tables(alphabet), W, weight, products, mats, f, nu_f, nu_mats, df, inverse,
+            (lam, lam_t, lam_q), (P_t, P_q), ((P_tt, P_tq), (P_tq, P_qq)))
     return PressureResult(
         value=math.log(lam),
         dP_dt=P_t,
         dP_dq=P_q,
-        d2P_dt2=d2_lam / lam - P_t * P_t,
-        d2P_dtdq=(lam_tq + cross_tq + cross_qt) / lam - P_t * P_q,
-        d2P_dq2=(lam_qq + 2.0 * cross_qq) / lam - P_q * P_q,
+        d2P_dt2=P_tt,
+        d2P_dtdq=P_tq,
+        d2P_dq2=P_qq,
         d3P_dt3=d3_lam / lam - 3.0 * (d2_lam / lam) * P_t + 2.0 * P_t ** 3,
         _f=f.copy(),                               # f is a view of the inverse
         _weight=weight,
         _tail=tail,
+        _mixed=(t, q, alphabet, disc, thirds),
     )
 
 
@@ -581,7 +690,7 @@ def apply_operator(t: float, q: float, alphabet: Alphabet | None,
     g = np.asarray(g, dtype=float)
     if g.shape != disc.nodes.shape or not np.all(np.isfinite(g)):
         raise ValueError("g must be finite node values matching the discretization")
-    mats, _, weight = _assemble(t, q, alphabet, disc)
+    mats, _, weight, _ = _assemble(t, q, alphabet, disc)
     return (mats[0] @ (weight * g)) / weight
 
 
@@ -589,21 +698,24 @@ class PressureProvider:
     """Caches one PressureResult per parameter point of one (alphabet, grid).
 
     Results are keyed by the exact float pair (t, q); warm-started solvers
-    re-query identical points constantly.  Instances are not thread-safe
-    for writes; distinct instances share only the grid of their order and
-    its digit tables.
+    re-query identical points constantly.  While ``mixed_thirds`` is set
+    (``khintchine_point`` sets it), new solves also give the mixed third
+    derivatives.  Instances are not thread-safe for writes; distinct
+    instances share only the grid of their order and its digit tables.
     """
 
     def __init__(self, alphabet: Alphabet | None = None,
                  disc: Discretization | None = None):
         self.alphabet = alphabet or Alphabet.full()
         self.disc = disc or Discretization.chebyshev()
+        self.mixed_thirds = False
         self._cache: dict[tuple[float, float], PressureResult] = {}
 
     def _lookup(self, t: float, q: float) -> PressureResult:
         res = self._cache.get((t, q))
         if res is None:
-            res = self._cache[(t, q)] = pressure(t, q, self.alphabet, self.disc)
+            res = self._cache[(t, q)] = pressure(t, q, self.alphabet, self.disc,
+                                                 self.mixed_thirds)
         return res
 
     @property

@@ -182,13 +182,21 @@ def test_tail_moments_against_direct_sums(t, q, x):
     # independent of the binomial/Hurwitz-zeta expansion: the sums themselves,
     # by Euler-Maclaurin from the first tail digit; the tail integral is taken
     # in u = log i, where it decays exponentially even at 2t - q near 1
+    # (the last three are the tables of MIXED_THIRDS that _MOMENT_MIX makes
+    # of the products)
     mpmath = pytest.importorskip("mpmath")
     cutoff = 64
-    moments, _ = tr._tail_moments(t, q, tr._node_powers([x]), cutoff)
+    node_powers = tr._node_powers([x])
+    moments, _, products = tr._tail_moments(t, q, node_powers, cutoff)
+    mixed = (tr._MOMENT_MIX[len(moments):] @ products.reshape(len(products), -1)).reshape(
+        len(tr.MIXED_THIRDS), tr.JET_ORDER + 1, -1) @ node_powers
+    moments = np.concatenate((moments, mixed))
     log = mpmath.log
     factors = (lambda i: 1, lambda i: -2 * log(i + x), log,
                lambda i: 4 * log(i + x) ** 2, lambda i: -2 * log(i) * log(i + x),
-               lambda i: log(i) ** 2, lambda i: -8 * log(i + x) ** 3)
+               lambda i: log(i) ** 2, lambda i: -8 * log(i + x) ** 3,
+               lambda i: 4 * log(i + x) ** 2 * log(i), lambda i: -2 * log(i + x) * log(i) ** 2,
+               lambda i: log(i) ** 3)
 
     def direct(r, factor):
         with mpmath.workdps(17):
@@ -298,7 +306,7 @@ def _bordered_hessian(alphabet, t, q):
     """(P_tt, P_tq, P_qq) with the eigenvector derivatives from the bordered
     system [lambda - A, f; nu, 0] [f_i; 0] = [(A_i - lambda_i) f; 0]: a
     reference that does not reuse the Perron pair's inverse."""
-    mats, _, _ = tr._assemble(t, q, alphabet, DISC)
+    mats, *_ = tr._assemble(t, q, alphabet, DISC)
     f, nu, _ = tr._perron_pair(mats[0], t, q, DISC)
     nu = nu / (nu @ f)
     lam, lam_t, lam_q, lam_tt, lam_tq, lam_qq = nu @ mats[:6] @ f
@@ -327,13 +335,34 @@ def test_hessian_matches_bordered_reference(alphabet, t, q):
         assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
 
 
+def _mixed_matrices(t, q):
+    """A_ttq, A_tqq, A_qqq as (3, K, K), formed the way the assembly forms A
+    and its DERIVATIVES (the solver only contracts them with its
+    eigenvectors): the digit sum over the mixed log weights and the golden
+    tail, its moment tables made by _MOMENT_MIX from the same products."""
+    tables = DISC.digit_tables(ALPH)
+    n = DISC.order
+    _, (_, _, products), weight, W = tr._assemble(t, q, ALPH, DISC)
+    digits = np.einsum("mji,ji,jil->mjl", tables.mixed_log_weights.reshape(3, n, -1), W,
+                       tables.tensor)
+    tail = np.einsum("mpj,prj->mjr", tables.mixed_tail_mix.reshape(3, -1, n),
+                     products @ tables.node_powers) @ tables.tail_rows
+    return digits + weight[:, None] * tail
+
+
 def _mpmath_pressure(t, q):
-    """(P, P_t, P_q, P_tt, P_tq, P_qq, P_ttt) from a 40-digit eigen-solve of
-    the same float matrices: lambda from mpmath's eigenvalues, f, nu and the
-    eigenvector derivatives f_t, f_q and f_tt from 40-digit bordered solves."""
-    mats, _, _ = tr._assemble(t, q, ALPH, DISC)
+    """(P, P_t, P_q, P_tt, P_tq, P_qq, P_ttt, P_ttq, P_tqq, P_qqq) from a
+    40-digit eigen-solve of the same float matrices: lambda from mpmath's
+    eigenvalues, f, nu and the eigenvector derivatives f_t, f_q, f_tt, f_tq
+    and f_qq from 40-digit bordered solves.  The mixed third derivatives
+    take the route through the second eigenvector derivatives,
+
+        lambda_ijk = nu A_ijk f + sum_3 nu A_ij f_k + sum_3 nu A_i f_jk,
+
+    not the solver's 2n + 1 rule."""
+    mats, _, _, _ = tr._assemble(t, q, ALPH, DISC)
     with mpmath.workdps(40):
-        A = [mpmath.matrix(m.tolist()) for m in mats]
+        A = [mpmath.matrix(m.tolist()) for m in list(mats) + list(_mixed_matrices(t, q))]
         n = A[0].rows
         lam = max(mpmath.re(e) for e in mpmath.eig(A[0], left=False, right=False)
                   if abs(mpmath.im(e)) < 1e-30)
@@ -348,25 +377,43 @@ def _mpmath_pressure(t, q):
         nu = mpmath.matrix(mpmath.lu_solve(border.T, last)[:n])
         nu /= (nu.T * f)[0]
         lams = [(nu.T * a * f)[0] for a in A]
-        df = []
-        for a, lam_i in zip(A[1:3], lams[1:3]):
-            x = mpmath.lu_solve(border, mpmath.matrix(list(a * f - lam_i * f) + [0]))
-            f_i = mpmath.matrix(x[:n])
-            df.append(f_i - f * (nu.T * f_i)[0])
-        cross = [[(nu.T * A[1 + i] * df[j])[0] for j in range(2)] for i in range(2)]
+
+        def solve(rhs):
+            x = mpmath.matrix(mpmath.lu_solve(border, mpmath.matrix(list(rhs) + [0]))[:n])
+            return x - f * (nu.T * x)[0]
+
+        f_t, f_q = (solve(a * f - lam_i * f) for a, lam_i in zip(A[1:3], lams[1:3]))
+        cross = [[(nu.T * A[1 + i] * v)[0] for v in (f_t, f_q)] for i in range(2)]
         lam_tt = lams[3] + 2 * cross[0][0]
-        f_t = df[0]
-        rhs = 2 * (A[1] * f_t - lams[1] * f_t) + A[3] * f - lam_tt * f
-        f_tt = mpmath.matrix(mpmath.lu_solve(border, mpmath.matrix(list(rhs) + [0]))[:n])
-        f_tt -= f * (nu.T * f_tt)[0]
-        lam_ttt = lams[6] + 3 * (nu.T * A[3] * f_t)[0] + 3 * (nu.T * A[1] * f_tt)[0]
-        P_t, P_q = lams[1] / lam, lams[2] / lam
+        lam_tq = lams[4] + cross[0][1] + cross[1][0]
+        lam_qq = lams[5] + 2 * cross[1][1]
+        A_t, A_q, A_tt, A_tq, A_qq = A[1:6]
+        f_tt = solve(2 * (A_t * f_t - lams[1] * f_t) + A_tt * f - lam_tt * f)
+        f_tq = solve(A_t * f_q - lams[1] * f_q + A_q * f_t - lams[2] * f_t
+                     + A_tq * f - lam_tq * f)
+        f_qq = solve(2 * (A_q * f_q - lams[2] * f_q) + A_qq * f - lam_qq * f)
+
+        def nu_(a, v):
+            return (nu.T * a * v)[0]
+
+        lam_ttt = lams[6] + 3 * nu_(A_tt, f_t) + 3 * nu_(A_t, f_tt)
+        lam_ttq = (lams[7] + nu_(A_tt, f_q) + 2 * nu_(A_tq, f_t) + 2 * nu_(A_t, f_tq)
+                   + nu_(A_q, f_tt))
+        lam_tqq = (lams[8] + nu_(A_qq, f_t) + 2 * nu_(A_tq, f_q) + 2 * nu_(A_q, f_tq)
+                   + nu_(A_t, f_qq))
+        lam_qqq = lams[9] + 3 * nu_(A_qq, f_q) + 3 * nu_(A_q, f_qq)
+        g = [lams[1] / lam, lams[2] / lam]
+        second = [[lam_tt / lam, lam_tq / lam], [lam_tq / lam, lam_qq / lam]]
+
+        def third(lam_ijk, i, j, k):
+            return (lam_ijk / lam - second[i][j] * g[k] - second[i][k] * g[j]
+                    - second[j][k] * g[i] + 2 * g[i] * g[j] * g[k])
+
         return [float(v) for v in (
-            mpmath.log(lam), P_t, P_q,
-            lam_tt / lam - P_t * P_t,
-            (lams[4] + cross[0][1] + cross[1][0]) / lam - P_t * P_q,
-            (lams[5] + 2 * cross[1][1]) / lam - P_q * P_q,
-            lam_ttt / lam - 3 * lam_tt * lams[1] / lam ** 2 + 2 * P_t ** 3)]
+            mpmath.log(lam), g[0], g[1],
+            second[0][0] - g[0] * g[0], second[0][1] - g[0] * g[1], second[1][1] - g[1] * g[1],
+            third(lam_ttt, 0, 0, 0), third(lam_ttq, 0, 0, 1), third(lam_tqq, 0, 1, 1),
+            third(lam_qqq, 1, 1, 1))]
 
 
 # bounds on P_ttt relative to |P_ttt| (-0.013 at (5, 0)): it is 3e-13 and
@@ -374,17 +421,24 @@ def _mpmath_pressure(t, q):
 # 3e-14 or less at the others; the error at those two moves by several times
 # with the summation order of the float solve
 TTT_TOL = {(14.0, 26.0): 1e-11, (14.25, 26.793): 5e-11}
+# the same for P_ttq, P_tqq and P_qqq: at most 3.7e-12, 3.4e-11 and 2.7e-11 off
+# at (14, 26), 2.2e-12, 6.5e-11 and 7.5e-11 at (14.25, 26.793), 1.5e-13 at
+# (12, 20) and 2.3e-14 or less at the others
+MIXED_TOL = {(14.0, 26.0): 1e-10, (14.25, 26.793): 2e-10, (12.0, 20.0): 5e-13}
 
 
 @pytest.mark.parametrize("t, q", [(14.0, 26.0), (12.0, 20.0), (8.0, 14.0), (1.0, 0.0),
                                   (3.0, 2.0), (14.25, 26.793), (0.6, 0.0), (5.0, 0.0)])
 def test_pressure_matches_mpmath_eigen_solve_of_the_same_matrix(t, q):
-    res = tr.pressure(t, q, ALPH, DISC)
+    res = tr.pressure(t, q, ALPH, DISC, mixed_thirds=True)
     got = (res.value, res.dP_dt, res.dP_dq, res.d2P_dt2, res.d2P_dtdq, res.d2P_dq2)
     ref = _mpmath_pressure(t, q)
     for name, g, r in zip(("P", "P_t", "P_q", "P_tt", "P_tq", "P_qq"), got, ref):
         assert abs(g - r) <= 5e-12 * max(1.0, abs(r)), name
     assert abs(res.d3P_dt3 - ref[6]) <= TTT_TOL.get((t, q), 1e-13) * abs(ref[6])
+    for name, g, r in zip(("P_ttq", "P_tqq", "P_qqq"),
+                          (res.d3P_dt2dq, res.d3P_dtdq2, res.d3P_dq3), ref[7:]):
+        assert abs(g - r) <= MIXED_TOL.get((t, q), 1e-13) * abs(r), name
 
 
 @pytest.mark.parametrize("alphabet, t, q", [(ALPH, 0.6, 0.0), (ALPH, 1.0, 0.0),
@@ -402,6 +456,52 @@ def test_third_t_derivative_matches_differences_of_the_second(alphabet, t, q):
     fd = (8.0 * (d2(t + h) - d2(t - h)) - (d2(t + 2 * h) - d2(t - 2 * h))) / (12.0 * h)
     ref = tr.pressure(t, q, alphabet, DISC).d3P_dt3
     assert abs(ref - fd) <= 1e-8 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("alphabet, t, q", [(ALPH, 0.6, 0.0), (ALPH, 1.0, 0.0),
+                                            (ALPH, 3.0, 2.0), (ALPH, 0.8, -1.0),
+                                            (ALPH, 6.0, 0.0), (ALPH, 12.0, 20.0),
+                                            (tr.Alphabet.restricted({1, 2}), 0.5, -1.0)])
+def test_mixed_third_derivatives_match_differences_of_the_hessian(alphabet, t, q):
+    # fourth-order central differences of the exact Hessian in t and in q:
+    # d/dq P_tt and d/dt P_tq both give P_ttq, d/dq P_tq and d/dt P_qq both
+    # give P_tqq, d/dq P_qq gives P_qqq
+    h = 2e-4
+
+    def hessian(tt, qq):
+        r = tr.pressure(tt, qq, alphabet, DISC)
+        return np.array([r.d2P_dt2, r.d2P_dtdq, r.d2P_dq2])
+
+    def difference(e_t, e_q):
+        at = [hessian(t + m * h * e_t, q + m * h * e_q) for m in (-2, -1, 1, 2)]
+        return (8.0 * (at[2] - at[1]) - (at[3] - at[0])) / (12.0 * h)
+
+    d_dt, d_dq = difference(1.0, 0.0), difference(0.0, 1.0)
+    res = tr.pressure(t, q, alphabet, DISC, mixed_thirds=True)
+    for got, fds in ((res.d3P_dt2dq, (d_dq[0], d_dt[1])), (res.d3P_dtdq2, (d_dq[1], d_dt[2])),
+                     (res.d3P_dq3, (d_dq[2],))):
+        for fd in fds:
+            assert abs(got - fd) <= 1e-8 * max(1.0, abs(got))
+
+
+def test_mixed_third_derivatives_only_where_asked(monkeypatch):
+    # a solve computes them only with mixed_thirds; a result without them
+    # gets the same values on first read from one more solve
+    calls = []
+    mixed = tr._mixed_third_derivatives
+    monkeypatch.setattr(tr, "_mixed_third_derivatives", lambda *a: calls.append(a) or mixed(*a))
+    plain = tr.pressure(2.0, 1.5, ALPH, DISC)
+    assert calls == []
+    asked = tr.pressure(2.0, 1.5, ALPH, DISC, mixed_thirds=True)
+    assert len(calls) == 1
+    assert (plain.d3P_dt2dq, plain.d3P_dtdq2, plain.d3P_dq3) == (
+        asked.d3P_dt2dq, asked.d3P_dtdq2, asked.d3P_dq3)
+    assert len(calls) == 2
+    prov = tr.PressureProvider(ALPH, DISC)
+    prov.result(2.0, 1.5)
+    prov.mixed_thirds = True
+    prov.result(2.5, 1.5)
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
