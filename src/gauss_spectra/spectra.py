@@ -13,13 +13,13 @@ extrapolation through the last three points solved on the march
 (``_predict``; the march to the left of the peak starts from the peak and
 the two points right of it).  Toward large xi the extrapolated pair is
 (t, log(xi (2t - q - 1))), whose second entry levels off as the curve
-nears the divergence line; the nearest point adds its curvature.  The
-Jacobian is exact, built from the pressure's gradient and Hessian, so each
-iterate costs one eigen-solve, which also gives the mixed third
-derivatives for the curvature and for Chebyshev's step.
+nears the divergence line.  The Jacobian is exact, built from the
+pressure's gradient and Hessian, so each iterate costs one eigen-solve.
 
-Each step is taken on the reciprocal slope equation 1/xi - 1/P_q = 0,
-Newton's from the peak and Chebyshev's from a warm start.
+Each step is taken on the reciprocal slope equation 1/xi - 1/P_q = 0:
+Newton's from the peak, and from a warm start Chebyshev's where the stop
+measure is above CHEBYSHEV_FROM, with the mixed third derivatives P_ttq,
+P_tqq and P_qqq the provider computes from that solve on request.
 Near the divergence line 2t - q = 1, P ~ -log(2t - q - 1), so P_q grows
 like 1/(2t - q - 1) while 1/P_q is nearly linear, and the plain step would
 overshoot toward the line.  Only the step changes: F, its residuals and
@@ -145,6 +145,9 @@ def default_provider() -> PressureProvider:
 NEWTON_MAX_ITER = 60
 NEWTON_TOL = 1e-12       # stop measure at which an iterate is accepted outright
 NEWTON_MIN_STEP = 1e-15  # a damped step this small ends the iteration
+# stop measure above which a warm Khintchine iterate takes Chebyshev's step:
+# below it a Newton step already lands under NEWTON_TOL
+CHEBYSHEV_FROM = math.sqrt(NEWTON_TOL)
 LYAPUNOV_U_MIN = 0.506   # 1-D Newton iterates stay above this u (domain edge 0.505)
 HERMITE_REACH = 8.0      # node spacings beyond its nearer node the cubic predictor may reach
 
@@ -169,10 +172,11 @@ def _newton(system: Callable[[tuple], tuple], x: tuple, step: tuple | None = Non
     ``system(x)`` returns (r, J, H, err) from one pressure result, so an
     iterate costs one eigen-solve: the residual r of the form whose step is
     taken, the rows J of its Jacobian (J @ step = -r), the Hessians H[i] of
-    the r[i] or ``None``, and the caller's stop measure err.  A row of the
-    exact Jacobian scaled by a positive factor gives the step of an
-    equation with the same roots.  A zero or non-finite determinant raises
-    ``ConvergenceError``.
+    the r[i] (or a function returning them or ``None``, called only when a
+    Chebyshev step is tried) or ``None``, and the caller's stop measure
+    err.  A row of the exact Jacobian scaled by a positive factor gives the
+    step of an equation with the same roots.  A zero or non-finite
+    determinant raises ``ConvergenceError``.
 
     A trial point passes if ``system`` is defined there (raises neither
     ``DomainError`` nor ``ConvergenceError``; errors at the starting point
@@ -205,6 +209,8 @@ def _newton(system: Callable[[tuple], tuple], x: tuple, step: tuple | None = Non
             accepted, step = trial(step, norm), None
         if accepted is None:
             dx = _solve(jac, [-v for v in r], x)
+            if callable(hess):
+                hess = hess()
             if hess is not None:
                 curve = [sum([dx[j] * row[j][k] * dx[k] for j in range(len(dx))
                               for k in range(len(dx))]) for row in hess]
@@ -311,11 +317,10 @@ def _marching(x: float, hint: SpectrumPoint,
 # Khintchine spectrum
 # ---------------------------------------------------------------------------
 
-def _khintchine_slopes(r: transfer.PressureResult, q: float) -> tuple[float, float, float]:
-    """(t', q', t'') along the Khintchine curve at the point of result ``r``."""
+def _khintchine_slopes(r: transfer.PressureResult, q: float) -> tuple[float, float]:
+    """(t', q') along the Khintchine curve at the point of result ``r``."""
     slope = q / r.dP_dt
-    dq = (1.0 - r.d2P_dtdq * slope) / r.d2P_dq2
-    return slope, dq, (dq * r.dP_dt - q * (r.d2P_dt2 * slope + r.d2P_dtdq * dq)) / r.dP_dt ** 2
+    return slope, (1.0 - r.d2P_dtdq * slope) / r.d2P_dq2
 
 
 def khintchine_point(xi: float, provider: PressureProvider | None = None,
@@ -334,35 +339,28 @@ def khintchine_point(xi: float, provider: PressureProvider | None = None,
     first step (see ``_newton``) to the (t, q) that ``_predict``
     extrapolates from ``hint`` and ``prior`` (the points solved before it,
     the nearest first; see ``_marching``) with the slopes t', q' below, read
-    from the provider at those points (cache hits along a curve), and the
-    curvature (t'', q'') at ``hint``.  For xi > hint.exponent on the full
-    alphabet the pair extrapolated is (t, g) with g = log(xi (2t - q - 1)),
-    g' = 1/xi + G'/G and g'' = -1/xi^2 + G''/G - (G'/G)^2 for the gap
-    G = 2t - q - 1, since P ~ -log(2t - q - 1) near the divergence line
-    makes G fall like 1/xi; then q = 2t - 1 - e^g / xi.  A warm start also
-    gives ``_newton`` the Hessians of the step form for Chebyshev's steps:
-    Hess P and (xi/P_q) Hess P_q - (2 xi/P_q^2) grad P_q grad P_q^T.  From
-    the cold start (1, 0) a Chebyshev step toward xi = 50 lands beyond the
-    divergence line, so it takes Newton's.
+    from the provider at those points (cache hits along a curve).  For
+    xi > hint.exponent on the full alphabet the pair extrapolated is
+    (t, g) with g = log(xi (2t - q - 1)) and g' = 1/xi + (2t' - q')/(2t - q - 1),
+    since P ~ -log(2t - q - 1) near the divergence line makes 2t - q - 1
+    fall like 1/xi; then q = 2t - 1 - e^g / xi.
+
+    From a warm start, an iterate whose stop measure exceeds CHEBYSHEV_FROM
+    offers ``_newton`` the Hessians of the step form for Chebyshev's step:
+    Hess P and (xi/P_q) Hess P_q - (2 xi/P_q^2) grad P_q grad P_q^T, with
+    the mixed third derivatives in Hess P_q read from the provider
+    (``PressureProvider.mixed_thirds``) only when that step is tried.  Below
+    CHEBYSHEV_FROM a Newton step squares the stop measure to below
+    NEWTON_TOL, so the thirds would buy nothing.  From the cold start (1, 0)
+    a Chebyshev step toward xi = 50 lands beyond the divergence line, so it
+    takes Newton's.
 
     ``t_slope`` and ``t_curvature`` come from implicit differentiation of
-    P(t, q) = q xi, P_q(t, q) = xi: t' = q / P_t, q' = (1 - P_tq t') / P_qq,
-    t'' = (q' P_t - q (P_tt t' + P_tq q')) / P_t^2 and
-    q'' = -(P_ttq t'^2 + 2 P_tqq t' q' + P_qqq q'^2 + P_tq t'') / P_qq.
+    P(t, q) = q xi, P_q(t, q) = xi: t' = q / P_t, q' = (1 - P_tq t') / P_qq
+    and t'' = (q' P_t - q (P_tt t' + P_tq q')) / P_t^2.
     """
     _check_window("xi", [xi], XI_WINDOW)
     prov = provider or default_provider()
-    mixed_thirds, prov.mixed_thirds = prov.mixed_thirds, True
-    try:
-        return _khintchine_point(xi, prov, hint, prior)
-    finally:
-        prov.mixed_thirds = mixed_thirds
-
-
-def _khintchine_point(xi: float, prov: PressureProvider, hint: SpectrumPoint | None,
-                      prior: Sequence[SpectrumPoint]) -> SpectrumPoint:
-    """``khintchine_point`` on a provider whose solves compute the mixed
-    third derivatives."""
 
     def system(x):
         t, q = x
@@ -376,15 +374,21 @@ def _khintchine_point(xi: float, prov: PressureProvider, hint: SpectrumPoint | N
         scale = xi / P_q
         F = (r.value - q * xi, P_q - xi)
         jac = ((r.dP_dt, P_q - xi), (scale * r.d2P_dtdq, scale * r.d2P_dq2))
-        hess = None
-        if hint is not None:
+        err = max(abs(F[0]), abs(F[1]) / xi)
+
+        def hess():
+            thirds = prov.mixed_thirds(t, q)
+            if thirds is None:
+                return None
+            P_ttq, P_tqq, P_qqq = thirds
             tq, qq = jac[1]                 # (xi/P_q) grad P_q
             cross = 2.0 / xi
-            tqq = scale * r.d3P_dtdq2 - cross * tq * qq
-            hess = (((r.d2P_dt2, r.d2P_dtdq), (r.d2P_dtdq, r.d2P_dq2)),
-                    ((scale * r.d3P_dt2dq - cross * tq * tq, tqq),
-                     (tqq, scale * r.d3P_dq3 - cross * qq * qq)))
-        return F, jac, hess, max(abs(F[0]), abs(F[1]) / xi)
+            tqq = scale * P_tqq - cross * tq * qq
+            return (((r.d2P_dt2, r.d2P_dtdq), (r.d2P_dtdq, r.d2P_dq2)),
+                    ((scale * P_ttq - cross * tq * tq, tqq),
+                     (tqq, scale * P_qqq - cross * qq * qq)))
+
+        return F, jac, hess if hint is not None and err > CHEBYSHEV_FROM else None, err
 
     step = None
     if hint is not None:
@@ -392,18 +396,10 @@ def _khintchine_point(xi: float, prov: PressureProvider, hint: SpectrumPoint | N
         nodes = []
         for p in _marching(xi, hint, prior):
             t, q = p.dimension, p.q_value
-            r = prov.result(t, q)
-            dt, dq, ddt = _khintchine_slopes(r, q)
-            if not nodes:                   # the curvature goes in at the nearest node only
-                ddq = -(r.d3P_dt2dq * dt * dt + 2.0 * r.d3P_dtdq2 * dt * dq
-                        + r.d3P_dq3 * dq * dq + r.d2P_dtdq * ddt) / r.d2P_dq2
+            dt, dq = _khintchine_slopes(prov.result(t, q), q)
             if gap_form:
-                gap, dgap = 2.0 * t - q - 1.0, 2.0 * dt - dq
-                if not nodes:
-                    ddq = -1.0 / p.exponent ** 2 + (2.0 * ddt - ddq) / gap - (dgap / gap) ** 2
-                q, dq = _log_gap(p.exponent, gap, dgap)
-            nodes.append((p.exponent, np.array([t, q]), np.array([dt, dq]))
-                         + ((np.array([ddt, ddq]),) if not nodes else ()))
+                q, dq = _log_gap(p.exponent, 2.0 * t - q - 1.0, 2.0 * dt - dq)
+            nodes.append((p.exponent, np.array([t, q]), np.array([dt, dq])))
         t_new, q_new = _predict(xi, 0.0, nodes).tolist()
         if gap_form:
             q_new = 2.0 * t_new - 1.0 - math.exp(q_new) / xi
@@ -411,7 +407,8 @@ def _khintchine_point(xi: float, prov: PressureProvider, hint: SpectrumPoint | N
     start = (hint.dimension, hint.q_value) if hint is not None else (1.0, 0.0)
     t, q = _newton(system, start, step)
     r = prov.result(t, q)
-    slope, _, curvature = _khintchine_slopes(r, q)
+    slope, dq = _khintchine_slopes(r, q)
+    curvature = (dq * r.dP_dt - q * (r.d2P_dt2 * slope + r.d2P_dtdq * dq)) / r.dP_dt ** 2
     return SpectrumPoint(
         exponent=xi, dimension=t, q_value=q,
         residuals=(abs(r.value - q * xi), abs(r.dP_dq - xi)),

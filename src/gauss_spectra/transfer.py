@@ -29,9 +29,9 @@ collocation error instead of the ~1/M^2 a crude integral bound leaves.
 
 Every value comes from one path: the collocation matrix A is assembled
 together with its first and second (t, q)-derivatives and its third
-t-derivative (the stack DERIVATIVES), and a solve asked for the mixed
-third derivatives contracts A_ttq, A_tqq and A_qqq with its eigenvectors
-without forming them.  Everything that does
+t-derivative (the stack DERIVATIVES); the mixed third derivatives of a
+solve, computed on request, contract A_ttq, A_tqq and A_qqq with its
+eigenvectors without forming them.  Everything that does
 not depend on (t, q) (the interpolation tensor, the stacked log-weights of
 the digit weights, the node powers and jet rows of the tail expansion and
 the per-node mixing of its tables) is built once per discretization and
@@ -51,9 +51,10 @@ numpy's own LAPACK.  Eigendata handed out (eigenfunction values, the
 Gibbs eigenfunction) are those of L: h = w f.
 
 ``pressure`` and the caching ``PressureProvider`` are the two ways to ask
-for a pressure; the gradient, Hessian, third derivatives, eigendata and
+for a pressure; the gradient, Hessian, third t-derivative, eigendata and
 tail bound are read off the one ``PressureResult`` either returns, the last
-two computed on first read.
+two computed on first read.  The mixed third derivatives P_ttq, P_tqq and
+P_qqq of a provider's latest solve come from ``PressureProvider.mixed_thirds``.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ CACHED_ALPHABETS = 8  # a grid keeps the DigitTables of the last 8 alphabets bui
 # (t-order, q-order) of the derivatives of A stacked by one assembly:
 # A, A_t, A_q, A_tt, A_tq, A_qq, A_ttt
 DERIVATIVES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0))
-# A_ttq, A_tqq, A_qqq: contracted with the eigenvectors by solves asked for them
+# A_ttq, A_tqq, A_qqq: contracted with a solve's eigenvectors on request
 MIXED_THIRDS = ((2, 1), (1, 2), (0, 3))
 MAX_T_ORDER = 3
 
@@ -282,15 +283,13 @@ def _grid(order: int) -> Discretization:
 
 @dataclass(frozen=True)
 class PressureResult:
-    """Pressure value with its exact gradient, Hessian and third derivatives,
+    """Pressure value with its exact gradient, Hessian and third t-derivative,
     eigenfunction and tail diagnostics.
 
     ``eigenfunction_values`` are the node values, on the requested
     discretization, of the eigenfunction h of the unweighted operator
     (largest 1).  It and ``tail_error_bound`` are computed on first read
     from the eigenvector the solve keeps; the spectrum solvers read neither.
-    The mixed third derivatives ``d3P_dt2dq``, ``d3P_dtdq2`` and ``d3P_dq3``
-    come from a solve asked for them, else from one more solve on first read.
     """
 
     value: float
@@ -304,27 +303,6 @@ class PressureResult:
     _weight: np.ndarray = field(repr=False)   # node weights e^(t a_j)
     # (lambda, tail_rows, |S| at Taylor order JET_ORDER, binom_trunc) with a digit tail
     _tail: tuple | None = field(repr=False)
-    # (t, q, alphabet, disc, (P_ttq, P_tqq, P_qqq) or None)
-    _mixed: tuple = field(repr=False)
-
-    @functools.cached_property
-    def _mixed_thirds(self) -> tuple[float, float, float]:
-        # no arrays are kept for a later read: kept arrays slowed every later
-        # solve of a curve by more than the solves made again here cost
-        *where, thirds = self._mixed
-        return thirds or pressure(*where, mixed_thirds=True)._mixed[-1]
-
-    @property
-    def d3P_dt2dq(self) -> float:
-        return self._mixed_thirds[0]
-
-    @property
-    def d3P_dtdq2(self) -> float:
-        return self._mixed_thirds[1]
-
-    @property
-    def d3P_dq3(self) -> float:
-        return self._mixed_thirds[2]
 
     @functools.cached_property
     def eigenfunction_values(self) -> np.ndarray:
@@ -605,9 +583,9 @@ def required_order(t: float, base_order: int) -> int:
 
 
 def pressure(t: float, q: float, alphabet: Alphabet | None = None,
-             disc: Discretization | None = None, mixed_thirds: bool = False) -> PressureResult:
+             disc: Discretization | None = None) -> PressureResult:
     """P(t, q) as the log of the Perron collocation eigenvalue, with its exact
-    gradient, Hessian and third derivatives: the eigen-solve behind every
+    gradient, Hessian and third t-derivative: the eigen-solve behind every
     pressure value.
 
     The alphabet defaults to the full one (cutoff 64) and the grid to order
@@ -628,12 +606,14 @@ def pressure(t: float, q: float, alphabet: Alphabet | None = None,
     refined inverse of it solves them all; the Perron direction is then
     projected out.  P = log lambda, so
     P_ttt = lambda_ttt/lambda - 3 lambda_tt lambda_t/lambda^2 + 2 (lambda_t/lambda)^3.
-    With ``mixed_thirds`` it also gives P_ttq, P_tqq and P_qqq
-    (``_mixed_third_derivatives``).  The eigenfunction and the tail bound
-    are computed from f on first read.
+    The eigenfunction and the tail bound are computed from f on first read.
     """
-    alphabet = alphabet or Alphabet.full()
-    disc = disc or Discretization.chebyshev()
+    return _solve(t, q, alphabet or Alphabet.full(), disc or Discretization.chebyshev())[0]
+
+
+def _solve(t: float, q: float, alphabet: Alphabet, disc: Discretization):
+    """(``pressure``'s result, the solve's arrays): the arrays are the
+    arguments of ``_mixed_third_derivatives`` after its first."""
     check_domain(t, q, alphabet)
     mats, moments, weight, W = _assemble(t, q, alphabet, disc)
     f, nu, inverse = _perron_pair(mats[0], t, q, disc)
@@ -661,11 +641,6 @@ def pressure(t: float, q: float, alphabet: Alphabet | None = None,
         S, binom_trunc, products = moments
         tail = (lam, disc.digit_tables(alphabet).tail_rows, np.abs(S[0, JET_ORDER]),
                 binom_trunc)
-    thirds = None
-    if mixed_thirds:
-        thirds = _mixed_third_derivatives(
-            disc.digit_tables(alphabet), W, weight, products, mats, f, nu_f, nu_mats, df, inverse,
-            (lam, lam_t, lam_q), (P_t, P_q), ((P_tt, P_tq), (P_tq, P_qq)))
     return PressureResult(
         value=math.log(lam),
         dP_dt=P_t,
@@ -677,8 +652,8 @@ def pressure(t: float, q: float, alphabet: Alphabet | None = None,
         _f=f.copy(),                               # f is a view of the inverse
         _weight=weight,
         _tail=tail,
-        _mixed=(t, q, alphabet, disc, thirds),
-    )
+    ), (W, weight, products, mats, f, nu_f, nu_mats, df, inverse,
+        (lam, lam_t, lam_q), (P_t, P_q), ((P_tt, P_tq), (P_tq, P_qq)))
 
 
 def apply_operator(t: float, q: float, alphabet: Alphabet | None,
@@ -698,24 +673,28 @@ class PressureProvider:
     """Caches one PressureResult per parameter point of one (alphabet, grid).
 
     Results are keyed by the exact float pair (t, q); warm-started solvers
-    re-query identical points constantly.  While ``mixed_thirds`` is set
-    (``khintchine_point`` sets it), new solves also give the mixed third
-    derivatives.  Instances are not thread-safe for writes; distinct
-    instances share only the grid of their order and its digit tables.
+    re-query identical points constantly.  ``mixed_thirds`` computes the
+    mixed third derivatives of the latest solve on request and keeps them,
+    so a solver that repeats its queries repeats its steps.  Instances are
+    not thread-safe for writes; distinct instances share only the grid of
+    their order and its digit tables.
     """
 
     def __init__(self, alphabet: Alphabet | None = None,
                  disc: Discretization | None = None):
         self.alphabet = alphabet or Alphabet.full()
         self.disc = disc or Discretization.chebyshev()
-        self.mixed_thirds = False
         self._cache: dict[tuple[float, float], PressureResult] = {}
+        self._latest = (None, ())            # ((t, q), arrays) of the latest solve
+        self._thirds: dict[tuple[float, float], tuple[float, float, float]] = {}
 
     def _lookup(self, t: float, q: float) -> PressureResult:
         res = self._cache.get((t, q))
         if res is None:
-            res = self._cache[(t, q)] = pressure(t, q, self.alphabet, self.disc,
-                                                 self.mixed_thirds)
+            self._latest = (None, ())       # free the last solve's arrays first
+            res, arrays = _solve(t, q, self.alphabet, self.disc)
+            self._cache[(t, q)] = res
+            self._latest = ((t, q), arrays)
         return res
 
     @property
@@ -725,6 +704,22 @@ class PressureProvider:
 
     def result(self, t: float, q: float) -> PressureResult:
         return self._lookup(t, q)
+
+    def mixed_thirds(self, t: float, q: float) -> tuple[float, float, float] | None:
+        """(P_ttq, P_tqq, P_qqq) at (t, q): computed on the first request
+        while (t, q) is the point this provider solved last, from the arrays
+        that solve left, and kept; None at a point solved earlier and not
+        asked for them then.  No solve is made here, and only the latest
+        solve's arrays are kept: arrays kept with every cached result slowed
+        the later solves of a curve."""
+        thirds = self._thirds.get((t, q))
+        if thirds is None:
+            where, arrays = self._latest
+            if where != (t, q):
+                return None
+            thirds = self._thirds[(t, q)] = _mixed_third_derivatives(
+                self.disc.digit_tables(self.alphabet), *arrays)
+        return thirds
 
     # pressure, dP_dq and dP_dt stay only for spectra_bench's checks and tracer
     def pressure(self, t: float, q: float) -> float:

@@ -427,17 +427,23 @@ TTT_TOL = {(14.0, 26.0): 1e-11, (14.25, 26.793): 5e-11}
 MIXED_TOL = {(14.0, 26.0): 1e-10, (14.25, 26.793): 2e-10, (12.0, 20.0): 5e-13}
 
 
+def _with_thirds(alphabet, t, q):
+    """The result of a solve at (t, q) and its mixed third derivatives."""
+    prov = tr.PressureProvider(alphabet, DISC)
+    res = prov.result(t, q)
+    return res, prov.mixed_thirds(t, q)
+
+
 @pytest.mark.parametrize("t, q", [(14.0, 26.0), (12.0, 20.0), (8.0, 14.0), (1.0, 0.0),
                                   (3.0, 2.0), (14.25, 26.793), (0.6, 0.0), (5.0, 0.0)])
 def test_pressure_matches_mpmath_eigen_solve_of_the_same_matrix(t, q):
-    res = tr.pressure(t, q, ALPH, DISC, mixed_thirds=True)
+    res, thirds = _with_thirds(ALPH, t, q)
     got = (res.value, res.dP_dt, res.dP_dq, res.d2P_dt2, res.d2P_dtdq, res.d2P_dq2)
     ref = _mpmath_pressure(t, q)
     for name, g, r in zip(("P", "P_t", "P_q", "P_tt", "P_tq", "P_qq"), got, ref):
         assert abs(g - r) <= 5e-12 * max(1.0, abs(r)), name
     assert abs(res.d3P_dt3 - ref[6]) <= TTT_TOL.get((t, q), 1e-13) * abs(ref[6])
-    for name, g, r in zip(("P_ttq", "P_tqq", "P_qqq"),
-                          (res.d3P_dt2dq, res.d3P_dtdq2, res.d3P_dq3), ref[7:]):
+    for name, g, r in zip(("P_ttq", "P_tqq", "P_qqq"), thirds, ref[7:]):
         assert abs(g - r) <= MIXED_TOL.get((t, q), 1e-13) * abs(r), name
 
 
@@ -477,31 +483,31 @@ def test_mixed_third_derivatives_match_differences_of_the_hessian(alphabet, t, q
         return (8.0 * (at[2] - at[1]) - (at[3] - at[0])) / (12.0 * h)
 
     d_dt, d_dq = difference(1.0, 0.0), difference(0.0, 1.0)
-    res = tr.pressure(t, q, alphabet, DISC, mixed_thirds=True)
-    for got, fds in ((res.d3P_dt2dq, (d_dq[0], d_dt[1])), (res.d3P_dtdq2, (d_dq[1], d_dt[2])),
-                     (res.d3P_dq3, (d_dq[2],))):
+    P_ttq, P_tqq, P_qqq = _with_thirds(alphabet, t, q)[1]
+    for got, fds in ((P_ttq, (d_dq[0], d_dt[1])), (P_tqq, (d_dq[1], d_dt[2])),
+                     (P_qqq, (d_dq[2],))):
         for fd in fds:
             assert abs(got - fd) <= 1e-8 * max(1.0, abs(got))
 
 
-def test_mixed_third_derivatives_only_where_asked(monkeypatch):
-    # a solve computes them only with mixed_thirds; a result without them
-    # gets the same values on first read from one more solve
+def test_mixed_thirds_only_of_the_latest_solve_and_only_on_request(monkeypatch):
+    # solves never compute them; the provider computes them on request from
+    # the arrays of its latest solve, without a solve, keeps them, and has
+    # none for an earlier point not asked for them while it was the latest
     calls = []
     mixed = tr._mixed_third_derivatives
     monkeypatch.setattr(tr, "_mixed_third_derivatives", lambda *a: calls.append(a) or mixed(*a))
-    plain = tr.pressure(2.0, 1.5, ALPH, DISC)
-    assert calls == []
-    asked = tr.pressure(2.0, 1.5, ALPH, DISC, mixed_thirds=True)
-    assert len(calls) == 1
-    assert (plain.d3P_dt2dq, plain.d3P_dtdq2, plain.d3P_dq3) == (
-        asked.d3P_dt2dq, asked.d3P_dtdq2, asked.d3P_dq3)
-    assert len(calls) == 2
     prov = tr.PressureProvider(ALPH, DISC)
     prov.result(2.0, 1.5)
-    prov.mixed_thirds = True
     prov.result(2.5, 1.5)
-    assert len(calls) == 3
+    prov.result(2.0, 1.5)                           # a cache hit
+    assert calls == []
+    assert prov.mixed_thirds(2.0, 1.5) is None
+    thirds = prov.mixed_thirds(2.5, 1.5)
+    assert len(calls) == 1 and prov.solves == 2
+    assert thirds == _with_thirds(ALPH, 2.5, 1.5)[1]
+    prov.result(3.0, 1.5)                           # kept once computed
+    assert prov.mixed_thirds(2.5, 1.5) == thirds and len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
