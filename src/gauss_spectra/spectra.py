@@ -31,9 +31,9 @@ P''(u), then q = P(u)/beta and t = u + q.  Above the peak lambda0 the step
 is taken from 1/beta + 1/P'(u) = 0 likewise; below it from
 log(-P'(u) - gamma0) = log(beta - gamma0), because -P'(u) - gamma0 decays
 exponentially in u as beta falls to gamma0.  Each step is Chebyshev's
-third-order step on that form, from the exact P'''(u) every solve carries,
-and falls back to the damped Newton step where it does not lower the
-residual.  On a curve the first step goes to the u extrapolated likewise,
+third-order step on that form, from the exact P'''(u) the provider gives
+for each iterate (``PressureProvider.d3P_dt3``), and falls back to the
+damped Newton step where it does not lower the residual.  On a curve the first step goes to the u extrapolated likewise,
 as log(beta (u - 1/2)) toward large beta, with the curvature u'' at the
 nearest solved point.  The 2x2 Newton
 iteration on the two-parameter form, with u = t - q, is kept alongside as
@@ -463,8 +463,12 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
     ``_newton`` tries Chebyshev's step on that form first, with its second
     derivative r'' = -P'''/P'^2 + 2 P''^2/P'^3 (reciprocal form) or
     -P'''/e - (P''/e)^2 with e = -P' - gamma0 (log-gap form); otherwise it
-    damps the Newton step on the residual of that form.  It treats
-    u <= LYAPUNOV_U_MIN as outside the domain.  The iteration starts from
+    damps the Newton step on the residual of that form.  P''' is read from
+    the provider (``PressureProvider.d3P_dt3``) at every iterate, so every
+    point a march passes through keeps it; where the provider has none (a
+    point another caller solved earlier) the step is Newton's and the
+    curvature below is left out.  It treats u <= LYAPUNOV_U_MIN as outside
+    the domain.  The iteration starts from
     u = 1, or from the hint's u (``_lyapunov_u``), so a warm start's first
     query hits the provider cache; its predicted first step then goes to the
     u that ``_predict`` extrapolates from ``hint`` and ``prior`` with
@@ -488,13 +492,17 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
             v = _lyapunov_u(p)
             res = prov.result(v, 0.0)
             dv = -1.0 / res.d2P_dt2
-            ddv = res.d3P_dt3 * dv / res.d2P_dt2 ** 2
-            if gap_form:
-                gap = v - 0.5
-                ddv = -1.0 / p.exponent ** 2 + ddv / gap - (dv / gap) ** 2
-                v, dv = _log_gap(p.exponent, gap, dv)
             # the curvature goes in at the nearest node only
-            nodes.append((p.exponent, v, dv) + ((ddv,) if not nodes else ()))
+            P3 = None if nodes else prov.d3P_dt3(v, 0.0)
+            curvature = ()
+            if P3 is not None:
+                ddv = P3 * dv / res.d2P_dt2 ** 2
+                if gap_form:
+                    ddv = -1.0 / p.exponent ** 2 + ddv / (v - 0.5) - (dv / (v - 0.5)) ** 2
+                curvature = (ddv,)
+            if gap_form:
+                v, dv = _log_gap(p.exponent, v - 0.5, dv)
+            nodes.append((p.exponent, v, dv) + curvature)
         predicted = _predict(beta, gamma0, nodes)
         if gap_form:
             predicted = 0.5 + math.exp(predicted) / beta
@@ -512,10 +520,12 @@ def lyapunov_point(beta: float, provider: PressureProvider | None = None,
                 raise transfer.ConvergenceError(
                     f"-P'(u) - gamma0 = {e} <= 0 at u = {u}; no log-gap step")
             r, dr = math.log(e / (beta - gamma0)), -P2 / e
-            ddr = -res.d3P_dt3 / e - dr * dr
         else:
             r, dr = (P1 + beta) / (beta * P1), -P2 / P1 ** 2
-            ddr = -res.d3P_dt3 / P1 ** 2 + 2.0 * P2 * P2 / P1 ** 3
+        P3 = prov.d3P_dt3(u, 0.0)
+        if P3 is None:
+            return (r,), ((dr,),), None, abs(P1 + beta) / beta
+        ddr = -P3 / e - dr * dr if log_gap else -P3 / P1 ** 2 + 2.0 * P2 * P2 / P1 ** 3
         return (r,), ((dr,),), (((ddr,),),), abs(P1 + beta) / beta
 
     u, = _newton(system, (u,), step)

@@ -30,8 +30,8 @@ collocation error instead of the ~1/M^2 a crude integral bound leaves.
 Every value comes from one path: the collocation matrix A is assembled
 together with its first and second (t, q)-derivatives and its third
 t-derivative (the stack DERIVATIVES); the mixed third derivatives of a
-solve, computed on request, contract A_ttq, A_tqq and A_qqq with its
-eigenvectors without forming them.  Everything that does
+solve contract A_ttq, A_tqq and A_qqq with its eigenvectors without
+forming them.  Everything that does
 not depend on (t, q) (the interpolation tensor, the stacked log-weights of
 the digit weights, the node powers and jet rows of the tail expansion and
 the per-node mixing of its tables) is built once per discretization and
@@ -51,10 +51,12 @@ numpy's own LAPACK.  Eigendata handed out (eigenfunction values, the
 Gibbs eigenfunction) are those of L: h = w f.
 
 ``pressure`` and the caching ``PressureProvider`` are the two ways to ask
-for a pressure; the gradient, Hessian, third t-derivative, eigendata and
-tail bound are read off the one ``PressureResult`` either returns, the last
-two computed on first read.  The mixed third derivatives P_ttq, P_tqq and
-P_qqq of a provider's latest solve come from ``PressureProvider.mixed_thirds``.
+for a pressure; the gradient, Hessian, eigendata and tail bound are read
+off the one ``PressureResult`` either returns, the last two computed on
+first read.  The third derivatives are computed on request from the
+arrays of a provider's latest solve, each by the solver that reads it:
+P_ttt (``PressureProvider.d3P_dt3``) and P_ttq, P_tqq, P_qqq
+(``PressureProvider.mixed_thirds``).
 """
 
 from __future__ import annotations
@@ -283,8 +285,8 @@ def _grid(order: int) -> Discretization:
 
 @dataclass(frozen=True)
 class PressureResult:
-    """Pressure value with its exact gradient, Hessian and third t-derivative,
-    eigenfunction and tail diagnostics.
+    """Pressure value with its exact gradient and Hessian, eigenfunction and
+    tail diagnostics.
 
     ``eigenfunction_values`` are the node values, on the requested
     discretization, of the eigenfunction h of the unweighted operator
@@ -298,7 +300,6 @@ class PressureResult:
     d2P_dt2: float
     d2P_dtdq: float
     d2P_dq2: float
-    d3P_dt3: float
     _f: np.ndarray = field(repr=False)        # golden-weighted eigenvector, entries sum 1
     _weight: np.ndarray = field(repr=False)   # node weights e^(t a_j)
     # (lambda, tail_rows, |S| at Taylor order JET_ORDER, binom_trunc) with a digit tail
@@ -470,10 +471,42 @@ def _assemble(t: float, q: float, alphabet: Alphabet, disc: Discretization):
     return mats.transpose(1, 0, 2), moments, weight, W
 
 
-def _mixed_third_derivatives(tables: DigitTables, W: np.ndarray, weight: np.ndarray,
-                             products: np.ndarray | None, mats: np.ndarray, f: np.ndarray,
-                             nu: np.ndarray, nu_mats: np.ndarray, df: np.ndarray,
-                             inverse: np.ndarray, lams, grad, hess) -> tuple:
+class _SolveArrays(NamedTuple):
+    """What a solve leaves for its third derivatives (see ``_solve``)."""
+
+    tables: DigitTables
+    W: np.ndarray               # digit weights
+    weight: np.ndarray          # node weights
+    products: np.ndarray | None  # tail products of _tail_moments
+    mats: np.ndarray            # A and its DERIVATIVES
+    mats_f: np.ndarray          # A_t f, A_q f, A_tt f
+    f: np.ndarray
+    nu: np.ndarray              # with nu f = 1
+    nu_mats: np.ndarray         # nu A and nu times its DERIVATIVES
+    df: np.ndarray              # columns f_t, f_q
+    inverse: np.ndarray         # the refined bordered inverse
+    lams: tuple                 # lambda, lambda_t, lambda_q, lambda_tt, nu A_ttt f
+    grad: tuple                 # P_t, P_q
+    hess: tuple                 # ((P_tt, P_tq), (P_tq, P_qq))
+
+
+def _third_t_derivative(s: _SolveArrays) -> float:
+    """P_ttt of one solve: lambda_ttt = nu A_ttt f + 3 nu A_tt f_t + 3 nu A_t f_tt,
+    where f_tt solves (lambda - A) f_tt = 2 (A_t - lambda_t) f_t +
+    (A_tt - lambda_tt) f with nu f_tt = 0, by the bordered inverse as f_t
+    is (``pressure``); P = log lambda, so
+    P_ttt = lambda_ttt/lambda - 3 lambda_tt lambda_t/lambda^2 + 2 (lambda_t/lambda)^3."""
+    lam, lam_t, _, d2_lam, lam_ttt = s.lams
+    f, f_t, nu_mats = s.f, s.df[:, 0], s.nu_mats
+    f_tt = s.inverse[:-1, :-1] @ (2.0 * (s.mats[1] @ f_t - lam_t * f_t)
+                                  + (s.mats_f[2] - d2_lam * f))
+    f_tt -= f * (s.nu @ f_tt)
+    d3_lam = lam_ttt + 3.0 * (nu_mats[3] @ f_t).item() + 3.0 * (nu_mats[1] @ f_tt).item()
+    P_t = s.grad[0]
+    return d3_lam / lam - 3.0 * (d2_lam / lam) * P_t + 2.0 * P_t ** 3
+
+
+def _mixed_third_derivatives(s: _SolveArrays) -> tuple:
     """(P_ttq, P_tqq, P_qqq) of one solve by Wigner's 2n + 1 rule: the
     first-order right and left eigenvector derivatives fix the eigenvalue
     through third order.  With nu f = 1, nu f_a = 0 and nu_a f = 0,
@@ -490,19 +523,21 @@ def _mixed_third_derivatives(tables: DigitTables, W: np.ndarray, weight: np.ndar
     nodes and digits, and the tail ``products`` of ``_tail_moments`` at the
     jets of f.
     """
+    tables, f, nu, nu_mats, df, lams, grad, hess = (
+        s.tables, s.f, s.nu, s.nu_mats, s.df, s.lams[:3], s.grad, s.hess)
     n = len(f)
-    third = tables.mixed_log_weights @ ((nu[:, None] * W).ravel()
+    third = tables.mixed_log_weights @ ((nu[:, None] * s.W).ravel()
                                         * (tables.tensor.reshape(-1, n) @ f))
-    if products is not None:
-        Z = (tables.tail_rows @ f) @ products @ tables.node_powers        # (10, K)
-        third += tables.mixed_tail_mix @ (Z * (nu * weight)).ravel()
+    if s.products is not None:
+        Z = (tables.tail_rows @ f) @ s.products @ tables.node_powers      # (10, K)
+        third += tables.mixed_tail_mix @ (Z * (nu * s.weight)).ravel()
     right = np.concatenate((f[:, None], df), axis=1)                  # f, f_t, f_q
     left = np.empty((3, n))                                           # nu, nu_t, nu_q
     left[0] = nu
-    left[1:] = (nu_mats[1:3] - np.multiply.outer(lams[1:], nu)) @ inverse[:-1, :-1]
+    left[1:] = (nu_mats[1:3] - np.multiply.outer(lams[1:], nu)) @ s.inverse[:-1, :-1]
     left[1:] -= np.multiply.outer(left[1:] @ f, nu)                   # nu_a f = 0
     # left_u B_b right_c, B_b = A_t - lambda_t, A_q - lambda_q, A_tt, A_tq, A_qq
-    applied = mats[1:6] @ right
+    applied = s.mats[1:6] @ right
     applied[:2] -= np.multiply.outer(lams[1:], right)
     lam_3 = (third + _MIXED_SUMS @ (left @ applied).ravel()).tolist()
     return tuple([lam_3[m] / lams[0] - hess[i][j] * grad[k] - hess[i][k] * grad[j]
@@ -585,8 +620,7 @@ def required_order(t: float, base_order: int) -> int:
 def pressure(t: float, q: float, alphabet: Alphabet | None = None,
              disc: Discretization | None = None) -> PressureResult:
     """P(t, q) as the log of the Perron collocation eigenvalue, with its exact
-    gradient, Hessian and third t-derivative: the eigen-solve behind every
-    pressure value.
+    gradient and Hessian: the eigen-solve behind every pressure value.
 
     The alphabet defaults to the full one (cutoff 64) and the grid to order
     16.  Checks the domain, assembles the golden-weighted A with its
@@ -596,25 +630,22 @@ def pressure(t: float, q: float, alphabet: Alphabet | None = None,
 
         lambda_i   = nu A_i f,
         lambda_ij  = nu A_ij f + nu A_i f_j + nu A_j f_i,
-        lambda_ttt = nu A_ttt f + 3 nu A_tt f_t + 3 nu A_t f_tt,
 
     where the eigenvector derivative f_i solves (lambda - A) f_i =
-    (A_i - lambda_i) f and f_tt solves (lambda - A) f_tt =
-    2 (A_t - lambda_t) f_t + (A_tt - lambda_tt) f, each with nu f_i = 0.
-    The right-hand sides are annihilated by nu, so the bordered system
-    [lambda - A, 1; 1^T, 0] [f_i; 0] = [rhs; 0] holds, and the Perron pair's
-    refined inverse of it solves them all; the Perron direction is then
-    projected out.  P = log lambda, so
-    P_ttt = lambda_ttt/lambda - 3 lambda_tt lambda_t/lambda^2 + 2 (lambda_t/lambda)^3.
-    The eigenfunction and the tail bound are computed from f on first read.
+    (A_i - lambda_i) f with nu f_i = 0.  The right-hand side is annihilated
+    by nu, so the bordered system [lambda - A, 1; 1^T, 0] [f_i; 0] =
+    [rhs; 0] holds, and the Perron pair's refined inverse of it solves them
+    all; the Perron direction is then projected out.  The eigenfunction and
+    the tail bound are computed from f on first read; the third derivatives
+    come from a ``PressureProvider``.
     """
     return _solve(t, q, alphabet or Alphabet.full(), disc or Discretization.chebyshev())[0]
 
 
 def _solve(t: float, q: float, alphabet: Alphabet, disc: Discretization):
-    """(``pressure``'s result, the solve's arrays): the arrays are the
-    arguments of ``_mixed_third_derivatives`` after its first."""
+    """(``pressure``'s result, the solve's ``_SolveArrays``)."""
     check_domain(t, q, alphabet)
+    tables = disc.digit_tables(alphabet)
     mats, moments, weight, W = _assemble(t, q, alphabet, disc)
     f, nu, inverse = _perron_pair(mats[0], t, q, disc)
     # nu (A, A_t, A_q, A_tt, A_tq, A_qq, A_ttt) f with nu f = 1; the
@@ -627,11 +658,7 @@ def _solve(t: float, q: float, alphabet: Alphabet, disc: Discretization):
     df = solve @ (mats_f[:2].T - f[:, None] * (lam_t, lam_q))
     df -= f[:, None] * (nu_f @ df)                 # columns f_t, f_q with nu f_i = 0
     (cross_tt, cross_tq), (cross_qt, cross_qq) = (nu_mats[1:3] @ df).tolist()
-    f_t = df[:, 0]
     d2_lam = lam_tt + 2.0 * cross_tt               # lambda_tt
-    f_tt = solve @ (2.0 * (mats[1] @ f_t - lam_t * f_t) + (mats_f[2] - d2_lam * f))
-    f_tt -= f * (nu_f @ f_tt)
-    d3_lam = lam_ttt + 3.0 * (nu_mats[3] @ f_t).item() + 3.0 * (nu_mats[1] @ f_tt).item()
     P_t, P_q = lam_t / lam, lam_q / lam
     P_tt = d2_lam / lam - P_t * P_t
     P_tq = (lam_tq + cross_tq + cross_qt) / lam - P_t * P_q
@@ -639,8 +666,7 @@ def _solve(t: float, q: float, alphabet: Alphabet, disc: Discretization):
     tail = products = None
     if moments is not None:
         S, binom_trunc, products = moments
-        tail = (lam, disc.digit_tables(alphabet).tail_rows, np.abs(S[0, JET_ORDER]),
-                binom_trunc)
+        tail = (lam, tables.tail_rows, np.abs(S[0, JET_ORDER]), binom_trunc)
     return PressureResult(
         value=math.log(lam),
         dP_dt=P_t,
@@ -648,12 +674,11 @@ def _solve(t: float, q: float, alphabet: Alphabet, disc: Discretization):
         d2P_dt2=P_tt,
         d2P_dtdq=P_tq,
         d2P_dq2=P_qq,
-        d3P_dt3=d3_lam / lam - 3.0 * (d2_lam / lam) * P_t + 2.0 * P_t ** 3,
         _f=f.copy(),                               # f is a view of the inverse
         _weight=weight,
         _tail=tail,
-    ), (W, weight, products, mats, f, nu_f, nu_mats, df, inverse,
-        (lam, lam_t, lam_q), (P_t, P_q), ((P_tt, P_tq), (P_tq, P_qq)))
+    ), _SolveArrays(tables, W, weight, products, mats, mats_f, f, nu_f, nu_mats, df, inverse,
+                    (lam, lam_t, lam_q, d2_lam, lam_ttt), (P_t, P_q), ((P_tt, P_tq), (P_tq, P_qq)))
 
 
 def apply_operator(t: float, q: float, alphabet: Alphabet | None,
@@ -673,8 +698,8 @@ class PressureProvider:
     """Caches one PressureResult per parameter point of one (alphabet, grid).
 
     Results are keyed by the exact float pair (t, q); warm-started solvers
-    re-query identical points constantly.  ``mixed_thirds`` computes the
-    mixed third derivatives of the latest solve on request and keeps them,
+    re-query identical points constantly.  ``d3P_dt3`` and ``mixed_thirds``
+    compute third derivatives of the latest solve on request and keep them,
     so a solver that repeats its queries repeats its steps.  Instances are
     not thread-safe for writes; distinct instances share only the grid of
     their order and its digit tables.
@@ -685,13 +710,14 @@ class PressureProvider:
         self.alphabet = alphabet or Alphabet.full()
         self.disc = disc or Discretization.chebyshev()
         self._cache: dict[tuple[float, float], PressureResult] = {}
-        self._latest = (None, ())            # ((t, q), arrays) of the latest solve
-        self._thirds: dict[tuple[float, float], tuple[float, float, float]] = {}
+        self._latest = (None, None)          # ((t, q), _SolveArrays) of the latest solve
+        self._third_t: dict[tuple[float, float], float] = {}
+        self._mixed: dict[tuple[float, float], tuple[float, float, float]] = {}
 
     def _lookup(self, t: float, q: float) -> PressureResult:
         res = self._cache.get((t, q))
         if res is None:
-            self._latest = (None, ())       # free the last solve's arrays first
+            self._latest = (None, None)     # free the last solve's arrays first
             res, arrays = _solve(t, q, self.alphabet, self.disc)
             self._cache[(t, q)] = res
             self._latest = ((t, q), arrays)
@@ -705,21 +731,30 @@ class PressureProvider:
     def result(self, t: float, q: float) -> PressureResult:
         return self._lookup(t, q)
 
-    def mixed_thirds(self, t: float, q: float) -> tuple[float, float, float] | None:
-        """(P_ttq, P_tqq, P_qqq) at (t, q): computed on the first request
-        while (t, q) is the point this provider solved last, from the arrays
-        that solve left, and kept; None at a point solved earlier and not
-        asked for them then.  No solve is made here, and only the latest
-        solve's arrays are kept: arrays kept with every cached result slowed
-        the later solves of a curve."""
-        thirds = self._thirds.get((t, q))
-        if thirds is None:
+    def _from_latest(self, kept: dict, compute, t: float, q: float):
+        """``compute`` of the latest solve's arrays if (t, q) is that solve's
+        point, kept in ``kept``; what ``kept`` holds at (t, q) otherwise, or
+        None.  No solve is made here, and only the latest solve's arrays are
+        kept: arrays kept with every cached result slowed the later solves
+        of a curve."""
+        value = kept.get((t, q))
+        if value is None:
             where, arrays = self._latest
             if where != (t, q):
                 return None
-            thirds = self._thirds[(t, q)] = _mixed_third_derivatives(
-                self.disc.digit_tables(self.alphabet), *arrays)
-        return thirds
+            value = kept[(t, q)] = compute(arrays)
+        return value
+
+    def d3P_dt3(self, t: float, q: float) -> float | None:
+        """P_ttt at (t, q) (``_third_t_derivative``): computed on the first
+        request while (t, q) is the point this provider solved last, and
+        kept; None at a point solved earlier and not asked about then."""
+        return self._from_latest(self._third_t, _third_t_derivative, t, q)
+
+    def mixed_thirds(self, t: float, q: float) -> tuple[float, float, float] | None:
+        """(P_ttq, P_tqq, P_qqq) at (t, q) (``_mixed_third_derivatives``),
+        on request as ``d3P_dt3``."""
+        return self._from_latest(self._mixed, _mixed_third_derivatives, t, q)
 
     # pressure, dP_dq and dP_dt stay only for spectra_bench's checks and tracer
     def pressure(self, t: float, q: float) -> float:

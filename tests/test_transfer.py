@@ -428,21 +428,22 @@ MIXED_TOL = {(14.0, 26.0): 1e-10, (14.25, 26.793): 2e-10, (12.0, 20.0): 5e-13}
 
 
 def _with_thirds(alphabet, t, q):
-    """The result of a solve at (t, q) and its mixed third derivatives."""
+    """The result of a solve at (t, q), its P_ttt and its mixed third
+    derivatives."""
     prov = tr.PressureProvider(alphabet, DISC)
     res = prov.result(t, q)
-    return res, prov.mixed_thirds(t, q)
+    return res, prov.d3P_dt3(t, q), prov.mixed_thirds(t, q)
 
 
 @pytest.mark.parametrize("t, q", [(14.0, 26.0), (12.0, 20.0), (8.0, 14.0), (1.0, 0.0),
                                   (3.0, 2.0), (14.25, 26.793), (0.6, 0.0), (5.0, 0.0)])
 def test_pressure_matches_mpmath_eigen_solve_of_the_same_matrix(t, q):
-    res, thirds = _with_thirds(ALPH, t, q)
+    res, P_ttt, thirds = _with_thirds(ALPH, t, q)
     got = (res.value, res.dP_dt, res.dP_dq, res.d2P_dt2, res.d2P_dtdq, res.d2P_dq2)
     ref = _mpmath_pressure(t, q)
     for name, g, r in zip(("P", "P_t", "P_q", "P_tt", "P_tq", "P_qq"), got, ref):
         assert abs(g - r) <= 5e-12 * max(1.0, abs(r)), name
-    assert abs(res.d3P_dt3 - ref[6]) <= TTT_TOL.get((t, q), 1e-13) * abs(ref[6])
+    assert abs(P_ttt - ref[6]) <= TTT_TOL.get((t, q), 1e-13) * abs(ref[6])
     for name, g, r in zip(("P_ttq", "P_tqq", "P_qqq"), thirds, ref[7:]):
         assert abs(g - r) <= MIXED_TOL.get((t, q), 1e-13) * abs(r), name
 
@@ -460,7 +461,7 @@ def test_third_t_derivative_matches_differences_of_the_second(alphabet, t, q):
         return tr.pressure(tt, q, alphabet, DISC).d2P_dt2
 
     fd = (8.0 * (d2(t + h) - d2(t - h)) - (d2(t + 2 * h) - d2(t - 2 * h))) / (12.0 * h)
-    ref = tr.pressure(t, q, alphabet, DISC).d3P_dt3
+    ref = _with_thirds(alphabet, t, q)[1]
     assert abs(ref - fd) <= 1e-8 * max(1.0, abs(ref))
 
 
@@ -483,17 +484,18 @@ def test_mixed_third_derivatives_match_differences_of_the_hessian(alphabet, t, q
         return (8.0 * (at[2] - at[1]) - (at[3] - at[0])) / (12.0 * h)
 
     d_dt, d_dq = difference(1.0, 0.0), difference(0.0, 1.0)
-    P_ttq, P_tqq, P_qqq = _with_thirds(alphabet, t, q)[1]
+    P_ttq, P_tqq, P_qqq = _with_thirds(alphabet, t, q)[2]
     for got, fds in ((P_ttq, (d_dq[0], d_dt[1])), (P_tqq, (d_dq[1], d_dt[2])),
                      (P_qqq, (d_dq[2],))):
         for fd in fds:
             assert abs(got - fd) <= 1e-8 * max(1.0, abs(got))
 
 
-def test_mixed_thirds_only_of_the_latest_solve_and_only_on_request(monkeypatch):
-    # solves never compute them; the provider computes them on request from
-    # the arrays of its latest solve, without a solve, keeps them, and has
-    # none for an earlier point not asked for them while it was the latest
+def test_third_derivatives_only_of_the_latest_solve_and_only_on_request(monkeypatch):
+    # solves never compute the mixed third derivatives (nor P_ttt); the
+    # provider computes them on request from the arrays of its latest solve,
+    # without a solve, keeps them, and has none for an earlier point not
+    # asked for them while it was the latest
     calls = []
     mixed = tr._mixed_third_derivatives
     monkeypatch.setattr(tr, "_mixed_third_derivatives", lambda *a: calls.append(a) or mixed(*a))
@@ -502,10 +504,10 @@ def test_mixed_thirds_only_of_the_latest_solve_and_only_on_request(monkeypatch):
     prov.result(2.5, 1.5)
     prov.result(2.0, 1.5)                           # a cache hit
     assert calls == []
-    assert prov.mixed_thirds(2.0, 1.5) is None
+    assert prov.mixed_thirds(2.0, 1.5) is None and prov.d3P_dt3(2.0, 1.5) is None
     thirds = prov.mixed_thirds(2.5, 1.5)
     assert len(calls) == 1 and prov.solves == 2
-    assert thirds == _with_thirds(ALPH, 2.5, 1.5)[1]
+    assert thirds == _with_thirds(ALPH, 2.5, 1.5)[2]
     prov.result(3.0, 1.5)                           # kept once computed
     assert prov.mixed_thirds(2.5, 1.5) == thirds and len(calls) == 2
 
