@@ -266,7 +266,7 @@ class Discretization:
         lq = np.broadcast_to(np.log(d), lt.shape)
         lt2, lq2 = lt * lt, lq * lq
         return DigitTables(
-            tensor=self.coefficients(1.0 / (d + self.nodes[:, None])),
+            tensor=_aligned(self.coefficients(1.0 / (d + self.nodes[:, None]))),
             log_weights=np.stack([np.ones_like(lt), lt, lq, lt2, lt * lq, lq2, lt2 * lt], axis=1),
             golden_log=a,
             node_powers=_node_powers(self.nodes + PSI),
@@ -410,6 +410,18 @@ def _mixed_sums():
 
 
 _MIXED_INDICES, _MIXED_SUMS = _mixed_sums()
+
+
+def _aligned(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` whose data starts on a 64-byte boundary.  With the
+    interpolation tensor so aligned a solve takes about 5% less time than
+    at the 16- or 48-byte offsets the heap gives it, which move with every
+    allocation made before it."""
+    buf = np.empty(a.nbytes + 64, dtype=np.uint8)
+    start = -buf.ctypes.data % 64
+    out = buf[start:start + a.nbytes].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    return out
 
 
 def _node_powers(x: np.ndarray) -> np.ndarray:
