@@ -33,11 +33,12 @@ log(-P'(u) - gamma0) = log(beta - gamma0), because -P'(u) - gamma0 decays
 exponentially in u as beta falls to gamma0.  Each step is Chebyshev's
 third-order step on that form, from the exact P'''(u) the provider gives
 for each iterate (``PressureProvider.d3P_dt3``), and falls back to the
-damped Newton step where it does not lower the residual.  On a curve the first step goes to the u extrapolated likewise,
-as log(beta (u - 1/2)) toward large beta, with the curvature u'' at the
-nearest solved point.  The 2x2 Newton
-iteration on the two-parameter form, with u = t - q, is kept alongside as
-a cross-check with the plain step: independent equations, the same driver.
+damped Newton step where it does not lower the residual.  On a curve the
+first step goes to the u extrapolated likewise, as log(beta (u - 1/2))
+toward large beta, with the curvature u'' at the nearest solved point.
+The 2x2 Newton iteration on the two-parameter form, with u = t - q, is
+kept alongside as a cross-check with the plain step: independent
+equations, the same driver.
 
 These solves and the bounded-digit zeros below run on one damped Newton
 driver, ``_newton``; each caller gives it the residual of the form it steps
@@ -69,6 +70,12 @@ from .zeta import golden_constant, khintchine_exponent, lyapunov_constant
 
 class WindowError(ValueError):
     """Requested exponent lies outside the supported solver window."""
+
+
+class UnreachableExponentError(WindowError, transfer.ConvergenceError):
+    """A Khintchine exponent outside (log min D, log max D), the range of the
+    mean log-digit on a finite alphabet D: outside the window, and a
+    ``ConvergenceError`` too, as no Newton iteration can reach it."""
 
 
 class HypothesisError(ValueError):
@@ -251,21 +258,31 @@ def _predict(x: float, floor: float, nodes):
 
     ``nodes`` holds one to three (exponent, value, d value/d exponent), the
     nearest to ``x`` first; a node may carry d^2 value/d exponent^2 as a
-    fourth entry.  The extrapolation is taken in the coordinate s of
-    ``_coordinate``.  It is the Hermite polynomial through the value and
-    slope at every node and the curvatures given, in Newton form on the
-    confluent divided differences of the repeated nodes: one node gives
-    the tangent line, two the cubic, three the quintic, and a curvature at
-    the nearest node raises the degree by one.  Callers give a curvature at
-    the nearest node only: with curvatures at all three nodes the
-    extrapolation overshoots on some sparse grids until the solve's exp
-    overflows.  If ``x`` lies more
-    than HERMITE_REACH spacings of the two nearest nodes beyond the nearer
-    one, it is the Taylor polynomial at
-    the nearest node (the tangent line, or the parabola): farther out the
-    terms of the other nodes swamp the step, and at 32 spacings damped
-    Newton from the cubic through two nodes fails on some grids.
+    fourth entry.  Value, slope and curvature are floats, or tuples of
+    floats, one entry per curve extrapolated on the same exponents, and the
+    result is of the same kind.  The extrapolation is taken in the
+    coordinate s of ``_coordinate``.  It is the Hermite polynomial through
+    the value and slope at every node and the curvatures given, in Newton
+    form on the confluent divided differences of the repeated nodes: one
+    node gives the tangent line, two the cubic, three the quintic, and a
+    curvature at the nearest node raises the degree by one.  Callers give a
+    curvature at the nearest node only: with curvatures at all three nodes
+    the extrapolation overshoots on some sparse grids until the solve's exp
+    overflows.  If ``x`` lies more than HERMITE_REACH spacings of the two
+    nearest nodes beyond the nearer one, it is the Taylor polynomial at the
+    nearest node (the tangent line, or the parabola): farther out the terms
+    of the other nodes swamp the step, and at 32 spacings damped Newton from
+    the cubic through two nodes fails on some grids.
     """
+    if isinstance(nodes[0][1], tuple):
+        return tuple([_hermite(x, floor, [(node[0],) + tuple([v[c] for v in node[1:]])
+                                          for node in nodes])
+                      for c in range(len(nodes[0][1]))])
+    return _hermite(x, floor, nodes)
+
+
+def _hermite(x: float, floor: float, nodes) -> float:
+    """``_predict`` of one curve, its nodes carrying floats."""
     forward = x > nodes[0][0]
     s = _coordinate(x, forward, floor)[0]
     z, derivs = [], []                  # derivs[i]: value, d/ds, d^2/ds^2 / 2 at z[i]
@@ -332,7 +349,9 @@ def khintchine_point(xi: float, provider: PressureProvider | None = None,
     Jacobian of F = (P - q xi, P_q - xi) with its second row scaled by
     xi / P_q, while F and the damping test on max |F| are the plain ones.
     It stops at max(|P - q xi|, |P_q - xi| / xi) <= NEWTON_TOL, since P_q
-    is known only to a few ulps of xi.  P_q <= 0 (only on the alphabet {1})
+    is known only to a few ulps of xi.  On a finite alphabet D, P_q is a
+    mean of log a_1 over D, so an xi outside (log min D, log max D) raises
+    ``UnreachableExponentError`` before any solve.  P_q <= 0 at an iterate
     raises ``ConvergenceError``; t <= 0 is outside the domain.
 
     Newton starts from the peak (1, 0), or from ``hint`` with a predicted
@@ -361,6 +380,11 @@ def khintchine_point(xi: float, provider: PressureProvider | None = None,
     """
     _check_window("xi", [xi], XI_WINDOW)
     prov = provider or default_provider()
+    digits = prov.alphabet.digits
+    if digits is not None and not math.log(digits[0]) < xi < math.log(digits[-1]):
+        raise UnreachableExponentError(
+            f"xi = {xi} outside (log {digits[0]}, log {digits[-1]}), the range of the "
+            f"mean log-digit on the digits {digits}")
 
     def system(x):
         t, q = x
@@ -399,8 +423,8 @@ def khintchine_point(xi: float, provider: PressureProvider | None = None,
             dt, dq = _khintchine_slopes(prov.result(t, q), q)
             if gap_form:
                 q, dq = _log_gap(p.exponent, 2.0 * t - q - 1.0, 2.0 * dt - dq)
-            nodes.append((p.exponent, np.array([t, q]), np.array([dt, dq])))
-        t_new, q_new = _predict(xi, 0.0, nodes).tolist()
+            nodes.append((p.exponent, (t, q), (dt, dq)))
+        t_new, q_new = _predict(xi, 0.0, nodes)
         if gap_form:
             q_new = 2.0 * t_new - 1.0 - math.exp(q_new) / xi
         step = (t_new - hint.dimension, q_new - hint.q_value)

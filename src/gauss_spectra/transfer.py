@@ -37,18 +37,21 @@ the digit weights, the node powers and jet rows of the tail expansion and
 the per-node mixing of its tables) is built once per discretization and
 alphabet, so an assembly is one exp, one product and two batched matrix
 products.  The Perron eigenvalue is strictly dominant, so it is the largest
-real eigenvalue from numpy's eigenvalues-only LAPACK call, and one inverse
-of the bordered matrix [lambda I - A, 1; 1^T, 0] gives its right and left
+real eigenvalue from LAPACK's eigenvalues-only call, and one inverse of the
+bordered matrix [lambda I - A, 1; 1^T, 0] gives its right and left
 eigenvectors as its last column and row; the solve fails with
-ConvergenceError unless lambda > 0 and the right eigenvector is positive
-at every node.  Pressure derivatives are exact derivatives of the
-discretized eigenvalue (left/right eigenvector contraction of the
+ConvergenceError unless A is finite, lambda > 0 and the right eigenvector
+is positive at every node.  Pressure derivatives are exact derivatives of
+the discretized eigenvalue (left/right eigenvector contraction of the
 differentiated matrix), which is precisely the node-weighted Gibbs average
 of log a_1 resp. -log|T'|; the second and third derivatives take the
-eigenvector derivatives from the same inverse, so a solve factorizes once.  The
-inverse gets one step of iterative refinement.  All linear algebra is
-numpy's own LAPACK.  Eigendata handed out (eigenfunction values, the
-Gibbs eigenfunction) are those of L: h = w f.
+eigenvector derivatives from the same inverse, so a solve factorizes once.
+The inverse gets one step of iterative refinement.  All linear algebra is
+numpy's own LAPACK: the eigenvalues and the inverse come from the gufuncs
+behind ``np.linalg.eigvals`` and ``np.linalg.inv``, called directly with
+the wrappers' own arguments, so the numbers are the wrappers' and only
+their checks and conversions are skipped.  Eigendata handed out
+(eigenfunction values, the Gibbs eigenfunction) are those of L: h = w f.
 
 ``pressure`` and the caching ``PressureProvider`` are the two ways to ask
 for a pressure; the gradient, Hessian, eigendata and tail bound are read
@@ -68,6 +71,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .zeta import hurwitz_zeta
 
@@ -141,7 +145,9 @@ class DigitTables(NamedTuple):
     DERIVATIVES, of the golden-weighted digit weight
     i^q ((1 + psi x_j) / (i + x_j + psi))^(2t), with
     l_t = a_j - 2 log(i + x_j + psi), a_j = 2 log(1 + psi x_j) and
-    l_q = log i.  For the digit tail, ``golden_log[j]`` is a_j;
+    l_q = log i; ``l_t`` and ``l_q`` are also kept on their own as
+    contiguous (K, M) arrays for the exponent of the weights.  For the
+    digit tail, ``golden_log[j]`` is a_j;
     ``node_powers[j, m]`` is (x_m + psi)^j for the binomial expansion;
     ``tail_rows`` maps node values of f to the Taylor jet F of
     f(u / (1 - psi u)), so f(1/(i + x)) = F(1/(i + x + psi)); and
@@ -154,6 +160,8 @@ class DigitTables(NamedTuple):
 
     tensor: np.ndarray
     log_weights: np.ndarray
+    l_t: np.ndarray
+    l_q: np.ndarray
     golden_log: np.ndarray
     node_powers: np.ndarray
     tail_rows: np.ndarray
@@ -263,11 +271,13 @@ class Discretization:
         d = alphabet.digit_values()
         a = 2.0 * np.log1p(PSI * self.nodes)
         lt = a[:, None] - 2.0 * np.log(d + self.nodes[:, None] + PSI)     # (K, M)
-        lq = np.broadcast_to(np.log(d), lt.shape)
+        lq = np.broadcast_to(np.log(d), lt.shape).copy()
         lt2, lq2 = lt * lt, lq * lq
         return DigitTables(
             tensor=_aligned(self.coefficients(1.0 / (d + self.nodes[:, None]))),
             log_weights=np.stack([np.ones_like(lt), lt, lq, lt2, lt * lq, lq2, lt2 * lt], axis=1),
+            l_t=lt,
+            l_q=lq,
             golden_log=a,
             node_powers=_node_powers(self.nodes + PSI),
             tail_rows=_golden_shift() @ self.jet_rows,
@@ -456,7 +466,7 @@ def _tail_moments(t: float, q: float, node_powers: np.ndarray, cutoff: int):
     is at most 0.025 and BINOM_TERMS = 20 terms reach 1e-32.
     """
     s_grid = 2.0 * t - q + _S_OFFSETS
-    zeta = np.array(hurwitz_zeta(s_grid, cutoff + 1.0, derivative=MAX_T_ORDER))
+    zeta = hurwitz_zeta(s_grid, cutoff + 1.0, derivative=MAX_T_ORDER)
     binom = (2.0 * t + _ORDERS)[:, None] ** _POWERS @ _BINOM_POLYS  # [r, (k, j)]
     products = binom.take(_BINOM_INDEX) * zeta.take(_ZETA_INDEX)     # C^(k) Z^(p) at [c, r, j]
     coefs = (_TAIL_MIX @ products.reshape(len(_TAIL_MIX[0]), -1)).reshape(
@@ -472,7 +482,7 @@ def _assemble(t: float, q: float, alphabet: Alphabet, disc: Discretization):
     e^(t a_j) = w(0) / w(x_j) and the digit weights W[j, i]."""
     tables = disc.digit_tables(alphabet)
     weight = np.exp(t * tables.golden_log)
-    W = np.exp(q * tables.log_weights[:, 2] + t * tables.log_weights[:, 1])    # (K, M)
+    W = np.exp(q * tables.l_q + t * tables.l_t)                                # (K, M)
     # mats[j, p, m] = sum_i log_weights[j, p, i] W[j, i] C[j, i, m], batched over j
     mats = np.matmul(tables.log_weights * W[:, None], tables.tensor)
     moments = None
@@ -496,8 +506,9 @@ class _SolveArrays(NamedTuple):
     nu: np.ndarray              # with nu f = 1
     nu_mats: np.ndarray         # nu A and nu times its DERIVATIVES
     df: np.ndarray              # columns f_t, f_q
-    inverse: np.ndarray         # the refined bordered inverse
+    solve: np.ndarray           # the refined bordered inverse less its border
     lams: tuple                 # lambda, lambda_t, lambda_q, lambda_tt, nu A_ttt f
+    lam_grad: np.ndarray        # lambda_t, lambda_q
     grad: tuple                 # P_t, P_q
     hess: tuple                 # ((P_tt, P_tq), (P_tq, P_qq))
 
@@ -510,8 +521,7 @@ def _third_t_derivative(s: _SolveArrays) -> float:
     P_ttt = lambda_ttt/lambda - 3 lambda_tt lambda_t/lambda^2 + 2 (lambda_t/lambda)^3."""
     lam, lam_t, _, d2_lam, lam_ttt = s.lams
     f, f_t, nu_mats = s.f, s.df[:, 0], s.nu_mats
-    f_tt = s.inverse[:-1, :-1] @ (2.0 * (s.mats[1] @ f_t - lam_t * f_t)
-                                  + (s.mats_f[2] - d2_lam * f))
+    f_tt = s.solve @ (2.0 * (s.mats[1] @ f_t - lam_t * f_t) + (s.mats_f[2] - d2_lam * f))
     f_tt -= f * (s.nu @ f_tt)
     d3_lam = lam_ttt + 3.0 * (nu_mats[3] @ f_t).item() + 3.0 * (nu_mats[1] @ f_tt).item()
     P_t = s.grad[0]
@@ -529,14 +539,14 @@ def _mixed_third_derivatives(s: _SolveArrays) -> tuple:
                      nu_a (A_b - lambda_b) f_c,
 
     where nu_a solves nu_a (lambda - A) = nu (A_a - lambda_a) with the
-    solve's bordered ``inverse``; then
+    solve's bordered inverse; then
     P_ijk = lambda_ijk / lambda - (P_ij P_k + P_ik P_j + P_jk P_i) - P_i P_j P_k.
     A_ttq, A_tqq, A_qqq enter only as nu A f: digit weights W and C f over
     nodes and digits, and the tail ``products`` of ``_tail_moments`` at the
     jets of f.
     """
-    tables, f, nu, nu_mats, df, lams, grad, hess = (
-        s.tables, s.f, s.nu, s.nu_mats, s.df, s.lams[:3], s.grad, s.hess)
+    tables, f, nu, nu_mats, df, lam_grad, grad, hess = (
+        s.tables, s.f, s.nu, s.nu_mats, s.df, s.lam_grad, s.grad, s.hess)
     n = len(f)
     third = tables.mixed_log_weights @ ((nu[:, None] * s.W).ravel()
                                         * (tables.tensor.reshape(-1, n) @ f))
@@ -546,13 +556,13 @@ def _mixed_third_derivatives(s: _SolveArrays) -> tuple:
     right = np.concatenate((f[:, None], df), axis=1)                  # f, f_t, f_q
     left = np.empty((3, n))                                           # nu, nu_t, nu_q
     left[0] = nu
-    left[1:] = (nu_mats[1:3] - np.multiply.outer(lams[1:], nu)) @ s.inverse[:-1, :-1]
+    left[1:] = (nu_mats[1:3] - np.multiply.outer(lam_grad, nu)) @ s.solve
     left[1:] -= np.multiply.outer(left[1:] @ f, nu)                   # nu_a f = 0
     # left_u B_b right_c, B_b = A_t - lambda_t, A_q - lambda_q, A_tt, A_tq, A_qq
     applied = s.mats[1:6] @ right
-    applied[:2] -= np.multiply.outer(lams[1:], right)
+    applied[:2] -= np.multiply.outer(lam_grad, right)
     lam_3 = (third + _MIXED_SUMS @ (left @ applied).ravel()).tolist()
-    return tuple([lam_3[m] / lams[0] - hess[i][j] * grad[k] - hess[i][k] * grad[j]
+    return tuple([lam_3[m] / s.lams[0] - hess[i][j] * grad[k] - hess[i][k] * grad[j]
                   - hess[j][k] * grad[i] - grad[i] * grad[j] * grad[k]
                   for m, (i, j, k) in enumerate(_MIXED_INDICES)])
 
@@ -574,7 +584,7 @@ def _perron_pair(A: np.ndarray, t: float, q: float, disc: Discretization):
     bordered matrix they come from.
 
     The Perron eigenvalue lambda is the largest real eigenvalue of A, from
-    numpy's eigenvalues-only LAPACK call.  The bordered matrix
+    LAPACK's eigenvalues-only call.  The bordered matrix
 
         B = [lambda I - A, 1; 1^T, 0]
 
@@ -586,35 +596,42 @@ def _perron_pair(A: np.ndarray, t: float, q: float, disc: Discretization):
     it, the gradient and Hessian next to the divergence line at large t are
     up to 1e-11 off a 40-digit eigen-solve of the same matrix, with it
     2e-12.  ``pressure`` solves with the same inverse for the eigenvector
-    derivatives.  A failed eigenvalue iteration, a singular B, no positive
-    real eigenvalue or a right eigenvector that is not positive raise
-    ``ConvergenceError``.
+    derivatives.  A non-finite A, a failed eigenvalue iteration, a singular
+    B, no positive real eigenvalue or a right eigenvector that is not
+    positive raise ``ConvergenceError``.
+
+    Both LAPACK calls are the gufuncs behind ``np.linalg.eigvals`` and
+    ``np.linalg.inv``, called as those wrappers call them (so the numbers
+    are theirs) without the wrappers' checks and conversions: a LAPACK
+    failure sets the invalid flag, which the ``errstate`` turns into an
+    exception.
     """
-    try:
-        eig = np.linalg.eigvals(A)
-    except np.linalg.LinAlgError:
-        raise ConvergenceError(
-            f"eigenvalues did not converge at (t, q) = ({t}, {q}) (order {disc.order})") from None
-    lam = max((e.real for e in eig.tolist() if e.imag == 0.0), default=math.nan)
-    if not lam > 0.0:
-        raise ConvergenceError(
-            f"no positive real eigenvalue at (t, q) = ({t}, {q}) (order {disc.order})")
+    def failure(what: str) -> ConvergenceError:
+        return ConvergenceError(f"{what} at (t, q) = ({t}, {q}) (order {disc.order})")
+
+    if not np.isfinite(A).all():
+        raise failure("non-finite collocation matrix")
     n = len(A)
     template, identity = _border(n)
-    bordered = template.copy()
-    bordered[:n, :n] = -A
-    bordered.flat[:n * (n + 2):n + 2] += lam
-    try:
-        inverse = np.linalg.inv(bordered)
-    except np.linalg.LinAlgError:
-        raise ConvergenceError(
-            f"singular bordered matrix at (t, q) = ({t}, {q}) (order {disc.order})") from None
+    with np.errstate(invalid="raise"):
+        try:
+            eig = _umath_linalg.eigvals(A, signature="d->D")
+        except FloatingPointError:
+            raise failure("eigenvalues did not converge") from None
+        lam = eig.real.max(where=eig.imag == 0.0, initial=-math.inf)
+        if not lam > 0.0:
+            raise failure("no positive real eigenvalue")
+        bordered = template.copy()
+        bordered[:n, :n] = -A
+        bordered.flat[:n * (n + 2):n + 2] += lam
+        try:
+            inverse = _umath_linalg.inv(bordered, signature="d->d")
+        except FloatingPointError:
+            raise failure("singular bordered matrix") from None
     inverse += inverse @ (identity - bordered @ inverse)
     f = inverse[:n, n]
     if not f.min() > 0.0:
-        raise ConvergenceError(
-            "the eigenvector of the largest real eigenvalue is not positive at "
-            f"(t, q) = ({t}, {q}) (order {disc.order})")
+        raise failure("the eigenvector of the largest real eigenvalue is not positive")
     return f, inverse[n, :n], inverse
 
 
@@ -664,10 +681,11 @@ def _solve(t: float, q: float, alphabet: Alphabet, disc: Discretization):
     # two-sided quotient is second-order accurate in the eigenvectors
     nu_f = nu / (nu @ f)
     nu_mats = nu_f @ mats
-    lam, lam_t, lam_q, lam_tt, lam_tq, lam_qq, lam_ttt = (nu_mats @ f).tolist()
+    lams = nu_mats @ f
+    lam, lam_t, lam_q, lam_tt, lam_tq, lam_qq, lam_ttt = lams.tolist()
     mats_f = mats[1:4] @ f                         # A_t f, A_q f, A_tt f
     solve = inverse[:-1, :-1]                      # the border row of every rhs is 0
-    df = solve @ (mats_f[:2].T - f[:, None] * (lam_t, lam_q))
+    df = solve @ (mats_f[:2].T - f[:, None] * lams[1:3])
     df -= f[:, None] * (nu_f @ df)                 # columns f_t, f_q with nu f_i = 0
     (cross_tt, cross_tq), (cross_qt, cross_qq) = (nu_mats[1:3] @ df).tolist()
     d2_lam = lam_tt + 2.0 * cross_tt               # lambda_tt
@@ -689,8 +707,9 @@ def _solve(t: float, q: float, alphabet: Alphabet, disc: Discretization):
         _f=f.copy(),                               # f is a view of the inverse
         _weight=weight,
         _tail=tail,
-    ), _SolveArrays(tables, W, weight, products, mats, mats_f, f, nu_f, nu_mats, df, inverse,
-                    (lam, lam_t, lam_q, d2_lam, lam_ttt), (P_t, P_q), ((P_tt, P_tq), (P_tq, P_qq)))
+    ), _SolveArrays(tables, W, weight, products, mats, mats_f, f, nu_f, nu_mats, df, solve,
+                    (lam, lam_t, lam_q, d2_lam, lam_ttt), lams[1:3], (P_t, P_q),
+                    ((P_tt, P_tq), (P_tq, P_qq)))
 
 
 def apply_operator(t: float, q: float, alphabet: Alphabet | None,

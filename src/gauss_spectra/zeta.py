@@ -6,9 +6,9 @@ Everything here is real-variable only.  ``hurwitz_zeta`` evaluates
 
 by direct summation up to a shift plus an Euler-Maclaurin correction whose
 eight terms are summed as one polynomial in s from a constant table, and
-optionally returns its s-derivatives up to the third as well.  The
-Riemann zeta function is the a = 1 special case.  The remaining functions package the three
-constants attached to the Gauss map
+optionally returns its s-derivatives up to the third as well, stacked in
+one array.  The Riemann zeta function is the a = 1 special case.  The
+remaining functions package the three constants attached to the Gauss map
 
     xi0     = (1/log 2) * sum_n log n * log(1 + 1/(n(n+2)))   (mean log-digit)
     lambda0 = pi^2 / (6 log 2)                                (mean expansion rate)
@@ -90,10 +90,10 @@ def _euler_maclaurin_coefficients(base: np.ndarray, order: int):
 
 @functools.lru_cache(maxsize=16)
 def _euler_maclaurin_rows(base: float, order: int):
-    """``_euler_maclaurin_coefficients`` of one base point as a read-only
-    (16, order + 1) matrix, so a row of s-powers times it gives the
-    polynomial part of zeta and its derivatives.  The digit tail asks for
-    one base point, a = M + 1, at every solve."""
+    """(log base, rows): ``_euler_maclaurin_coefficients`` of one base point
+    as a read-only (16, order + 1) matrix, so a row of s-powers times it
+    gives the polynomial part of zeta and its derivatives.  The digit tail
+    asks for one base point, a = M + 1, at every solve."""
     logb, em = _euler_maclaurin_coefficients(np.asarray(base), order)
     rows = np.ascontiguousarray(em.T)
     rows.flags.writeable = False
@@ -104,9 +104,10 @@ def hurwitz_zeta(s, a=1.0, derivative: int = 0):
     """zeta(s, a) for s > 1, a > 0, broadcasting over array inputs.
 
     ``derivative`` is the highest s-derivative returned: 0 gives zeta alone,
-    d >= 1 the tuple (zeta, d zeta / ds, .., d^d zeta / ds^d) for
-    d <= MAX_DERIVATIVE = 3 (``True`` counts as 1).  NaN or infinity in
-    ``s`` or ``a`` raises ``ValueError``.
+    d >= 1 one array of shape (d + 1,) + the broadcast shape of s and a
+    whose row k is d^k zeta / ds^k, for d <= MAX_DERIVATIVE = 3 (``True``
+    counts as 1); it unpacks and indexes as the tuple of the d + 1 rows.
+    NaN or infinity in ``s`` or ``a`` raises ``ValueError``.
 
     The Euler-Maclaurin base point is pushed out far enough that the
     correction series converges geometrically for every requested s, so
@@ -119,7 +120,7 @@ def hurwitz_zeta(s, a=1.0, derivative: int = 0):
     matrix and one matrix product, and the coefficient rows of the 16 most
     recently used base points are cached.  The integral term
     base^(1-s)/(s-1) and its derivatives are added on their own, in closed
-    form.
+    form, to the rows of the output array.
     """
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -142,46 +143,55 @@ def hurwitz_zeta(s, a=1.0, derivative: int = 0):
     base_needed = max(14.0, 0.75 * (s_max + 16.0))
     n_shift = max(0, math.ceil(base_needed - a_min))
 
-    # out[d] is d^d zeta / ds^d; the s-derivatives of x^(-s) are
-    # (-log x)^d x^(-s)
-    out = [0.0] * (order + 1)
-
+    # direct[d] is (-1)^d times the d-th s-derivative of the sum up to the
+    # shift; the s-derivatives of x^(-s) are (-log x)^d x^(-s)
     if n_shift > 0:
         n = np.arange(n_shift, dtype=float).reshape((n_shift,) + (1,) * max(s.ndim, a.ndim))
         log_an = np.log(a + n)
         pw = np.exp(-s * log_an)
+        direct = []
         for d in range(order + 1):
-            out[d] = pw.sum(axis=0)
+            direct.append(pw.sum(axis=0))
             if d < order:
-                pw = pw * -log_an
+                pw = pw * log_an
 
     # the rest is base^(-s) times base/(s-1) (the integral), 1/2 (the
     # end-point term) and E(s)/base (the corrections); the last two are
     # polynomials in s, so their s-derivatives, Leibniz factors of base^(-s)
     # included, are rows of monomial coefficients per base point
-    base = a + n_shift
     vander = s[..., None] ** _EM_POWERS
-    if base.ndim == 0:
-        logb, rows = _euler_maclaurin_rows(float(base), order)
+    if a.ndim == 0:
+        base = a_min + n_shift
+        logb, rows = _euler_maclaurin_rows(base, order)
         poly = vander @ rows
     else:
+        base = a + n_shift
         logb, em = _euler_maclaurin_coefficients(base, order)
         poly = np.einsum("...m,...dm->...d", vander, em)
     pw_s = np.exp(-s * logb)                      # base^(-s)
+    # out[d] is d^d zeta / ds^d, its polynomial part first
+    out = np.multiply(pw_s, poly.transpose(-1, *range(poly.ndim - 1)), order="C")
     inv = 1.0 / (s - 1.0)
     intg = pw_s * base * inv                      # base^(1-s)/(s-1), the largest term
     # its d-th derivative is (-1)^d intg times a polynomial in c1 = log base
     # + v and v = 1/(s-1): 1, c1, c1^2 + v^2, c1^3 + 3 c1 v^2 + 2 v^3
-    out[0] = out[0] + intg + pw_s * poly[..., 0]
+    terms = [intg]
     if order >= 1:
         c1 = logb + inv
-        out[1] = out[1] - c1 * intg + pw_s * poly[..., 1]
+        terms.append(c1 * intg)
     if order >= 2:
-        out[2] = out[2] + (c1 * c1 + inv * inv) * intg + pw_s * poly[..., 2]
+        c1_2 = c1 * c1
+        terms.append((c1_2 + inv * inv) * intg)
     if order == 3:
-        out[3] = (out[3] - (c1 * c1 * c1 + (3.0 * c1 + 2.0 * inv) * inv * inv) * intg
-                  + pw_s * poly[..., 3])
-    return out[0] if order == 0 else tuple(out)
+        terms.append((c1_2 * c1 + (3.0 * c1 + 2.0 * inv) * inv * inv) * intg)
+    for d, term in enumerate(terms):
+        if n_shift > 0:
+            term = term + direct[d]
+        if d % 2:
+            out[d] -= term
+        else:
+            out[d] += term
+    return out[0] if order == 0 else out
 
 
 def riemann_zeta(s: float) -> float:

@@ -522,6 +522,16 @@ def test_khintchine_point_on_single_digit_alphabet_raises():
         sp.khintchine_point(0.5, prov)
 
 
+@pytest.mark.parametrize("digits, xi", [(range(1, 11), 3.0), ({2, 3}, 0.5)])
+def test_khintchine_exponent_outside_a_finite_alphabet_raises_before_solving(digits, xi):
+    # the mean log-digit on digits D lies in (log min D, log max D): above
+    # log 10 = 2.30 and below log 2 = 0.69 no point exists
+    prov = tr.PressureProvider(tr.Alphabet.restricted(digits), tr.Discretization.chebyshev(16))
+    with pytest.raises(sp.WindowError, match="outside"):
+        sp.khintchine_point(xi, prov)
+    assert prov.solves == 0
+
+
 def test_newton_failure_is_recorded():
     # with digits {1, 2} the mean log-digit never exceeds log 2, so xi = 2
     # has no solution and Newton must give up rather than return a point

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import types
+import warnings
 
 import mpmath
 import numpy as np
@@ -173,6 +175,40 @@ def test_perron_pair_is_the_dominant_positive_mode():
         tr._perron_pair(_matrix_with_modes(1.0 - 2.0 * DISC.nodes, smooth)[0], 1.0, 0.0, DISC)
     with pytest.raises(tr.ConvergenceError):
         tr._perron_pair(-A, 1.0, 0.0, DISC)
+
+
+@pytest.mark.parametrize("A, message", [
+    (np.array([[0.5, np.nan], [0.5, 0.5]]), "non-finite"),
+    (np.array([[0.5, np.inf], [0.5, 0.5]]), "non-finite"),
+    # lambda = 2 is a double eigenvalue, so lambda I - A has rank 1 and the
+    # bordered matrix is exactly singular
+    (np.diag([2.0, 2.0, 1.0]), "singular bordered matrix"),
+    (-np.eye(3), "no positive real eigenvalue"),
+    # lambda = 1 + sqrt 2 with eigenvector (1, 1 - lambda) ~ (1, -0.41)
+    (np.array([[2.0, -1.0], [-1.0, 0.0]]), "not positive"),
+])
+def test_perron_pair_failures_raise_convergence_error_without_warning(A, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(tr.ConvergenceError, match=message):
+            tr._perron_pair(A, 1.0, 0.0, DISC)
+
+
+def test_lapack_gufuncs_match_the_numpy_wrappers_bitwise():
+    # _perron_pair calls the gufuncs behind np.linalg.eigvals and
+    # np.linalg.inv directly; the numbers must be the wrappers'
+    rng = np.random.default_rng(5)
+    matrices = [tr._assemble(t, q, ALPH, DISC)[0][0]            # strided views, as solved
+                for t, q in ((1.0, 0.0), (6.0, 2.5), (0.8, -3.0))]
+    matrices += [rng.standard_normal((n, n)) for n in (3, 16, 17)]   # complex pairs too
+    for A in matrices:
+        direct = tr._umath_linalg.eigvals(A, signature="d->D")
+        public = np.asarray(np.linalg.eigvals(A), dtype=complex)
+        assert direct.real.tobytes() == public.real.tobytes()
+        assert np.array_equal(direct.imag, public.imag)
+        B = np.eye(len(A) + 1) - 0.1
+        B[:-1, :-1] += A
+        assert tr._umath_linalg.inv(B, signature="d->d").tobytes() == np.linalg.inv(B).tobytes()
 
 
 @pytest.mark.parametrize("x", [0.0, 0.5, 1.0])
@@ -629,20 +665,28 @@ def test_digit_table_cache_stays_bounded():
 
 
 def test_one_factorization_per_solve(monkeypatch):
+    # a solve and its third derivatives invert the bordered matrix once, by
+    # LAPACK's gufunc, and make no second solve
     calls = []
-    inv = np.linalg.inv
+    lapack = tr._umath_linalg
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return inv(*args, **kwargs)
+        return lapack.inv(*args, **kwargs)
 
     def no_second_solve(*args, **kwargs):
         raise AssertionError("the eigenvector derivatives must reuse the Perron inverse")
 
-    monkeypatch.setattr(np.linalg, "inv", counted)
+    monkeypatch.setattr(tr, "_umath_linalg",
+                        types.SimpleNamespace(eigvals=lapack.eigvals, inv=counted))
+    monkeypatch.setattr(np.linalg, "inv", no_second_solve)
     monkeypatch.setattr(np.linalg, "solve", no_second_solve)
     tr.pressure(0.8, 0.2, ALPH, DISC)
     assert len(calls) == 1
+    prov = tr.PressureProvider(ALPH, DISC)
+    prov.result(0.8, 0.2)
+    assert prov.d3P_dt3(0.8, 0.2) is not None and prov.mixed_thirds(0.8, 0.2) is not None
+    assert len(calls) == 2
 
 
 def test_one_tail_moment_build_per_point(monkeypatch):
