@@ -12,19 +12,17 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "cf": (
-        "Convergent", "Cylinder", "ExpansionTerminatedError", "OrbitStats",
-        "PartialQuotients", "PrecisionLossError", "construct_point", "continuant",
-        "convergents", "cylinder", "expand", "exponent_estimates", "gauss_density",
-        "gauss_map", "orbit_stats_from_digits",
+        "Convergent", "OrbitStats", "PartialQuotients", "construct_point", "continuant",
+        "convergents", "orbit_stats_from_digits",
     ),
     "zeta": (
         "golden_constant", "hurwitz_zeta", "khintchine_constant", "khintchine_exponent",
         "lyapunov_constant", "riemann_zeta",
     ),
     "transfer": (
-        "Alphabet", "ConvergenceError", "CylinderSumEstimate", "Discretization",
-        "DomainError", "GibbsApprox", "PressureProvider", "PressureResult",
-        "apply_operator", "cylinder_sum_estimate", "gibbs", "pressure", "sample_digits",
+        "Alphabet", "ConvergenceError", "Discretization", "DomainError", "GibbsApprox",
+        "PressureProvider", "PressureResult", "cylinder_sum_estimate", "gibbs", "pressure",
+        "sample_digits",
     ),
     "spectra": (
         "GrowthRatioEstimate", "ShapeReport", "SpectrumCurve", "SpectrumPoint",

@@ -730,12 +730,9 @@ def bounded_digit_dimension(digits: Iterable[int],
     from P_D'' ends just inside the tolerance, 4e-13 from the {1, 2}
     reference value, where Newton's last step lands on it.
     """
-    ds = tuple(sorted(set(int(d) for d in digits)))
-    if not ds:
-        raise ValueError("digit set must be nonempty")
-    if len(ds) == 1:
+    alphabet = Alphabet.restricted(digits)
+    if len(alphabet.digits) == 1:
         return 0.0
-    alphabet = Alphabet.restricted(ds)
     disc = disc or Discretization.chebyshev()
 
     def system(x):

@@ -68,7 +68,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -104,6 +104,13 @@ class ConvergenceError(RuntimeError):
     not converge."""
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int: a float, even an integral one, is refused rather than cut."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Digit set of the iterated system: all of N up to a cutoff, or a finite set."""
@@ -114,13 +121,14 @@ class Alphabet:
 
     @classmethod
     def full(cls, cutoff: int = 64) -> "Alphabet":
+        cutoff = _integer(cutoff, "full-alphabet cutoff")
         if cutoff < 8:
             raise ValueError("full-alphabet cutoff must be >= 8")
         return cls(kind="full", cutoff=cutoff)
 
     @classmethod
     def restricted(cls, digits) -> "Alphabet":
-        ds = tuple(sorted(set(int(d) for d in digits)))
+        ds = tuple(sorted({_integer(d, "restricted-alphabet digit") for d in digits}))
         if not ds or ds[0] < 1:
             raise ValueError("restricted alphabet needs a nonempty set of digits >= 1")
         return cls(kind="restricted", digits=ds)
@@ -712,19 +720,6 @@ def _solve(t: float, q: float, alphabet: Alphabet, disc: Discretization):
                     ((P_tt, P_tq), (P_tq, P_qq)))
 
 
-def apply_operator(t: float, q: float, alphabet: Alphabet | None,
-                   disc: Discretization | None, g: Sequence[float]) -> np.ndarray:
-    """One application of the operator to node values g, returned at the nodes."""
-    alphabet = alphabet or Alphabet.full()
-    disc = disc or Discretization.chebyshev()
-    check_domain(t, q, alphabet)
-    g = np.asarray(g, dtype=float)
-    if g.shape != disc.nodes.shape or not np.all(np.isfinite(g)):
-        raise ValueError("g must be finite node values matching the discretization")
-    mats, _, weight, _ = _assemble(t, q, alphabet, disc)
-    return (mats[0] @ (weight * g)) / weight
-
-
 class PressureProvider:
     """Caches one PressureResult per parameter point of one (alphabet, grid).
 
@@ -909,27 +904,16 @@ def sample_digits(g: GibbsApprox, length: int, seed: int) -> PartialQuotients:
     return PartialQuotients(tuple(int(a) for a in out))
 
 
-@dataclass(frozen=True)
-class CylinderSumEstimate:
-    """Depth-n estimate of the pressure from the defining cylinder sums."""
+def cylinder_sum_estimate(t: float, q: float, digit_cutoff: int = 64) -> float:
+    """Pressure estimate log(S_12 / S_11) straight from the cylinder sums.
 
-    value: float          # log S_n - log S_{n-1}
-    raw_mean: float       # (1/n) log S_n
-
-
-def cylinder_sum_estimate(t: float, q: float, depth: int = 12,
-                          digit_cutoff: int = 64) -> CylinderSumEstimate:
-    """Pressure estimate straight from the n-fold cylinder sums.
-
-    Iterates g -> sum_{i<=cutoff} i^q (i+x)^(-2t) g(1/(i+x)) on a uniform
-    4001-point grid with piecewise-linear interpolation, which is an
-    implementation of the defining sums over digit blocks |omega| = n (at x = 0)
-    that shares nothing with the spectral collocation route.  ``value`` is
-    the successive-ratio form log(S_n/S_{n-1}); ``raw_mean`` is (1/n) log S_n,
-    which carries an O(log C / n) offset from the same limit.
+    S_n sums the weights of the digit blocks |omega| = n with digits up to
+    the cutoff (at x = 0).  Iterates g -> sum_{i<=cutoff} i^q (i+x)^(-2t)
+    g(1/(i+x)) twelve times on a uniform 4001-point grid with
+    piecewise-linear interpolation, an implementation of those sums that
+    shares nothing with the spectral collocation route.  The successive
+    ratio avoids the O(log C / n) offset that (1/n) log S_n carries.
     """
-    if depth < 2:
-        raise ValueError("depth must be >= 2")
     xs = np.linspace(0.0, 1.0, 4001)
     digits = np.arange(1, digit_cutoff + 1, dtype=float)
     y = 1.0 / (digits[:, None] + xs[None, :])               # (M, G)
@@ -937,7 +921,7 @@ def cylinder_sum_estimate(t: float, q: float, depth: int = 12,
     g = np.ones_like(xs)
     log_scale = 0.0
     log_sums = []
-    for _ in range(depth):
+    for _ in range(12):
         new = np.zeros_like(xs)
         for i in range(digit_cutoff):
             new += w[i] * np.interp(y[i], xs, g)
@@ -945,7 +929,4 @@ def cylinder_sum_estimate(t: float, q: float, depth: int = 12,
         log_scale += math.log(peak)
         g = new / peak
         log_sums.append(log_scale + math.log(float(g[0])))
-    return CylinderSumEstimate(
-        value=log_sums[-1] - log_sums[-2],
-        raw_mean=log_sums[-1] / depth,
-    )
+    return log_sums[-1] - log_sums[-2]

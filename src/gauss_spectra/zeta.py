@@ -135,7 +135,7 @@ def hurwitz_zeta(s, a=1.0, derivative: int = 0):
     if not (a_min > 0.0 and a_max < math.inf):
         raise ValueError("hurwitz_zeta requires finite a > 0")
     order = int(derivative)
-    if order not in _ORDERS:
+    if order != derivative or order not in _ORDERS:
         raise ValueError(f"derivative must be an integer from 0 to {MAX_DERIVATIVE}")
 
     # base ~ 0.75*(s+16) keeps the correction-term ratio ((s+2k)/(2 pi base))^2

@@ -1,8 +1,11 @@
 """Spectrum solvers, closed-form spectra, and shape diagnostics."""
 
+import ast
 import gc
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import types
@@ -11,6 +14,7 @@ import weakref
 import numpy as np
 import pytest
 
+import gauss_spectra
 from gauss_spectra import spectra as sp
 from gauss_spectra import transfer as tr
 from gauss_spectra.zeta import (DIM_E2_REFERENCE, golden_constant, khintchine_exponent,
@@ -47,14 +51,12 @@ def test_package_and_verify_oracles_run_without_scipy():
 
 
 PACKAGE_NAMES = [
-    "Alphabet", "ConvergenceError", "Convergent", "Cylinder", "CylinderSumEstimate",
-    "Discretization", "DomainError", "ExpansionTerminatedError", "GibbsApprox",
-    "GrowthRatioEstimate", "OrbitStats", "PartialQuotients", "PrecisionLossError",
+    "Alphabet", "ConvergenceError", "Convergent", "Discretization", "DomainError",
+    "GibbsApprox", "GrowthRatioEstimate", "OrbitStats", "PartialQuotients",
     "PressureProvider", "PressureResult", "ShapeReport", "SpectrumCurve", "SpectrumPoint",
-    "WindowError", "apply_operator", "bounded_digit_dimension", "cantor_dimension", "cf",
-    "construct_point", "continuant", "convergents", "cylinder", "cylinder_sum_estimate",
-    "default_provider", "expand", "exponent_estimates", "fast_spectrum_dim", "gauss_density",
-    "gauss_map", "gibbs", "golden_constant", "growth_ratio", "hurwitz_zeta",
+    "WindowError", "bounded_digit_dimension", "cantor_dimension", "cf", "construct_point",
+    "continuant", "convergents", "cylinder_sum_estimate", "default_provider",
+    "fast_spectrum_dim", "gibbs", "golden_constant", "growth_ratio", "hurwitz_zeta",
     "khintchine_constant", "khintchine_curve", "khintchine_exponent", "khintchine_point",
     "lyapunov_constant", "lyapunov_curve", "lyapunov_point", "lyapunov_point_2d",
     "orbit_stats_from_digits", "pressure", "riemann_zeta", "sample_digits", "spectra",
@@ -86,6 +88,27 @@ def test_package_exports_load_on_first_access(code, absent, printed):
     *lines, loaded = proc.stdout.strip().splitlines()
     assert loaded == "[]"
     assert printed in "\n".join(lines)
+
+
+def test_every_export_has_a_caller():
+    # an exported name that only tests reach is dead code: some module of the
+    # package, the benchmark harness or the README example must use it
+    root = pathlib.Path(__file__).resolve().parent.parent
+    sources = [path.read_text() for path in sorted((root / "src" / "gauss_spectra").glob("*.py"))
+               if path.name != "__init__.py"]
+    sources += [path.read_text() for path in sorted((root / "spectra_bench").glob("*.py"))]
+    sources += re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
+    used = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.asname or node.name)
+    # growth_ratio waits for its caller in c12 (ROADMAP item 13)
+    assert sorted(set(gauss_spectra.__all__) - used) == ["growth_ratio"]
 
 
 # ---------------------------------------------------------------------------
@@ -808,6 +831,13 @@ def test_cantor_dimension_hypothesis_errors():
         sp.cantor_dimension(lambda n: math.log(2.0), 40)
     with pytest.raises(ValueError):
         sp.cantor_dimension(lambda n: math.log(n + 2.0), 10)
+
+
+@pytest.mark.parametrize("digits", [{0}, {-3}, {0, 1}, set(), {1.5}, {1.7, 2.2}])
+def test_bounded_digit_dimension_rejects_invalid_digit_sets(digits):
+    # one digit is checked like many: {0} is no digit set, not a point
+    with pytest.raises(ValueError):
+        sp.bounded_digit_dimension(digits)
 
 
 def test_bounded_digit_dimension_values():

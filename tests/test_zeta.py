@@ -107,7 +107,7 @@ def test_hurwitz_derivatives_against_direct_sums_at_large_a(a):
         assert np.max(np.abs(mine[d] - ref) / np.abs(ref)) < 2e-13
 
 
-@pytest.mark.parametrize("derivative", [-1, 4])
+@pytest.mark.parametrize("derivative", [-1, 4, 2.5])
 def test_hurwitz_rejects_derivative_orders_it_does_not_have(derivative):
     with pytest.raises(ValueError, match="derivative"):
         hurwitz_zeta(2.0, 1.0, derivative=derivative)
